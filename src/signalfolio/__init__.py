@@ -51,11 +51,10 @@ from .market import (
     write_csv,
 )
 from .signals import (
-    AugmentedState,
     MovementPredictor,
+    Observations,
     SignalConfig,
     SignalSeries,
-    augment,
     build_states,
     fit_internal_predictor,
     oracle_labels,

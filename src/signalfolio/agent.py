@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import CostModel, EngineError, all_cash, reward_chain
 from .market import PriceSeries, relative_prices
-from .signals import AugmentedState, SignalSeries, build_states
+from .signals import SignalSeries, build_states
 
 
 class TrainingDivergedError(RuntimeError):
@@ -89,9 +89,9 @@ def init_policy(
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward_batch(params: PolicyParams, x: np.ndarray):
@@ -104,13 +104,17 @@ def _forward_batch(params: PolicyParams, x: np.ndarray):
     return _softmax_rows(logits), hs
 
 
-def policy_forward(params: PolicyParams, state) -> np.ndarray:
-    """Allocation for one state (AugmentedState or a raw feature vector)."""
-    x = state.vector() if isinstance(state, AugmentedState) else np.asarray(state, float)
-    if x.shape != (params.input_dim,):
+def policy_forward(params: PolicyParams, x) -> np.ndarray:
+    """Allocation for one feature vector (d,), or one per row of a (T, d) matrix.
+
+    Rows go through the net as a stack of (1, d) products, so each row's
+    allocation is bit-identical to a call on that row alone.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != params.input_dim:
         raise EngineError(f"state has dim {x.shape}, policy expects {params.input_dim}")
-    probs, _ = _forward_batch(params, x[None, :])
-    return probs[0]
+    probs, _ = _forward_batch(params, x.reshape(-1, 1, params.input_dim))
+    return probs[:, 0] if x.ndim == 2 else probs[0, 0]
 
 
 @dataclass(frozen=True)
@@ -145,16 +149,13 @@ class Episode:
         signal_dim: int | None = None,
         lookback: int = 1,
     ) -> "Episode":
-        states = build_states(
+        obs = build_states(
             prices, signals, window=window, signal_dim=signal_dim, lookback=lookback
         )
-        rel = relative_prices(prices).y
-        x = np.stack([s.vector() for s in states])
-        rel_rows = rel[:, [s.t for s in states]].T
         m = prices.n_assets + 1
         return cls(
-            states=x,
-            rel=rel_rows,
+            states=obs.matrix,
+            rel=relative_prices(prices).y[:, obs.steps].T,
             entry_weights=all_cash(m),
             entry_rel=np.ones(m),
         )
@@ -253,7 +254,6 @@ class TrainConfig:
     batch_window: int = 64
     epochs: int = 100
     seed: int = 0
-    init_scale: float = 1.0
     window: int = 30
     steps_per_epoch: int | None = None
     lookback: int = 1

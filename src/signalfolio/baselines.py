@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EngineError, as_simplex
-from .signals import AugmentedState
+from .signals import Observations
 
 
 def simplex_project(v) -> np.ndarray:
@@ -98,21 +98,14 @@ def wmamr_action(
     return simplex_project(b - (loss / norm_sq) * centered)
 
 
-def _history_from_state(state: AugmentedState) -> np.ndarray:
-    """Recover (steps, cash + assets) relative prices from the window."""
-    w = state.price_window
-    rel = (w[:, 1:] / w[:, :-1]).T
-    return np.hstack([np.ones((rel.shape[0], 1)), rel])
-
-
 class CRPPolicy:
     """Fixed-mix policy; the uniform target is the equal-weight baseline."""
 
     def __init__(self, target) -> None:
         self.target = as_simplex(target, "target")
 
-    def __call__(self, state: AugmentedState) -> np.ndarray:
-        return self.target.copy()
+    def __call__(self, obs: Observations) -> np.ndarray:
+        return np.tile(self.target, (len(obs), 1))
 
 
 def ew_policy(n_components: int) -> CRPPolicy:
@@ -131,18 +124,25 @@ class _ReversionPolicy:
     def __init__(self, epsilon: float, window: int) -> None:
         self.epsilon = epsilon
         self.window = window
-        self._b: np.ndarray | None = None
 
-    def reset(self) -> None:
-        self._b = None
+    def __call__(self, obs: Observations) -> np.ndarray:
+        """Update from a uniform start through every decision step in turn.
 
-    def __call__(self, state: AugmentedState) -> np.ndarray:
-        m = state.price_window.shape[0] + 1
-        if self._b is None:
-            self._b = np.full(m, 1.0 / m)
-        hist = _history_from_state(state)
-        self._b = type(self).decide(self._b, hist, self.epsilon, self.window)
-        return self._b.copy()
+        The history of a step is the ratio of consecutive normalized closes
+        in its window (cash relative 1).  Only the last `window` ratios are
+        formed; a shorter history makes every update pass through.
+        """
+        t_total, m = len(obs), obs.n_assets + 1
+        k = min(self.window, obs.window - 1)
+        w = obs.windows[:, :, obs.window - k - 1 :]
+        hist = np.ones((t_total, k, m))
+        hist[:, :, 1:] = (w[:, :, 1:] / w[:, :, :-1]).transpose(0, 2, 1)
+        actions = np.empty((t_total, m))
+        b = np.full(m, 1.0 / m)
+        for j in range(t_total):
+            b = type(self).decide(b, hist[j], self.epsilon, self.window)
+            actions[j] = b
+        return actions
 
 
 class OLMARPolicy(_ReversionPolicy):

@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .agent import (
-    init_policy,
-    load_checkpoint,
-    policy_forward,
-    save_checkpoint,
-    train,
-)
+from .agent import load_checkpoint, policy_forward, save_checkpoint
 from .baselines import (
     CRPPolicy,
     OLMARPolicy,
@@ -35,14 +29,6 @@ from .baselines import (
 from .config import ConfigError
 from .engine import BacktestResult, run_backtest
 from .evaluation import horizon_table, write_metrics_csv, write_metrics_json
-from .market import chronological_split
-from .signals import (
-    SignalConfig,
-    fit_internal_predictor,
-    oracle_labels,
-    predictor_labels,
-    true_movements,
-)
 from .sweep import run_sweep, write_summary, write_sweep_csv
 
 
@@ -91,45 +77,11 @@ def _write_echo(cfg: dict[str, object], out: Path) -> None:
     (out / "config_echo.txt").write_text(cfgmod.echo_config(cfg))
 
 
-def _segments(cfg):
-    window = cfgmod.get_int(cfg, "window")
-    market = cfgmod.build_market(cfg)
-    train_p, test_p = chronological_split(
-        market, cfgmod.build_split(cfg), min_steps=window + 2
-    )
-    return market, train_p, test_p, window
-
-
-def _agent_signals(cfg, train_p, test_p):
-    """Signal series for the train and test segment per signal.mode."""
-    mode = cfgmod.signal_mode(cfg)
-    if mode == "none":
-        return None, None
-    if mode == "oracle":
-        lab_train, lab_test = (
-            int(s)
-            for s in np.random.SeedSequence(cfgmod.get_int(cfg, "signal.seed")).generate_state(2)
-        )
-        accuracy = cfgmod.get_number(cfg, "signal.accuracy")
-        density = cfgmod.get_number(cfg, "signal.density")
-        return (
-            oracle_labels(
-                true_movements(train_p),
-                SignalConfig(accuracy=accuracy, density=density, seed=lab_train),
-            ),
-            oracle_labels(
-                true_movements(test_p),
-                SignalConfig(accuracy=accuracy, density=density, seed=lab_test),
-            ),
-        )
-    predictor = fit_internal_predictor(
-        train_p,
-        lags=cfgmod.get_int(cfg, "signal.lags"),
-        epochs=cfgmod.get_int(cfg, "signal.fit_epochs"),
-        lr=cfgmod.get_number(cfg, "signal.fit_lr"),
-        seed=cfgmod.get_int(cfg, "signal.seed"),
-    )
-    return predictor_labels(predictor, train_p), predictor_labels(predictor, test_p)
+def _agent_seeds(cfg) -> tuple[int, int, int, int]:
+    """Init, training, train-label and test-label seeds of a CLI run."""
+    agent_seed = cfgmod.get_int(cfg, "agent.seed")
+    labels = np.random.SeedSequence(cfgmod.get_int(cfg, "signal.seed")).generate_state(2)
+    return (agent_seed, agent_seed, *(int(s) for s in labels))
 
 
 def _make_baseline(name: str, cfg, m: int):
@@ -155,26 +107,9 @@ def _make_baseline(name: str, cfg, m: int):
     raise ConfigError(f"baseline.name: unknown strategy {name!r}")
 
 
-def _trained_agent_params(cfg, train_p, train_signals, window):
-    checkpoint = cfgmod.get_str(cfg, "agent.checkpoint")
-    n = train_p.n_assets
-    if checkpoint:
-        params, _ = load_checkpoint(checkpoint)
-        return params
-    params = init_policy(
-        input_dim=n * window + n,
-        n_actions=n + 1,
-        hidden=cfgmod.hidden_sizes(cfg),
-        seed=cfgmod.get_int(cfg, "agent.seed"),
-        init_scale=cfgmod.get_number(cfg, "agent.init_scale"),
-    )
-    cm = cfgmod.build_cost(cfg)
-    params, _ = train(params, train_p, train_signals, cm, cfgmod.build_train_config(cfg))
-    return params
-
-
 def cmd_backtest(cfg, out: Path) -> int:
-    _, train_p, test_p, window = _segments(cfg)
+    train_p, test_p = cfgmod.build_segments(cfg)
+    window = cfgmod.get_int(cfg, "window")
     cm = cfgmod.build_cost(cfg)
     m = test_p.n_assets + 1
     names = cfgmod.baseline_names(cfg)
@@ -183,11 +118,14 @@ def cmd_backtest(cfg, out: Path) -> int:
         policy = _make_baseline(name, cfg, m)
         runs[name] = run_backtest(test_p, policy, None, cm, window=window)
     if cfgmod.get_bool(cfg, "agent.enabled"):
-        train_signals, test_signals = _agent_signals(cfg, train_p, test_p)
-        params = _trained_agent_params(cfg, train_p, train_signals, window)
+        checkpoint = cfgmod.get_str(cfg, "agent.checkpoint")
+        loaded = load_checkpoint(checkpoint)[0] if checkpoint else None
+        params, _, test_signals = cfgmod.setup_agent(
+            cfg, train_p, test_p, _agent_seeds(cfg), loaded, fit=loaded is None
+        )
         runs["agent"] = run_backtest(
             test_p,
-            lambda s: policy_forward(params, s),
+            lambda obs: policy_forward(params, obs.matrix),
             test_signals,
             cm,
             window=window,
@@ -233,24 +171,11 @@ def _write_metric_tables(cfg, runs, out: Path) -> None:
 
 
 def cmd_train(cfg, out: Path) -> int:
-    _, train_p, _, window = _segments(cfg)
-    cm = cfgmod.build_cost(cfg)
-    train_signals, _ = _agent_signals(cfg, train_p, train_p)
+    train_p, _ = cfgmod.build_segments(cfg)
     checkpoint = cfgmod.get_str(cfg, "agent.checkpoint")
-    n = train_p.n_assets
-    epochs_done = 0
-    if checkpoint:
-        params, meta = load_checkpoint(checkpoint)
-        epochs_done = int(meta.get("epochs_trained", 0))
-    else:
-        params = init_policy(
-            input_dim=n * window + n,
-            n_actions=n + 1,
-            hidden=cfgmod.hidden_sizes(cfg),
-            seed=cfgmod.get_int(cfg, "agent.seed"),
-            init_scale=cfgmod.get_number(cfg, "agent.init_scale"),
-        )
-    params, curve = train(params, train_p, train_signals, cm, cfgmod.build_train_config(cfg))
+    loaded, meta = load_checkpoint(checkpoint) if checkpoint else (None, {})
+    epochs_done = int(meta.get("epochs_trained", 0))
+    params, curve, _ = cfgmod.setup_agent(cfg, train_p, None, _agent_seeds(cfg), loaded)
     save_checkpoint(
         params,
         out / "checkpoint.json",

@@ -8,17 +8,27 @@ win over the file, and dedicated flags win over both.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
-from .agent import TrainConfig
+from .agent import PolicyParams, TrainConfig, init_policy, train
 from .engine import CostModel
 from .market import (
     CsvSchema,
     PriceSeries,
     SplitSpec,
     SyntheticMarketSpec,
+    chronological_split,
     generate_synthetic,
     load_csv,
+)
+from .signals import (
+    SignalConfig,
+    SignalSeries,
+    fit_internal_predictor,
+    oracle_labels,
+    predictor_labels,
+    true_movements,
 )
 
 
@@ -222,6 +232,13 @@ def build_split(cfg: dict[str, object]) -> SplitSpec:
         raise ConfigError(f"split.*: {exc}") from exc
 
 
+def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
+    """The configured market, split into train and test segments."""
+    return chronological_split(
+        build_market(cfg), build_split(cfg), min_steps=get_int(cfg, "window") + 2
+    )
+
+
 def build_cost(cfg: dict[str, object]) -> CostModel:
     try:
         return CostModel(
@@ -243,13 +260,69 @@ def build_train_config(cfg: dict[str, object]) -> TrainConfig:
             batch_window=get_int(cfg, "agent.batch_window"),
             epochs=get_int(cfg, "agent.epochs"),
             seed=get_int(cfg, "agent.seed"),
-            init_scale=get_number(cfg, "agent.init_scale"),
             window=get_int(cfg, "window"),
             steps_per_epoch=None if steps is None else get_int(cfg, "agent.steps_per_epoch"),
             lookback=get_int(cfg, "signal.lookback"),
         )
     except ValueError as exc:
         raise ConfigError(f"agent.*: {exc}") from exc
+
+
+def _labeller(cfg, train_p: PriceSeries):
+    """(segment, seed) -> movement labels per signal.mode, fit on train_p if needed."""
+    mode = signal_mode(cfg)
+    if mode == "none":
+        return lambda segment, seed: None
+    if mode == "oracle":
+        accuracy = get_number(cfg, "signal.accuracy")
+        density = get_number(cfg, "signal.density")
+        return lambda segment, seed: oracle_labels(
+            true_movements(segment),
+            SignalConfig(accuracy=accuracy, density=density, seed=seed),
+        )
+    predictor = fit_internal_predictor(
+        train_p,
+        lags=get_int(cfg, "signal.lags"),
+        epochs=get_int(cfg, "signal.fit_epochs"),
+        lr=get_number(cfg, "signal.fit_lr"),
+        seed=get_int(cfg, "signal.seed"),
+    )
+    return lambda segment, seed: predictor_labels(predictor, segment)
+
+
+def setup_agent(
+    cfg: dict[str, object],
+    train_p: PriceSeries,
+    test_p: PriceSeries | None,
+    seeds: tuple[int, int, int, int],
+    params: PolicyParams | None = None,
+    fit: bool = True,
+) -> tuple[PolicyParams, list[float], SignalSeries | None]:
+    """Labels and trained policy of one run; shared by backtest, train and sweep.
+
+    seeds are the init, training, train-label and test-label seeds.  params
+    (from a checkpoint) stand in for a fresh init, fit=False skips training
+    and its labels, and test_p=None skips the test labels.  Returns the
+    parameters, the per-epoch learning curve and the test-split signals.
+    """
+    init_seed, train_seed, train_label_seed, test_label_seed = seeds
+    label = _labeller(cfg, train_p)
+    test_signals = None if test_p is None else label(test_p, test_label_seed)
+    if params is None:
+        n, window = train_p.n_assets, get_int(cfg, "window")
+        params = init_policy(
+            input_dim=n * window + n,
+            n_actions=n + 1,
+            hidden=hidden_sizes(cfg),
+            seed=init_seed,
+            init_scale=get_number(cfg, "agent.init_scale"),
+        )
+    curve: list[float] = []
+    if fit:
+        train_signals = label(train_p, train_label_seed)
+        train_cfg = replace(build_train_config(cfg), seed=train_seed)
+        params, curve = train(params, train_p, train_signals, build_cost(cfg), train_cfg)
+    return params, curve, test_signals
 
 
 def hidden_sizes(cfg: dict[str, object]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .market import MarketDataError, PriceSeries, _frozen, relative_prices
+from .market import PriceSeries, _frozen, relative_prices
 from .signals import SignalSeries, build_states
 
 SIMPLEX_TOL = 1e-12
@@ -297,26 +297,27 @@ def run_backtest(
 ) -> BacktestResult:
     """Run a policy over a price series, starting from all cash.
 
-    The policy is called once per decision step with an AugmentedState and
-    must return a simplex allocation.  The first window - 1 steps only feed
-    history; the final step has no observable move, so a series of n steps
-    yields n - window decisions.
+    The policy is called once with the episode's Observations and must
+    return a (T, n + 1) matrix whose rows are simplex allocations, one per
+    decision step.  The first window - 1 steps only feed history; the final
+    step has no observable move, so a series of n steps yields n - window
+    decisions.
     """
     cm = cm or CostModel()
-    if prices.n_steps < window + 2:
-        raise MarketDataError(
-            f"series of {prices.n_steps} steps too short for window {window}"
-        )
-    states = build_states(prices, signals, window=window, lookback=lookback)
-    rel = relative_prices(prices).y
+    obs = build_states(prices, signals, window=window, lookback=lookback)
     m = prices.n_assets + 1
-    actions = np.empty((len(states), m))
-    for j, state in enumerate(states):
-        actions[j] = as_simplex(policy(state), "action")
-    rel_rows = rel[:, [s.t for s in states]].T
+    actions = np.asarray(policy(obs), dtype=float)
+    if actions.shape != (len(obs), m):
+        raise EngineError(f"actions have shape {actions.shape}, want {(len(obs), m)}")
+    if not np.all(np.isfinite(actions)) or np.any(actions < 0.0):
+        raise EngineError("actions must be finite and non-negative")
+    off = np.abs(actions.sum(axis=1) - 1.0) > SIMPLEX_TOL
+    if np.any(off):
+        raise EngineError(f"action at step {obs.steps[np.argmax(off)]} must sum to 1")
+    rel_rows = relative_prices(prices).y[:, obs.steps].T
     chain = reward_chain(actions, rel_rows, all_cash(m), np.ones(m), cm)
     return BacktestResult(
-        start_index=states[0].t,
+        start_index=obs.steps.start,
         actions=actions,
         weights=chain.drifted,
         betas=chain.betas,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .market import MarketDataError, PriceSeries, _frozen
 
@@ -189,6 +190,12 @@ def fit_internal_predictor(
     )
 
 
+def _logits(predictor: MovementPredictor, log_rel: np.ndarray) -> np.ndarray:
+    """Logits of every run of lags log relatives; column j reads log_rel[:, j : j + lags]."""
+    lagged = sliding_window_view(log_rel, predictor.lags, axis=1)
+    return np.einsum("ik,ijk->ij", predictor.weights, lagged) + predictor.bias[:, None]
+
+
 def predict_internal(predictor: MovementPredictor, window: np.ndarray) -> np.ndarray:
     """Predict next movements from a price window of raw or normalized closes.
 
@@ -205,67 +212,20 @@ def predict_internal(predictor: MovementPredictor, window: np.ndarray) -> np.nda
     if np.any(window <= 0.0):
         raise SignalError("window prices must be strictly positive")
     log_rel = np.diff(np.log(window), axis=1)[:, -predictor.lags :]
-    logits = np.einsum("ij,ij->i", predictor.weights, log_rel) + predictor.bias
-    return np.where(logits >= 0.0, 1.0, -1.0)
+    return np.where(_logits(predictor, log_rel)[:, 0] >= 0.0, 1.0, -1.0)
 
 
 def predictor_labels(predictor: MovementPredictor, prices: PriceSeries) -> SignalSeries:
     """Run the predictor over a whole series, absent where history is short."""
+    if prices.n_assets != predictor.weights.shape[0]:
+        raise SignalError("price series assets do not match predictor")
     values = np.zeros((prices.n_assets, prices.n_steps))
-    closes = prices.close[1:]
-    for t in range(predictor.lags, prices.n_steps - 1):
-        values[:, t] = predict_internal(predictor, closes[:, t - predictor.lags : t + 1])
+    # Steps lags .. n_steps - 2 each see the lags log relatives before them.
+    log_rel = np.diff(np.log(prices.close[1:]), axis=1)[:, :-1]
+    if log_rel.shape[1] >= predictor.lags:
+        logits = _logits(predictor, log_rel)
+        values[:, predictor.lags : prices.n_steps - 1] = np.where(logits >= 0.0, 1.0, -1.0)
     return SignalSeries(values=values)
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Observation at one decision step: normalized price window plus signal."""
-
-    price_window: np.ndarray
-    signal: np.ndarray
-    t: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "price_window", _frozen(self.price_window))
-        object.__setattr__(self, "signal", _frozen(self.signal))
-
-    @property
-    def dim(self) -> int:
-        return self.price_window.size + self.signal.size
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.price_window.ravel(), self.signal])
-
-
-def augment(
-    window: np.ndarray,
-    signal: np.ndarray | None = None,
-    t: int = 0,
-    signal_dim: int | None = None,
-) -> AugmentedState:
-    """Build an observation from a raw close window and an optional signal.
-
-    The window is normalized per asset by its last column, so the final
-    column is all ones.  An absent signal becomes a zero vector.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[1] < 1:
-        raise SignalError("price window must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(window)) or np.any(window <= 0.0):
-        raise SignalError("price window must be finite and strictly positive")
-    if signal is None:
-        if signal_dim is None:
-            signal_dim = window.shape[0]
-        signal = np.zeros(signal_dim)
-    else:
-        signal = np.asarray(signal, dtype=float)
-        if signal.ndim != 1:
-            raise SignalError("signal must be a vector")
-        if signal_dim is not None and signal.size != signal_dim:
-            raise SignalError(f"signal has dim {signal.size}, expected {signal_dim}")
-    normalized = window / window[:, -1:]
-    return AugmentedState(price_window=normalized, signal=signal, t=t)
 
 
 def decision_indices(n_steps: int, window: int) -> range:
@@ -283,30 +243,76 @@ def signal_at(series: SignalSeries, t: int, lookback: int = 1) -> np.ndarray:
     return np.asarray(series.values[:, start : t + 1].mean(axis=1))
 
 
+@dataclass(frozen=True)
+class Observations:
+    """Observation matrix of one episode, one row per decision step.
+
+    Row j is the state at step steps[j]: each asset's close window divided
+    by its last close, asset by asset (n_assets * window columns), followed
+    by the signal columns.  This is the only place that knows the layout.
+    """
+
+    matrix: np.ndarray
+    n_assets: int
+    window: int
+    steps: range
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def windows(self) -> np.ndarray:
+        """(T, n_assets, window) view of the normalized close windows."""
+        return self.matrix[:, : self.n_assets * self.window].reshape(
+            len(self), self.n_assets, self.window
+        )
+
+    @property
+    def signals(self) -> np.ndarray:
+        return self.matrix[:, self.n_assets * self.window :]
+
+
 def build_states(
     prices: PriceSeries,
     signals: SignalSeries | None = None,
     window: int = 30,
     signal_dim: int | None = None,
     lookback: int = 1,
-) -> list[AugmentedState]:
-    """Assemble the observation sequence for every decision step."""
+) -> Observations:
+    """Assemble the observations of every decision step in one matrix.
+
+    An absent signal becomes signal_dim (default n_assets) zero columns.
+    """
     if prices.n_steps < window + 2:
         raise MarketDataError(
             f"series of {prices.n_steps} steps too short for window {window}"
         )
+    n = prices.n_assets
     if signals is not None:
-        if signals.n_assets != prices.n_assets:
+        if signals.n_assets != n:
             raise SignalError("signal assets do not match price series")
         if signals.n_steps != prices.n_steps:
             raise SignalError("signal steps do not match price series")
-    closes = prices.close[1:]
-    states = []
-    for t in decision_indices(prices.n_steps, window):
-        raw = closes[:, t - window + 1 : t + 1]
-        sig = None if signals is None else signal_at(signals, t, lookback)
-        states.append(augment(raw, sig, t=t, signal_dim=signal_dim))
-    return states
+        if signal_dim is not None and signal_dim != n:
+            raise SignalError(f"signal has dim {n}, expected {signal_dim}")
+        if lookback < 1:
+            raise SignalError("lookback must be >= 1")
+    steps = decision_indices(prices.n_steps, window)
+    t_total = len(steps)
+    s = n if signal_dim is None else signal_dim
+    matrix = np.zeros((t_total, n * window + s))
+    obs = Observations(matrix=matrix, n_assets=n, window=window, steps=steps)
+    # raw[i, j] is the close window of asset i ending at step steps[j].
+    raw = sliding_window_view(prices.close[1:], window, axis=1)[:, :t_total]
+    np.divide(raw, raw[:, :, -1:], out=obs.windows.transpose(1, 0, 2))
+    if signals is not None:
+        # Averages over the last `lookback` steps, truncated at the series start.
+        padded = np.pad(signals.values, ((0, 0), (lookback - 1, 0)))
+        sums = sliding_window_view(padded, lookback, axis=1)[:, steps.start : steps.stop]
+        counts = np.minimum(np.arange(steps.start, steps.stop) + 1, lookback)
+        obs.signals[:] = (sums.sum(axis=2) / counts).T
+    matrix.setflags(write=False)
+    return obs
 
 
 def save_signal_csv(

@@ -15,17 +15,15 @@ import hashlib
 import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .agent import init_policy, policy_forward, train
+from .agent import policy_forward
 from .engine import run_backtest
 from .evaluation import UndefinedSharpeError, sharpe_ratio
-from .market import chronological_split
-from .signals import SignalConfig, oracle_labels, true_movements
 
 CONTROL = "control"
 
@@ -75,43 +73,26 @@ def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
 
 def run_cell(cfg: dict[str, object], cell: CellSpec) -> dict:
     """Train and evaluate one cell; returns a plain row dict."""
-    cm = cfgmod.build_cost(cfg)
-    window = cfgmod.get_int(cfg, "window")
-    market = cfgmod.build_market(cfg)
-    train_prices, test_prices = chronological_split(
-        market, cfgmod.build_split(cfg), min_steps=window + 2
-    )
-    root = cell_seed(cfgmod.get_int(cfg, "seed"), cell)
-    streams = np.random.SeedSequence(root).generate_state(4)
-    init_seed, train_seed, lab_train, lab_test = (int(s) for s in streams)
+    train_prices, test_prices = cfgmod.build_segments(cfg)
     if cell.is_control:
-        train_signals = test_signals = None
+        cell_cfg = {**cfg, "signal.mode": "none"}
     else:
-        train_signals = oracle_labels(
-            true_movements(train_prices),
-            SignalConfig(accuracy=cell.accuracy, density=cell.density, seed=lab_train),
-        )
-        test_signals = oracle_labels(
-            true_movements(test_prices),
-            SignalConfig(accuracy=cell.accuracy, density=cell.density, seed=lab_test),
-        )
-    n = market.n_assets
-    params = init_policy(
-        input_dim=n * window + n,
-        n_actions=n + 1,
-        hidden=cfgmod.hidden_sizes(cfg),
-        seed=init_seed,
-        init_scale=cfgmod.get_number(cfg, "agent.init_scale"),
-    )
-    train_cfg = replace(cfgmod.build_train_config(cfg), seed=train_seed)
-    params, _ = train(params, train_prices, train_signals, cm, train_cfg)
+        cell_cfg = {
+            **cfg,
+            "signal.mode": "oracle",
+            "signal.accuracy": cell.accuracy,
+            "signal.density": cell.density,
+        }
+    root = cell_seed(cfgmod.get_int(cfg, "seed"), cell)
+    seeds = tuple(int(s) for s in np.random.SeedSequence(root).generate_state(4))
+    params, _, test_signals = cfgmod.setup_agent(cell_cfg, train_prices, test_prices, seeds)
     result = run_backtest(
         test_prices,
-        lambda s: policy_forward(params, s),
+        lambda obs: policy_forward(params, obs.matrix),
         test_signals,
-        cm,
-        window=window,
-        lookback=train_cfg.lookback,
+        cfgmod.build_cost(cfg),
+        window=cfgmod.get_int(cfg, "window"),
+        lookback=cfgmod.get_int(cfg, "signal.lookback"),
     )
     try:
         sharpe = sharpe_ratio(result, result.n_steps, cfgmod.get_number(cfg, "rfree"))

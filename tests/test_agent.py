@@ -55,6 +55,16 @@ class TestPolicyForward:
         out = policy_forward(params, np.ones(10))
         assert out[0] > 0.99
 
+    @pytest.mark.parametrize(
+        "input_dim,hidden", [(248, (64,)), (33, (32,)), (39, (32,)), (20, (16, 8))]
+    )
+    def test_batch_equals_rows(self, input_dim, hidden):
+        rng = np.random.default_rng(input_dim)
+        params = init_policy(input_dim, 4, hidden=hidden, seed=3)
+        x = rng.normal(0, 1, (90, input_dim))
+        rows = np.stack([policy_forward(params, row) for row in x])
+        assert np.array_equal(policy_forward(params, x), rows)
+
     def test_parameter_count(self):
         params = init_policy(10, 3, hidden=(16,), seed=0)
         assert params.n_parameters() == 10 * 16 + 16 + 16 * 3 + 3
@@ -89,7 +99,7 @@ class TestObjective:
         cm = CostModel()
         j = objective(params, episode, cm)
         result = run_backtest(
-            prices, lambda s: policy_forward(params, s), None, cm, window=10
+            prices, lambda obs: policy_forward(params, obs.matrix), None, cm, window=10
         )
         assert j == pytest.approx(result.rewards.mean(), abs=1e-10)
 

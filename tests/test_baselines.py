@@ -10,7 +10,6 @@ from signalfolio.baselines import (
     CRPPolicy,
     OLMARPolicy,
     WMAMRPolicy,
-    _history_from_state,
     crp_action,
     ew_policy,
     hold_cash_policy,
@@ -19,8 +18,8 @@ from signalfolio.baselines import (
     wmamr_action,
 )
 from signalfolio.engine import CostModel, EngineError, run_backtest
-from signalfolio.market import SyntheticMarketSpec, generate_synthetic, relative_prices
-from signalfolio.signals import AugmentedState
+from signalfolio.market import PriceSeries, SyntheticMarketSpec, generate_synthetic, relative_prices
+from signalfolio.signals import build_states
 
 
 def project_by_support_search(v: np.ndarray) -> np.ndarray:
@@ -87,17 +86,18 @@ class TestFixedMixPolicies:
         with pytest.raises(EngineError):
             crp_action(np.array([0.6, 0.6]))
 
-    def test_ew_is_uniform_crp(self):
-        ew = ew_policy(4)
-        crp = CRPPolicy(np.full(4, 0.25))
-        state = object()
-        assert np.array_equal(ew(state), crp(state))
+    def test_ew_is_uniform_crp(self, noisy_market):
+        obs = build_states(noisy_market, window=10)
+        ew = ew_policy(3)
+        crp = CRPPolicy(np.full(3, 1.0 / 3.0))
+        assert np.array_equal(ew(obs), crp(obs))
 
-    def test_policy_output_is_a_copy(self):
+    def test_policy_output_is_a_copy(self, noisy_market):
+        obs = build_states(noisy_market, window=10)
         policy = ew_policy(3)
-        out = policy(object())
-        out[0] = 99.0
-        assert policy(object())[0] == pytest.approx(1.0 / 3.0)
+        out = policy(obs)
+        out[0, 0] = 99.0
+        assert policy(obs)[0, 0] == pytest.approx(1.0 / 3.0)
 
     def test_hold_cash_backtest_flat(self, noisy_market):
         cm = CostModel(c_buy=0.005, c_sell=0.005)
@@ -245,33 +245,53 @@ class TestWmamr:
 
 
 class TestReversionPolicies:
-    def _state(self, window_prices):
-        w = np.asarray(window_prices, float)
-        return AugmentedState(price_window=w, signal=None, t=w.shape[1] - 1)
+    def _obs(self, *rows, window):
+        close = np.vstack([np.ones(len(rows[0])), np.asarray(rows, float)])
+        prices = PriceSeries(
+            close=close,
+            timestamps=tuple(range(close.shape[1])),
+            assets=tuple(f"A{i}" for i in range(len(rows))),
+        )
+        return build_states(prices, window=window)
 
     def test_history_extraction(self):
-        window = np.array([[1.0, 2.0, 4.0], [3.0, 3.0, 1.5]])
-        hist = _history_from_state(self._state(window))
-        assert np.allclose(
-            hist, [[1.0, 2.0, 1.0], [1.0, 2.0, 0.5]], atol=1e-12
-        )
+        # the first window is [[1, 2, 4], [3, 3, 1.5]], so the history the
+        # update sees is the ratio of consecutive closes with cash at 1
+        obs = self._obs([1.0, 2.0, 4.0, 3.0, 5.0], [3.0, 3.0, 1.5, 2.0, 2.0], window=3)
+        hist = np.array([[1.0, 2.0, 1.0], [1.0, 2.0, 0.5]])
+        uniform = np.full(3, 1.0 / 3.0)
+        out = WMAMRPolicy(epsilon=1.0, window=2)(obs)
+        assert np.allclose(out[0], wmamr_action(uniform, hist, 1.0, 2), atol=1e-12)
 
     def test_first_call_from_uniform(self):
         policy = OLMARPolicy(window=50)
-        out = policy(self._state(np.ones((2, 6))))
+        out = policy(self._obs(np.arange(1.0, 9.0), np.arange(8.0, 0.0, -1.0), window=6))
         # too little history for the window, so the uniform start passes
         # straight through
-        assert np.allclose(out, 1.0 / 3.0, atol=1e-12)
+        assert np.allclose(out[0], 1.0 / 3.0, atol=1e-12)
 
-    def test_reset_restores_initial_state(self):
+    def test_repeated_calls_identical(self):
         rng = np.random.default_rng(4)
-        prices = np.cumprod(1 + rng.normal(0, 0.05, (2, 12)), axis=1)
+        prices = np.cumprod(1 + rng.normal(0, 0.05, (2, 20)), axis=1)
+        obs = self._obs(*prices, window=12)
         policy = WMAMRPolicy(window=3)
-        first = policy(self._state(prices))
-        policy(self._state(prices * 1.1))
-        policy.reset()
-        again = policy(self._state(prices))
-        assert np.array_equal(first, again)
+        first = policy(obs)
+        policy(self._obs(*prices[:, ::-1], window=12))
+        assert np.array_equal(first, policy(obs))
+
+    @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
+    def test_matches_full_window_replay(self, cls):
+        # reference: each step sees the ratios of its whole normalized window
+        spec = SyntheticMarketSpec(n_assets=3, n_steps=80, vol=0.03, seed=6)
+        obs = build_states(generate_synthetic(spec), window=12)
+        policy = cls(window=5)
+        b = np.full(4, 0.25)
+        expected = []
+        for w in obs.windows:
+            hist = np.hstack([np.ones((11, 1)), (w[:, 1:] / w[:, :-1]).T])
+            b = type(policy).decide(b, hist, policy.epsilon, policy.window)
+            expected.append(b)
+        assert np.array_equal(policy(obs), np.stack(expected))
 
     @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
     def test_backtest_outputs_valid(self, cls):

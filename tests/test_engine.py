@@ -240,12 +240,11 @@ class TestRunBacktest:
         assert np.all(result.betas == 1.0)
 
     def test_single_asset_compounding(self, drift_market):
-        class AllIn:
-            def __call__(self, state):
-                return np.array([0.0, 1.0])
+        def all_in(obs):
+            return np.tile([0.0, 1.0], (len(obs), 1))
 
         cm = CostModel(c_buy=0.0, c_sell=0.0)
-        result = run_backtest(drift_market, AllIn(), None, cm, window=10)
+        result = run_backtest(drift_market, all_in, None, cm, window=10)
         steps = drift_market.n_steps - 10
         assert result.n_steps == steps
         assert result.final_pv == pytest.approx(1.01**steps, rel=1e-10)
@@ -278,6 +277,35 @@ class TestRunBacktest:
     def test_too_short_series_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):
             run_backtest(tiny_market, ew_policy(3), None, CostModel(), window=4)
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            [-0.1, 0.6, 0.5],
+            [np.nan, 0.5, 0.5],
+            [np.inf, 0.0, 0.0],
+            [0.2, 0.3, 0.5 + 1e-9],
+            [0.2, 0.3, 0.5 - 1e-9],
+        ],
+    )
+    def test_bad_middle_action_row_rejected(self, noisy_market, bad_row):
+        def policy(obs):
+            actions = np.full((len(obs), 3), 1.0 / 3.0)
+            actions[len(obs) // 2] = bad_row
+            return actions
+
+        with pytest.raises(EngineError):
+            run_backtest(noisy_market, policy, None, CostModel(), window=10)
+
+    @pytest.mark.parametrize("shape", [lambda t: (t, 2), lambda t: (t - 1, 3), lambda t: (3,)])
+    def test_wrong_action_shape_rejected(self, noisy_market, shape):
+        def policy(obs):
+            out = np.zeros(shape(len(obs)))
+            out[..., 0] = 1.0
+            return out
+
+        with pytest.raises(EngineError, match="shape"):
+            run_backtest(noisy_market, policy, None, CostModel(), window=10)
 
     def test_json_round_trip(self, tmp_path, noisy_market):
         result = run_backtest(noisy_market, ew_policy(3), None, CostModel(), window=10)

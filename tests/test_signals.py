@@ -8,7 +8,6 @@ from signalfolio.signals import (
     SignalConfig,
     SignalError,
     SignalSeries,
-    augment,
     build_states,
     decision_indices,
     fit_internal_predictor,
@@ -164,6 +163,14 @@ class TestInternalPredictor:
         assert predict_internal(predictor, window)[0] == 1.0
         assert predict_internal(predictor, mirrored)[0] == -1.0
 
+    def test_predictor_labels_match_stepwise_predictions(self, noisy_market):
+        predictor = fit_internal_predictor(noisy_market, lags=4, epochs=30, seed=2)
+        series = predictor_labels(predictor, noisy_market)
+        closes = noisy_market.close[1:]
+        for t in range(4, noisy_market.n_steps - 1):
+            expected = predict_internal(predictor, closes[:, t - 4 : t + 1])
+            assert np.array_equal(series.values[:, t], expected)
+
     def test_predictor_labels_absent_until_history(self, noisy_market):
         predictor = fit_internal_predictor(noisy_market, lags=6, epochs=10)
         series = predictor_labels(predictor, noisy_market)
@@ -173,29 +180,49 @@ class TestInternalPredictor:
 
 
 class TestAugment:
+    """Observation rows: each asset's normalized close window, then its signal."""
+
     def test_last_column_normalized_to_one(self):
-        window = np.array([[10.0, 12.0, 8.0], [5.0, 5.5, 5.0]])
-        state = augment(window)
-        assert np.allclose(state.price_window[:, -1], 1.0)
-        assert np.allclose(state.price_window[0], [1.25, 1.5, 1.0])
+        prices = series_from_closes([10.0, 12.0, 8.0, 9.0, 9.5], [5.0, 5.5, 5.0, 6.0, 6.1])
+        obs = build_states(prices, window=3)
+        assert np.all(obs.windows[:, :, -1] == 1.0)
+        assert np.allclose(obs.windows[0, 0], [1.25, 1.5, 1.0])
 
     def test_absent_signal_zero_filled(self):
-        state = augment(np.ones((3, 4)), None, signal_dim=3)
-        assert np.array_equal(state.signal, np.zeros(3))
+        prices = series_from_closes(*np.full((3, 6), 2.0))
+        obs = build_states(prices, None, window=4, signal_dim=3)
+        assert np.array_equal(obs.signals, np.zeros((len(obs), 3)))
 
     def test_standard_dimensions(self):
-        window = np.abs(np.random.default_rng(0).normal(10, 1, size=(9, 30)))
-        state = augment(window, np.ones(9))
-        assert state.dim == 279
-        assert state.vector().shape == (279,)
+        closes = np.abs(np.random.default_rng(0).normal(10, 1, size=(9, 32)))
+        prices = series_from_closes(*closes)
+        obs = build_states(prices, SignalSeries(values=np.ones((9, 32))), window=30)
+        assert obs.matrix.shape == (len(obs), 279)
 
     def test_rejects_nonpositive_window(self):
-        with pytest.raises(SignalError):
-            augment(np.array([[1.0, -2.0]]))
+        # prices are validated where they enter, so no observation can see them
+        with pytest.raises(MarketDataError):
+            series_from_closes([1.0, -2.0, 1.0, 1.0])
 
     def test_signal_dim_mismatch_rejected(self):
+        prices = series_from_closes([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 2.0, 2.0, 2.0, 2.0])
         with pytest.raises(SignalError):
-            augment(np.ones((2, 3)), np.ones(2), signal_dim=5)
+            build_states(prices, SignalSeries(values=np.ones((2, 5))), window=3, signal_dim=5)
+
+    @pytest.mark.parametrize("lookback", [1, 12])
+    def test_rows_match_hand_built_state(self, noisy_market, lookback):
+        # window 8 and lookback 12 truncate the signal average at the start
+        labels = oracle_labels(
+            true_movements(noisy_market), SignalConfig(accuracy=0.7, density=0.6, seed=3)
+        )
+        w = 8
+        obs = build_states(noisy_market, labels, window=w, lookback=lookback)
+        closes = noisy_market.close[1:]
+        assert len(obs) == len(decision_indices(noisy_market.n_steps, w))
+        for row, t in zip(obs.matrix, obs.steps):
+            window = closes[:, t - w + 1 : t + 1] / closes[:, t : t + 1]
+            expected = np.concatenate([window.ravel(), signal_at(labels, t, lookback)])
+            assert np.array_equal(row, expected)
 
 
 class TestStateAssembly:
@@ -204,11 +231,10 @@ class TestStateAssembly:
 
     def test_states_align_with_signals(self, noisy_market):
         truth = true_movements(noisy_market)
-        states = build_states(noisy_market, truth, window=8)
-        assert states[0].t == 7
-        assert states[-1].t == noisy_market.n_steps - 2
-        for state in states[:5]:
-            assert np.array_equal(state.signal, truth.values[:, state.t])
+        obs = build_states(noisy_market, truth, window=8)
+        assert obs.steps[0] == 7
+        assert obs.steps[-1] == noisy_market.n_steps - 2
+        assert np.array_equal(obs.signals[:5], truth.values[:, 7:12].T)
 
     def test_lookback_averages_recent_labels(self):
         values = np.array([[1.0, -1.0, 1.0, 0.0]])
