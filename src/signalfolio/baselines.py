@@ -33,6 +33,32 @@ def crp_action(target: np.ndarray) -> np.ndarray:
     return as_simplex(target, "target").copy()
 
 
+def _reversion_inputs(b, y_history, window: int) -> tuple[np.ndarray, np.ndarray]:
+    b = as_simplex(b, "weights")
+    hist = np.asarray(y_history, dtype=float)
+    if hist.ndim != 2 or hist.shape[1] != b.size:
+        raise EngineError("y_history must be (steps, assets) matching weights")
+    if window < 1:
+        raise EngineError("window must be >= 1")
+    return b, hist
+
+
+def _reversion_step(b: np.ndarray, x: np.ndarray, epsilon: float, sign: float) -> np.ndarray:
+    """Passive-aggressive step of b along the centered x toward b . x = epsilon.
+
+    Taken only when sign * (epsilon - b . x) > 0 and x is not flat; the
+    stepped weights are projected back onto the simplex.
+    """
+    gap = epsilon - float(b @ x)
+    if sign * gap <= 0.0:
+        return b.copy()
+    centered = x - x.mean()
+    norm_sq = float(centered @ centered)
+    if norm_sq <= 1e-300:
+        return b.copy()
+    return simplex_project(b + (gap / norm_sq) * centered)
+
+
 def olmar_action(
     b: np.ndarray,
     y_history: np.ndarray,
@@ -47,24 +73,11 @@ def olmar_action(
     too little history, a satisfied constraint or a flat prediction the
     weights pass through unchanged.
     """
-    b = as_simplex(b, "weights")
-    hist = np.asarray(y_history, dtype=float)
-    if hist.ndim != 2 or hist.shape[1] != b.size:
-        raise EngineError("y_history must be (steps, assets) matching weights")
-    if window < 1:
-        raise EngineError("window must be >= 1")
+    b, hist = _reversion_inputs(b, y_history, window)
     if hist.shape[0] < window:
         return b.copy()
-    recent = hist[-1 : -window - 1 : -1]
-    predicted = np.cumprod(1.0 / recent, axis=0).mean(axis=0)
-    if float(b @ predicted) >= epsilon:
-        return b.copy()
-    centered = predicted - predicted.mean()
-    norm_sq = float(centered @ centered)
-    if norm_sq <= 1e-300:
-        return b.copy()
-    step = (epsilon - float(b @ predicted)) / norm_sq
-    return simplex_project(b + step * centered)
+    predicted = np.cumprod(1.0 / hist[-1 : -window - 1 : -1], axis=0).mean(axis=0)
+    return _reversion_step(b, predicted, epsilon, 1.0)
 
 
 def wmamr_action(
@@ -79,23 +92,10 @@ def wmamr_action(
     step against it (recent winners get trimmed) and reproject; otherwise
     they pass through unchanged.
     """
-    b = as_simplex(b, "weights")
-    hist = np.asarray(y_history, dtype=float)
-    if hist.ndim != 2 or hist.shape[1] != b.size:
-        raise EngineError("y_history must be (steps, assets) matching weights")
-    if window < 1:
-        raise EngineError("window must be >= 1")
+    b, hist = _reversion_inputs(b, y_history, window)
     if hist.shape[0] < window:
         return b.copy()
-    avg = hist[-window:].mean(axis=0)
-    loss = float(b @ avg) - epsilon
-    if loss <= 0.0:
-        return b.copy()
-    centered = avg - avg.mean()
-    norm_sq = float(centered @ centered)
-    if norm_sq <= 1e-300:
-        return b.copy()
-    return simplex_project(b - (loss / norm_sq) * centered)
+    return _reversion_step(b, hist[-window:].mean(axis=0), epsilon, -1.0)
 
 
 class CRPPolicy:

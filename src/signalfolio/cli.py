@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .agent import load_checkpoint, policy_forward, save_checkpoint
+from .agent import load_checkpoint, save_checkpoint
 from .baselines import (
     CRPPolicy,
     OLMARPolicy,
@@ -123,14 +123,7 @@ def cmd_backtest(cfg, out: Path) -> int:
         params, _, test_signals = cfgmod.setup_agent(
             cfg, train_p, test_p, _agent_seeds(cfg), loaded, fit=loaded is None
         )
-        runs["agent"] = run_backtest(
-            test_p,
-            lambda obs: policy_forward(params, obs.matrix),
-            test_signals,
-            cm,
-            window=window,
-            lookback=cfgmod.get_int(cfg, "signal.lookback"),
-        )
+        runs["agent"] = cfgmod.backtest_agent(cfg, test_p, params, test_signals)
     if not runs:
         raise ConfigError("baselines: nothing to run (no baselines, agent disabled)")
     for name, result in runs.items():

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .agent import PolicyParams, TrainConfig, init_policy, train
-from .engine import CostModel
+from .agent import PolicyParams, TrainConfig, init_policy, policy_forward, train
+from .engine import BacktestResult, CostModel, run_backtest
 from .market import (
     CsvSchema,
     PriceSeries,
@@ -323,6 +323,20 @@ def setup_agent(
         train_cfg = replace(build_train_config(cfg), seed=train_seed)
         params, curve = train(params, train_p, train_signals, build_cost(cfg), train_cfg)
     return params, curve, test_signals
+
+
+def backtest_agent(
+    cfg: dict[str, object], test_p: PriceSeries, params: PolicyParams, signals: SignalSeries | None
+) -> BacktestResult:
+    """Backtest the agent's policy on the test split; shared by backtest and sweep."""
+    return run_backtest(
+        test_p,
+        lambda obs: policy_forward(params, obs.matrix),
+        signals,
+        build_cost(cfg),
+        window=get_int(cfg, "window"),
+        lookback=get_int(cfg, "signal.lookback"),
+    )
 
 
 def hidden_sizes(cfg: dict[str, object]) -> tuple[int, ...]:

@@ -31,14 +31,19 @@ class EngineError(ValueError):
 
 
 def as_simplex(v, name: str = "weights") -> np.ndarray:
-    """Validate and return a simplex vector (non-negative, sums to 1)."""
+    """Validate and return a simplex vector, or a (T, m) matrix of simplex rows.
+
+    The error names the first bad row of a matrix.
+    """
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise EngineError(f"{name} must be a vector over cash + assets")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise EngineError(f"{name} must be finite and non-negative")
-    if abs(float(arr.sum()) - 1.0) > SIMPLEX_TOL:
-        raise EngineError(f"{name} must sum to 1 (got {arr.sum()!r})")
+    rows = arr.reshape(-1, arr.shape[-1])
+    bad = ~np.isfinite(rows).all(axis=1) | (rows < 0.0).any(axis=1)
+    bad |= np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL
+    if np.any(bad):
+        where = f"{name} row {np.argmax(bad)}" if arr.ndim == 2 else name
+        raise EngineError(f"{where} must be finite, non-negative and sum to 1")
     return arr
 
 
@@ -88,52 +93,23 @@ class CostModel:
 
 
 def drift_weights(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weights after prices move: (y * a) / (y . a)."""
+    """Weights after prices move: (y * a) / sum(y * a)."""
     a = as_simplex(a, "action")
     y = _check_rel(y, a.size)
-    return (y * a) / float(y @ a)
+    return _drift(a[None], y[None])[0]
 
 
 def cost_fixed_point(w_drift: np.ndarray, a: np.ndarray, cm: CostModel) -> tuple[float, int]:
-    """Solve the rebalance shrink factor mu and report iterations used.
-
-    Iterates mu <- [1 - cb*w0 - (cs + cb - cs*cb) * sum_i max(wi - mu*ai, 0)]
-    / (1 - cb*a0) from mu = 1 until successive values differ by less than
-    the tolerance.  w_drift is the pre-trade allocation, a the target.
-    """
-    cb, cs = cm.c_buy, cm.c_sell
-    if cb == 0.0 and cs == 0.0:
-        return 1.0, 0
-    k = cs + cb - cs * cb
-    denom = 1.0 - cb * float(a[0])
-    w_risky = w_drift[1:]
-    a_risky = a[1:]
-    mu = 1.0
-    for i in range(cm.max_iters):
-        sold = float(np.maximum(w_risky - mu * a_risky, 0.0).sum())
-        nxt = (1.0 - cb * float(w_drift[0]) - k * sold) / denom
-        if abs(nxt - mu) < cm.tol:
-            return nxt, i + 1
-        mu = nxt
-    raise ConvergenceError(f"cost fixed point did not converge in {cm.max_iters} iterations")
-
-
-def _simple_factor(w_drift: np.ndarray, a: np.ndarray, cm: CostModel) -> float:
-    turnover = float(np.abs(a[1:] - w_drift[1:]).sum())
-    beta = 1.0 - cm.blended_rate * turnover
-    if beta <= 0.0:
-        raise EngineError("cost rate too large for turnover in simple mode")
-    return beta
+    """Shrink factor mu of the rebalance from w_drift to a, and the iterations used."""
+    mu, iters = _fixed_point_batch(w_drift[None], a[None], cm)
+    return float(mu[0]), iters
 
 
 def cost_factor(w_prev: np.ndarray, a: np.ndarray, y_prev: np.ndarray, cm: CostModel) -> float:
     """Wealth fraction surviving the rebalance from drifted w_prev to a."""
     a = as_simplex(a, "action")
     w_drift = drift_weights(w_prev, y_prev)
-    if cm.mode == "simple":
-        return _simple_factor(w_drift, a, cm)
-    beta, _ = cost_fixed_point(w_drift, a, cm)
-    return beta
+    return float(_betas(w_drift[None], a[None], cm)[0])
 
 
 def step_reward(
@@ -146,8 +122,9 @@ def step_reward(
     """Transaction-cost-adjusted log return of one step."""
     a = as_simplex(a, "action")
     y = _check_rel(y, a.size)
-    beta = cost_factor(w_prev, a, y_prev, cm)
-    return float(np.log(beta * float(a @ y)))
+    w_prev = as_simplex(w_prev, "action")
+    y_prev = _check_rel(y_prev, w_prev.size)
+    return float(reward_chain(a[None], y[None], w_prev, y_prev, cm).rewards[0])
 
 
 def accumulate(rewards, p0: float = 1.0) -> np.ndarray:
@@ -170,22 +147,46 @@ class ChainResult:
     rewards: np.ndarray
 
 
-def _fixed_point_batch(w_drift: np.ndarray, a: np.ndarray, cm: CostModel) -> np.ndarray:
+def _drift(prev_a: np.ndarray, prev_y: np.ndarray) -> np.ndarray:
+    num = prev_y * prev_a
+    return num / num.sum(axis=1, keepdims=True)
+
+
+def _fixed_point_batch(
+    w_drift: np.ndarray, a: np.ndarray, cm: CostModel
+) -> tuple[np.ndarray, int]:
+    """Shrink factor of every row and the iterations the slowest row needed.
+
+    Iterates mu <- [1 - cb*w0 - (cs + cb - cs*cb) * sum_i max(wi - mu*ai, 0)]
+    / (1 - cb*a0) from mu = 1 until successive values differ by less than
+    the tolerance in every row.  Zero rates give mu = 1 in zero iterations.
+    """
     t_total = a.shape[0]
     cb, cs = cm.c_buy, cm.c_sell
     if cb == 0.0 and cs == 0.0:
-        return np.ones(t_total)
+        return np.ones(t_total), 0
     k = cs + cb - cs * cb
     denom = 1.0 - cb * a[:, 0]
     mu = np.ones(t_total)
-    for _ in range(cm.max_iters):
+    for i in range(cm.max_iters):
         sold = np.maximum(w_drift[:, 1:] - mu[:, None] * a[:, 1:], 0.0).sum(axis=1)
         nxt = (1.0 - cb * w_drift[:, 0] - k * sold) / denom
         done = np.all(np.abs(nxt - mu) < cm.tol)
         mu = nxt
         if done:
-            return mu
+            return mu, i + 1
     raise ConvergenceError(f"cost fixed point did not converge in {cm.max_iters} iterations")
+
+
+def _betas(drifted: np.ndarray, actions: np.ndarray, cm: CostModel) -> np.ndarray:
+    """Shrink factor of every rebalance from a drifted row to its action row."""
+    if cm.mode == "simple":
+        turnover = np.abs(actions[:, 1:] - drifted[:, 1:]).sum(axis=1)
+        betas = 1.0 - cm.blended_rate * turnover
+        if np.any(betas <= 0.0):
+            raise EngineError("cost rate too large for turnover in simple mode")
+        return betas
+    return _fixed_point_batch(drifted, actions, cm)[0]
 
 
 def reward_chain(
@@ -208,15 +209,8 @@ def reward_chain(
         raise EngineError("actions and relative prices must be matching (T, m) matrices")
     prev_a = np.vstack([entry_weights, actions[:-1]])
     prev_y = np.vstack([entry_rel, rel[:-1]])
-    num = prev_y * prev_a
-    drifted = num / num.sum(axis=1, keepdims=True)
-    if cm.mode == "simple":
-        turnover = np.abs(actions[:, 1:] - drifted[:, 1:]).sum(axis=1)
-        betas = 1.0 - cm.blended_rate * turnover
-        if np.any(betas <= 0.0):
-            raise EngineError("cost rate too large for turnover in simple mode")
-    else:
-        betas = _fixed_point_batch(drifted, actions, cm)
+    drifted = _drift(prev_a, prev_y)
+    betas = _betas(drifted, actions, cm)
     gross = (actions * rel).sum(axis=1)
     factors = betas * gross
     return ChainResult(
@@ -309,11 +303,7 @@ def run_backtest(
     actions = np.asarray(policy(obs), dtype=float)
     if actions.shape != (len(obs), m):
         raise EngineError(f"actions have shape {actions.shape}, want {(len(obs), m)}")
-    if not np.all(np.isfinite(actions)) or np.any(actions < 0.0):
-        raise EngineError("actions must be finite and non-negative")
-    off = np.abs(actions.sum(axis=1) - 1.0) > SIMPLEX_TOL
-    if np.any(off):
-        raise EngineError(f"action at step {obs.steps[np.argmax(off)]} must sum to 1")
+    as_simplex(actions, "actions")
     rel_rows = relative_prices(prices).y[:, obs.steps].T
     chain = reward_chain(actions, rel_rows, all_cash(m), np.ones(m), cm)
     return BacktestResult(

@@ -164,7 +164,7 @@ def fit_internal_predictor(
     accuracy = np.zeros(n)
     degenerate = np.zeros(n, dtype=bool)
     for i in range(n):
-        x = np.stack([log_rel[i, j : j + lags] for j in range(n_samples)])
+        x = np.ascontiguousarray(sliding_window_view(log_rel[i], lags)[:n_samples])
         up = (log_rel[i, lags:] >= 0.0).astype(float)
         if np.all(up == up[0]):
             degenerate[i] = True

@@ -21,8 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .agent import policy_forward
-from .engine import run_backtest
 from .evaluation import UndefinedSharpeError, sharpe_ratio
 
 CONTROL = "control"
@@ -86,14 +84,7 @@ def run_cell(cfg: dict[str, object], cell: CellSpec) -> dict:
     root = cell_seed(cfgmod.get_int(cfg, "seed"), cell)
     seeds = tuple(int(s) for s in np.random.SeedSequence(root).generate_state(4))
     params, _, test_signals = cfgmod.setup_agent(cell_cfg, train_prices, test_prices, seeds)
-    result = run_backtest(
-        test_prices,
-        lambda obs: policy_forward(params, obs.matrix),
-        test_signals,
-        cfgmod.build_cost(cfg),
-        window=cfgmod.get_int(cfg, "window"),
-        lookback=cfgmod.get_int(cfg, "signal.lookback"),
-    )
+    result = cfgmod.backtest_agent(cfg, test_prices, params, test_signals)
     try:
         sharpe = sharpe_ratio(result, result.n_steps, cfgmod.get_number(cfg, "rfree"))
     except UndefinedSharpeError:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,48 @@ LN_1_1 = 0.09531017980432493
 LN_FIRST_BUY = -0.002503130218118477
 
 
+def active_set_root(w, a, c_buy: float, c_sell: float) -> float:
+    """Exact root of mu (1 - cb a0) = 1 - cb w0 - k sum_i max(wi - mu ai, 0).
+
+    k = cs + cb - cs cb and i runs over the risky assets.  The left side
+    rises and the right side falls in mu, so the root is unique.  For an
+    active set S (the assets sold, wi > mu ai) the equation is linear in mu;
+    the candidate sets are prefixes of the assets sorted by wi / ai,
+    descending (ai = 0 first; wi = ai = 0 adds nothing and is left out), and
+    the root is the candidate that keeps its own set active.
+    Rational arithmetic makes every candidate and comparison exact.
+    """
+    w = [Fraction(v) for v in w]
+    a = [Fraction(v) for v in a]
+    cb, cs = Fraction(c_buy), Fraction(c_sell)
+    k = cs + cb - cs * cb
+    order = sorted(
+        (i for i in range(1, len(w)) if w[i] or a[i]),
+        key=lambda i: (a[i] == 0, w[i] / a[i] if a[i] else w[i]),
+        reverse=True,
+    )
+    num, den = 1 - cb * w[0], 1 - cb * a[0]
+    for size in range(len(order) + 1):
+        if size:
+            num -= k * w[order[size - 1]]
+            den -= k * a[order[size - 1]]
+        mu = num / den
+        sold_ok = size == 0 or w[order[size - 1]] >= mu * a[order[size - 1]]
+        kept_ok = size == len(order) or w[order[size]] <= mu * a[order[size]]
+        if sold_ok and kept_ok:
+            return float(mu)
+    raise AssertionError("no consistent active set")
+
+
+def sparse_simplex(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A random simplex point, with one risky component zeroed a third of the time."""
+    v = random_simplex(rng, m)
+    if rng.random() < 1 / 3:
+        v[rng.integers(1, m)] = 0.0
+        v /= v.sum()
+    return v
+
+
 class TestSimplexValidation:
     def test_accepts_simplex(self):
         v = as_simplex([0.2, 0.3, 0.5])
@@ -38,6 +82,20 @@ class TestSimplexValidation:
     def test_rejects_bad_sum(self):
         with pytest.raises(EngineError):
             as_simplex([0.6, 0.6])
+
+    def test_accepts_matrix(self):
+        rows = np.array([[0.2, 0.8], [1.0, 0.0], [0.5, 0.5]])
+        assert np.array_equal(as_simplex(rows), rows)
+
+    @pytest.mark.parametrize(
+        "bad_row", [[-0.1, 0.6, 0.5], [np.nan, 0.5, 0.5], [0.2, 0.3, 0.5 + 1e-9]]
+    )
+    def test_matrix_names_first_bad_row(self, bad_row):
+        rows = np.full((6, 3), 1.0 / 3.0)
+        rows[2] = bad_row
+        rows[4] = [0.9, 0.9, 0.9]
+        with pytest.raises(EngineError, match="actions row 2 "):
+            as_simplex(rows, "actions")
 
 
 class TestDriftWeights:
@@ -135,6 +193,18 @@ class TestCostFactor:
             simple = cost_factor(w, a, y, CostModel(mode="simple"))
             assert abs(fixed - simple) < 1e-4
 
+    def test_fixed_point_matches_active_set_root(self):
+        rng = np.random.default_rng(2718)
+        worst = 0.0
+        for _ in range(10_000):
+            m = int(rng.integers(2, 6))
+            w, a = sparse_simplex(rng, m), sparse_simplex(rng, m)
+            cb, cs = rng.uniform(0, 0.05, 2)
+            cm = CostModel(c_buy=float(cb), c_sell=float(cs), max_iters=50, tol=1e-10)
+            beta, _ = cost_fixed_point(w, a, cm)
+            worst = max(worst, abs(beta - active_set_root(w, a, cb, cs)))
+        assert worst <= 1e-10
+
     def test_non_convergence_raises(self):
         # heavy rates and a partially closed position keep the sell term
         # active, so the iteration contracts slowly and overruns max_iters
@@ -171,6 +241,38 @@ class TestStepReward:
             CostModel(),
         )
         assert r == pytest.approx(LN_FIRST_BUY, abs=1e-12)
+
+
+class TestScalarApiIsOneRowChain:
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_equals_one_row_reward_chain(self, mode):
+        rng = np.random.default_rng(404)
+        cm = CostModel(mode=mode)
+        for _ in range(2_000):
+            m = int(rng.integers(2, 6))
+            w, a = sparse_simplex(rng, m), sparse_simplex(rng, m)
+            y, y_prev = (
+                np.concatenate([[1.0], np.exp(rng.normal(0, 0.05, m - 1))]) for _ in range(2)
+            )
+            chain = reward_chain(a[None], y[None], w, y_prev, cm)
+            assert np.array_equal(drift_weights(w, y_prev), chain.drifted[0])
+            assert cost_factor(w, a, y_prev, cm) == chain.betas[0]
+            assert step_reward(w, a, y, y_prev, cm) == chain.rewards[0]
+
+    def test_input_errors(self):
+        cm = CostModel()
+        w, y = np.array([0.5, 0.5]), np.ones(2)
+        with pytest.raises(EngineError):
+            step_reward(np.array([0.6, 0.6]), w, y, y, cm)
+        with pytest.raises(EngineError):
+            step_reward(w, w, y, np.array([1.0, -1.0]), cm)
+        swap = CostModel(c_buy=0.9, c_sell=0.9, mode="simple")
+        with pytest.raises(EngineError):
+            cost_factor(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.ones(3), swap)
+
+    def test_zero_rates_no_iterations(self):
+        cm = CostModel(c_buy=0.0, c_sell=0.0)
+        assert cost_fixed_point(np.array([1.0, 0.0]), np.array([0.0, 1.0]), cm) == (1.0, 0)
 
 
 class TestAccumulate:
