@@ -18,7 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CostModel, EngineError, all_cash, reward_chain
+from .engine import (
+    ConvergenceError,
+    CostModel,
+    EngineError,
+    _betas,
+    _drift,
+    all_cash,
+    reward_chain,
+)
 from .market import PriceSeries, relative_prices
 from .signals import SignalSeries, build_states
 
@@ -94,13 +102,20 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(params: PolicyParams, x: np.ndarray):
+def _forward_batch(params, x: np.ndarray):
+    """Softmax allocations and hidden activations for the rows of x.
+
+    params has (out, in) weights and (out,) biases, or is a _Stack of cells:
+    (C, out, in) weights and (C, 1, out) biases for x of shape (C, rows, in).
+    A stack takes one matmul per layer, and each cell's slice of it is
+    bit-identical to running that cell alone.
+    """
     hs = []
     a_in = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a_in = np.tanh(a_in @ w.T + b)
+        a_in = np.tanh(a_in @ w.swapaxes(-1, -2) + b)
         hs.append(a_in)
-    logits = a_in @ params.weights[-1].T + params.biases[-1]
+    logits = a_in @ params.weights[-1].swapaxes(-1, -2) + params.biases[-1]
     return _softmax_rows(logits), hs
 
 
@@ -132,14 +147,6 @@ class Episode:
         if self.states.shape[0] != self.rel.shape[0] or self.states.shape[0] < 1:
             raise EngineError("episode states and moves must align")
 
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.rel.shape[1]
-
     @classmethod
     def from_market(
         cls,
@@ -158,14 +165,6 @@ class Episode:
             rel=relative_prices(prices).y[:, obs.steps].T,
             entry_weights=all_cash(m),
             entry_rel=np.ones(m),
-        )
-
-    def window(self, start: int, stop: int, entry_weights, entry_rel) -> "Episode":
-        return Episode(
-            states=self.states[start:stop],
-            rel=self.rel[start:stop],
-            entry_weights=np.asarray(entry_weights, float),
-            entry_rel=np.asarray(entry_rel, float),
         )
 
 
@@ -195,18 +194,87 @@ def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.n
     return chain.betas
 
 
-def _backprop(params: PolicyParams, x: np.ndarray, actions: np.ndarray, hs, d_actions):
-    d_logits = actions * (d_actions - (d_actions * actions).sum(axis=1, keepdims=True))
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+class _Stack:
+    """Parameters of the cells training in lockstep, one row of theta per cell.
+
+    weights (C, out, in) and biases (C, 1, out) are views into theta, so the
+    ascent updates them in place and one reduction checks every cell.
+    """
+
+    def __init__(self, params: list[PolicyParams]) -> None:
+        self.shapes = [w.shape for w in params[0].weights]
+        self.theta = np.stack(
+            [np.concatenate([a.ravel() for a in (*p.weights, *p.biases)]) for p in params]
+        )
+        self.cells = np.arange(len(params))  # input index of each stacked cell
+        self.errors: dict[int, Exception] = {}  # input index -> what stopped it
+        self._views()
+
+    def _views(self) -> None:
+        sizes = [(out, inp) for out, inp in self.shapes] + [(1, out) for out, _ in self.shapes]
+        ends = np.cumsum([out * inp for out, inp in sizes])
+        views = [
+            self.theta[:, end - out * inp : end].reshape(-1, out, inp)
+            for (out, inp), end in zip(sizes, ends)
+        ]
+        self.weights, self.biases = views[: len(self.shapes)], views[len(self.shapes) :]
+
+    def policy(self, pos: int) -> PolicyParams:
+        return PolicyParams([w[pos] for w in self.weights], [b[pos, 0] for b in self.biases])
+
+    def diverged(self) -> dict[int, Exception]:
+        return {
+            int(pos): TrainingDivergedError("policy parameters are no longer finite")
+            for pos in np.flatnonzero(~np.isfinite(self.theta).all(axis=1))
+        }
+
+    def drop(self, failed: dict[int, Exception]) -> np.ndarray:
+        """Stop the cells at the failed stack positions; returns the kept positions."""
+        if not failed:
+            return np.arange(self.cells.size)
+        for pos, exc in failed.items():
+            self.errors[int(self.cells[pos])] = exc
+        keep = np.setdiff1d(np.arange(self.cells.size), list(failed))
+        self.cells, self.theta = self.cells[keep], self.theta[keep]
+        self._views()
+        return keep
+
+
+def _grads(stack: _Stack, x, rel, entry_w, entry_y, cm: CostModel):
+    """Gradient of each cell's mean log reward over its window: the step kernel.
+
+    For a stack of C cells: x (C, T, d) and rel (C, T, m) hold each cell's
+    window, and entry_w and entry_y (C, 1, m) the weights it held and the
+    price move just before the window (read in simple cost mode only).
+    Returns the per-layer weight and bias gradients in the stack's shapes.
+    """
+    t_total = x.shape[1]
+    actions, hs = _forward_batch(stack, x)
+    gross = (actions * rel).sum(axis=-1)
+    d_actions = rel / gross[..., None] / t_total
+    if cm.mode == "simple":
+        drifted = _drift(
+            np.concatenate([entry_w, actions[:, :-1]], axis=1),
+            np.concatenate([entry_y, rel[:, :-1]], axis=1),
+        )
+        sign = np.sign(actions - drifted)
+        sign[..., 0] = 0.0
+        scaled = (cm.blended_rate / t_total) * sign / _betas(drifted, actions, cm)[..., None]
+        d_actions -= scaled
+        if t_total > 1:
+            g = scaled[:, 1:]
+            correction = g - (g * drifted[:, 1:]).sum(axis=-1, keepdims=True)
+            d_actions[:, :-1] += rel[:, :-1] / gross[:, :-1, None] * correction
+    d_out = actions * (d_actions - (d_actions * actions).sum(axis=-1, keepdims=True))
     layer_inputs = [x, *hs]
-    d_out = d_logits
-    for layer in range(len(params.weights) - 1, -1, -1):
-        grads_w[layer] = d_out.T @ layer_inputs[layer]
-        grads_b[layer] = d_out.sum(axis=0)
+    grads_w = [None] * len(stack.weights)
+    grads_b = [None] * len(stack.biases)
+    for layer in range(len(stack.weights) - 1, -1, -1):
+        grads_w[layer] = d_out.swapaxes(1, 2) @ layer_inputs[layer]
+        grads_b[layer] = d_out.sum(axis=1, keepdims=True)
         if layer > 0:
             h = hs[layer - 1]
-            d_out = (d_out @ params.weights[layer]) * (1.0 - h * h)
+            d_out = (d_out @ stack.weights[layer]) * (1.0 - h * h)
     return grads_w, grads_b
 
 
@@ -217,29 +285,22 @@ def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
     fixed-point cost mode the betas are stop-gradiented, so only the gross
     return term contributes; with the simple mode the turnover penalty is
     differentiated through both the current action and, via weight drift,
-    the action of the step before.
+    the action of the step before.  This is a one-cell call of the kernel
+    that every training step runs.
     """
-    x, rel = episode.states, episode.rel
-    t_total = episode.n_steps
-    actions, hs = _forward_batch(params, x)
-    gross = (actions * rel).sum(axis=1)
-    d_actions = rel / gross[:, None] / t_total
-    if cm.mode == "simple":
-        chain = reward_chain(actions, rel, episode.entry_weights, episode.entry_rel, cm)
-        sign = np.sign(actions - chain.drifted)
-        sign[:, 0] = 0.0
-        c = cm.blended_rate
-        scaled = (c / t_total) * sign / chain.betas[:, None]
-        d_actions -= scaled
-        if t_total > 1:
-            g = scaled[1:]
-            drift_next = chain.drifted[1:]
-            correction = g - (g * drift_next).sum(axis=1, keepdims=True)
-            d_actions[:-1] += rel[:-1] / gross[:-1, None] * correction
-    return _backprop(params, x, actions, hs, d_actions)
+    grads_w, grads_b = _grads(
+        _Stack([params]),
+        episode.states[None],
+        episode.rel[None],
+        episode.entry_weights[None, None],
+        episode.entry_rel[None, None],
+        cm,
+    )
+    return [g[0] for g in grads_w], [g[0, 0] for g in grads_b]
 
 
 def ascent_step(params: PolicyParams, grads, lr: float) -> None:
+    """In-place ascent on the layers of params, one cell's or a stack's."""
     grads_w, grads_b = grads
     for layer in range(len(params.weights)):
         params.weights[layer] += lr * grads_w[layer]
@@ -248,12 +309,14 @@ def ascent_step(params: PolicyParams, grads, lr: float) -> None:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Plain gradient-ascent settings for episode mini-batch training."""
+    """Plain gradient-ascent settings for episode mini-batch training.
+
+    steps_per_epoch None means one pass: episode steps // batch_window.
+    """
 
     learning_rate: float = 3.0
     batch_window: int = 64
     epochs: int = 100
-    seed: int = 0
     window: int = 30
     steps_per_epoch: int | None = None
     lookback: int = 1
@@ -263,65 +326,125 @@ class TrainConfig:
             raise EngineError("bad training settings")
         if self.window < 1 or self.lookback < 1:
             raise EngineError("bad training settings")
+        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
+            raise EngineError(f"steps_per_epoch must be at least 1, got {self.steps_per_epoch}")
+
+
+def _lockstep_grads(stack: _Stack, x, rel, at_start, cm: CostModel):
+    """Step gradients from (C, B + 1, .) windows whose row 0 precedes the batch.
+
+    In simple cost mode the entry weights are each cell's policy on row 0, a
+    separate (1, d) forward so they match a call on that row alone, or all
+    cash for a window at the episode start; fixed-point mode never reads them.
+    """
+    entry_w = None
+    if cm.mode == "simple":
+        entry_w, _ = _forward_batch(stack, x[:, :1])
+        entry_w[at_start] = all_cash(rel.shape[-1])
+    return _grads(stack, x[:, 1:], rel[:, 1:], entry_w, rel[:, :1], cm)
 
 
 def train(
-    params: PolicyParams,
+    params: list[PolicyParams],
     train_prices: PriceSeries,
-    signals: SignalSeries | None,
+    signals: list[SignalSeries | None],
     cm: CostModel,
     cfg: TrainConfig,
-) -> tuple[PolicyParams, list[float]]:
-    """Train by ascent on mean log reward over sampled contiguous windows.
+    seeds: list[int],
+) -> list[tuple[PolicyParams, list[float]] | Exception]:
+    """Train a group of cells in lockstep by ascent on mean log reward.
 
-    Each gradient step draws a uniform window start; the window enters with
-    the drifted weights the current policy produced on the preceding step,
-    or all cash at the episode start.  Returns the trained parameters and
-    the per-epoch objective on the full training episode.
+    Cell c starts from params[c], sees signals[c] (None: zero signal
+    columns) and draws its window starts from default_rng(seeds[c]); the
+    cells share the prices, the architecture, the cost model and cfg.  Each
+    gradient step draws a uniform window start per cell; the window enters
+    with the drifted weights the cell's current policy produced on the
+    preceding step, or all cash at the episode start.  All cells take the
+    step in one stacked forward and backward pass, and each cell's result is
+    bit-identical to training it alone.  Returns per cell the trained
+    parameters and the per-epoch objective on the full training episode, or
+    the error that stopped it: non-finite parameters or objective, or an
+    infeasible rebalance.  A stopped cell leaves the stack; the rest go on.
     """
-    n = train_prices.n_assets
-    signal_dim = params.input_dim - n * cfg.window
+    cells = len(params)
+    if not cells or len(signals) != cells or len(seeds) != cells:
+        raise EngineError("train needs one signal series and one seed per policy")
+    if len({tuple(w.shape for w in p.weights) for p in params}) != 1:
+        raise EngineError("policies trained together must share one architecture")
+    n, d = train_prices.n_assets, params[0].input_dim
+    signal_dim = d - n * cfg.window
     if signal_dim < 0:
-        raise EngineError(
-            f"policy input dim {params.input_dim} below price window {n}x{cfg.window}"
+        raise EngineError(f"policy input dim {d} below price window {n}x{cfg.window}")
+    # One stacked observation array.  Row 0 of each cell, like row 0 of
+    # moves below, stands before the episode's first step, so every window
+    # gathers its entry row too; a window at the start enters all cash.
+    obs = None
+    for c, cell_signals in enumerate(signals):
+        cell_obs = build_states(
+            train_prices, cell_signals, window=cfg.window, signal_dim=signal_dim,
+            lookback=cfg.lookback,
         )
-    episode = Episode.from_market(
-        train_prices, signals, window=cfg.window, signal_dim=signal_dim, lookback=cfg.lookback
-    )
-    t_total = episode.n_steps
-    if t_total < cfg.batch_window:
+        if obs is None:
+            obs = np.zeros((cells, len(cell_obs) + 1, d))
+            rel = relative_prices(train_prices).y[:, cell_obs.steps].T
+        obs[c, 1:] = cell_obs.matrix
+    t_total, batch = rel.shape[0], cfg.batch_window
+    if t_total < batch:
         raise EngineError(
-            f"training episode of {t_total} steps shorter than batch window {cfg.batch_window}"
+            f"training episode of {t_total} steps shorter than batch window {batch}"
         )
-    params = params.copy()
-    _check_finite(params)
-    rng = np.random.default_rng(cfg.seed)
-    steps = cfg.steps_per_epoch or max(1, t_total // cfg.batch_window)
-    m = episode.n_actions
-    curve: list[float] = []
+    m = n + 1
+    episodes = [Episode(obs[c, 1:], rel, all_cash(m), np.ones(m)) for c in range(cells)]
+    moves = np.vstack([np.ones(m), rel])
+    obs_rows = obs.reshape(-1, d)
+    offsets = np.arange(batch + 1)
+    steps = cfg.steps_per_epoch or max(1, t_total // batch)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    curves: list[list[float]] = [[] for _ in range(cells)]
+    stack = _Stack(params)
+    stack.drop(stack.diverged())
     for _ in range(cfg.epochs):
-        for _ in range(steps):
-            j = int(rng.integers(0, t_total - cfg.batch_window + 1))
-            if j == 0:
-                entry_w, entry_y = all_cash(m), np.ones(m)
+        starts = np.array(
+            [rngs[c].integers(0, t_total - batch + 1, size=steps) for c in stack.cells]
+        ).reshape(-1, steps)
+        for step in range(steps):
+            if not stack.cells.size:
+                break
+            rows = starts[:, step, None] + offsets
+            x = obs_rows.take(stack.cells[:, None] * (t_total + 1) + rows, axis=0)
+            y = moves.take(rows, axis=0)
+            at_start = starts[:, step] == 0
+            try:
+                grads = _lockstep_grads(stack, x, y, at_start, cm)
+            except EngineError:
+                # An infeasible rebalance stops only the cells that hit it.
+                failed = {}
+                for pos in range(stack.cells.size):
+                    alone, one = _Stack([stack.policy(pos)]), slice(pos, pos + 1)
+                    try:
+                        _lockstep_grads(alone, x[one], y[one], at_start[one], cm)
+                    except EngineError as exc:
+                        failed[pos] = exc
+                keep = stack.drop(failed)
+                starts, x, y, at_start = starts[keep], x[keep], y[keep], at_start[keep]
+                grads = _lockstep_grads(stack, x, y, at_start, cm)
+            ascent_step(stack, grads, cfg.learning_rate)
+            starts = starts[stack.drop(stack.diverged())]
+        failed = {}
+        for pos, c in enumerate(stack.cells):
+            try:
+                score = objective(stack.policy(pos), episodes[c], cm)
+                if not np.isfinite(score):
+                    raise TrainingDivergedError(f"objective became {score} during training")
+            except (EngineError, ConvergenceError, TrainingDivergedError) as exc:
+                failed[pos] = exc
             else:
-                entry_w = policy_forward(params, episode.states[j - 1])
-                entry_y = episode.rel[j - 1]
-            batch = episode.window(j, j + cfg.batch_window, entry_w, entry_y)
-            grads = gradient(params, batch, cm)
-            ascent_step(params, grads, cfg.learning_rate)
-            _check_finite(params)
-        score = objective(params, episode, cm)
-        if not np.isfinite(score):
-            raise TrainingDivergedError(f"objective became {score} during training")
-        curve.append(score)
-    return params, curve
-
-
-def _check_finite(params: PolicyParams) -> None:
-    for arr in (*params.weights, *params.biases):
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDivergedError("policy parameters are no longer finite")
+                curves[c].append(score)
+        stack.drop(failed)
+    outcomes: list = [stack.errors.get(c) for c in range(cells)]
+    for pos, c in enumerate(stack.cells):
+        outcomes[c] = (stack.policy(pos).copy(), curves[c])
+    return outcomes
 
 
 def save_checkpoint(params: PolicyParams, path: str | Path, meta: dict | None = None) -> None:

@@ -8,7 +8,6 @@ win over the file, and dedicated flags win over both.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 from .agent import PolicyParams, TrainConfig, init_policy, policy_forward, train
@@ -259,7 +258,6 @@ def build_train_config(cfg: dict[str, object]) -> TrainConfig:
             learning_rate=get_number(cfg, "agent.learning_rate"),
             batch_window=get_int(cfg, "agent.batch_window"),
             epochs=get_int(cfg, "agent.epochs"),
-            seed=get_int(cfg, "agent.seed"),
             window=get_int(cfg, "window"),
             steps_per_epoch=None if steps is None else get_int(cfg, "agent.steps_per_epoch"),
             lookback=get_int(cfg, "signal.lookback"),
@@ -290,22 +288,22 @@ def _labeller(cfg, train_p: PriceSeries):
     return lambda segment, seed: predictor_labels(predictor, segment)
 
 
-def setup_agent(
+def prepare_agent(
     cfg: dict[str, object],
     train_p: PriceSeries,
     test_p: PriceSeries | None,
     seeds: tuple[int, int, int, int],
     params: PolicyParams | None = None,
     fit: bool = True,
-) -> tuple[PolicyParams, list[float], SignalSeries | None]:
-    """Labels and trained policy of one run; shared by backtest, train and sweep.
+) -> tuple[PolicyParams, SignalSeries | None, SignalSeries | None]:
+    """Labels and initial policy of one run; shared by backtest, train and sweep.
 
     seeds are the init, training, train-label and test-label seeds.  params
-    (from a checkpoint) stand in for a fresh init, fit=False skips training
-    and its labels, and test_p=None skips the test labels.  Returns the
-    parameters, the per-epoch learning curve and the test-split signals.
+    (from a checkpoint) stand in for a fresh init, fit=False skips the
+    training labels, and test_p=None skips the test labels.  Returns the
+    parameters and the train- and test-split signals.
     """
-    init_seed, train_seed, train_label_seed, test_label_seed = seeds
+    init_seed, _, train_label_seed, test_label_seed = seeds
     label = _labeller(cfg, train_p)
     test_signals = None if test_p is None else label(test_p, test_label_seed)
     if params is None:
@@ -317,11 +315,48 @@ def setup_agent(
             seed=init_seed,
             init_scale=get_number(cfg, "agent.init_scale"),
         )
-    curve: list[float] = []
-    if fit:
-        train_signals = label(train_p, train_label_seed)
-        train_cfg = replace(build_train_config(cfg), seed=train_seed)
-        params, curve = train(params, train_p, train_signals, build_cost(cfg), train_cfg)
+    train_signals = label(train_p, train_label_seed) if fit else None
+    return params, train_signals, test_signals
+
+
+def train_agents(
+    cfg: dict[str, object],
+    train_p: PriceSeries,
+    params: list[PolicyParams],
+    train_signals: list[SignalSeries | None],
+    seeds: list[tuple[int, int, int, int]],
+) -> list[tuple[PolicyParams, list[float]] | Exception]:
+    """Train prepared runs in lockstep: one agent.train call, one outcome per run."""
+    return train(
+        params,
+        train_p,
+        train_signals,
+        build_cost(cfg),
+        build_train_config(cfg),
+        [train_seed for _, train_seed, _, _ in seeds],
+    )
+
+
+def setup_agent(
+    cfg: dict[str, object],
+    train_p: PriceSeries,
+    test_p: PriceSeries | None,
+    seeds: tuple[int, int, int, int],
+    params: PolicyParams | None = None,
+    fit: bool = True,
+) -> tuple[PolicyParams, list[float], SignalSeries | None]:
+    """One run of the agent: prepare_agent, then training as a group of one.
+
+    Returns the parameters, the per-epoch learning curve and the test-split
+    signals, and raises the error that stops the training.
+    """
+    params, train_signals, test_signals = prepare_agent(cfg, train_p, test_p, seeds, params, fit)
+    if not fit:
+        return params, [], test_signals
+    [outcome] = train_agents(cfg, train_p, [params], [train_signals], [seeds])
+    if isinstance(outcome, Exception):
+        raise outcome
+    params, curve = outcome
     return params, curve, test_signals
 
 

@@ -148,8 +148,9 @@ class ChainResult:
 
 
 def _drift(prev_a: np.ndarray, prev_y: np.ndarray) -> np.ndarray:
+    """Drifted weights of every row; rows lie along the last axis, any leading axes."""
     num = prev_y * prev_a
-    return num / num.sum(axis=1, keepdims=True)
+    return num / num.sum(axis=-1, keepdims=True)
 
 
 def _fixed_point_batch(
@@ -179,9 +180,13 @@ def _fixed_point_batch(
 
 
 def _betas(drifted: np.ndarray, actions: np.ndarray, cm: CostModel) -> np.ndarray:
-    """Shrink factor of every rebalance from a drifted row to its action row."""
+    """Shrink factor of every rebalance from a drifted row to its action row.
+
+    Simple mode takes any leading axes, such as the cells of a training
+    step; the fixed point takes (T, m).
+    """
     if cm.mode == "simple":
-        turnover = np.abs(actions[:, 1:] - drifted[:, 1:]).sum(axis=1)
+        turnover = np.abs(actions[..., 1:] - drifted[..., 1:]).sum(axis=-1)
         betas = 1.0 - cm.blended_rate * turnover
         if np.any(betas <= 0.0):
             raise EngineError("cost rate too large for turnover in simple mode")

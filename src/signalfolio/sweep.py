@@ -2,10 +2,12 @@
 
 Each cell trains the agent on labels of one (accuracy, density) setting and
 backtests it on the held-out split; one no-signal control per seed uses the
-identical architecture with a zero signal.  Cell seeds are derived by
+identical architecture with a zero signal.  The cells of one worker train
+in lockstep, one stacked gradient step for all of them, and each cell's
+numbers are bit-identical to training it alone.  Cell seeds are derived by
 hashing the master seed with the cell's values (not grid positions), so
 extending a grid never changes existing cells, and rows merge in sorted
-order so results are identical however the cells were scheduled.
+order so results are identical however the cells were grouped.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
     return cells
 
 
-def run_cell(cfg: dict[str, object], cell: CellSpec) -> dict:
-    """Train and evaluate one cell; returns a plain row dict."""
-    train_prices, test_prices = cfgmod.build_segments(cfg)
+def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
+    """Seeds, initial policy and train/test labels of one cell."""
     if cell.is_control:
         cell_cfg = {**cfg, "signal.mode": "none"}
     else:
@@ -83,8 +84,11 @@ def run_cell(cfg: dict[str, object], cell: CellSpec) -> dict:
         }
     root = cell_seed(cfgmod.get_int(cfg, "seed"), cell)
     seeds = tuple(int(s) for s in np.random.SeedSequence(root).generate_state(4))
-    params, _, test_signals = cfgmod.setup_agent(cell_cfg, train_prices, test_prices, seeds)
-    result = cfgmod.backtest_agent(cfg, test_prices, params, test_signals)
+    return seeds, *cfgmod.prepare_agent(cell_cfg, train_p, test_p, seeds)
+
+
+def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals) -> dict:
+    result = cfgmod.backtest_agent(cfg, test_p, params, test_signals)
     try:
         sharpe = sharpe_ratio(result, result.n_steps, cfgmod.get_number(cfg, "rfree"))
     except UndefinedSharpeError:
@@ -98,17 +102,62 @@ def run_cell(cfg: dict[str, object], cell: CellSpec) -> dict:
     }
 
 
-def _cell_task(payload):
-    cfg, cell = payload
+def run_group(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict | Exception]:
+    """Set up every cell, train them in lockstep, backtest each.
+
+    Returns one row dict per cell, or the error that stopped it; a cell that
+    fails in setup, training or its backtest fails alone.
+    """
     try:
-        return run_cell(cfg, cell), None
-    except Exception:
-        return None, {
+        train_prices, test_prices = cfgmod.build_segments(cfg)
+    except Exception as exc:
+        return [exc] * len(cells)
+    outcomes: list = [None] * len(cells)
+    ready = []
+    for index, cell in enumerate(cells):
+        try:
+            ready.append((index, *_prepare_cell(cfg, cell, train_prices, test_prices)))
+        except Exception as exc:
+            outcomes[index] = exc
+    if not ready:
+        return outcomes
+    indices, seeds, params, train_signals, test_signals = zip(*ready)
+    try:
+        trained = cfgmod.train_agents(cfg, train_prices, params, train_signals, seeds)
+    except Exception as exc:
+        trained = [exc] * len(ready)
+    for index, outcome, signals in zip(indices, trained, test_signals):
+        if isinstance(outcome, Exception):
+            outcomes[index] = outcome
+            continue
+        try:
+            outcomes[index] = _cell_row(cfg, cells[index], test_prices, outcome[0], signals)
+        except Exception as exc:
+            outcomes[index] = exc
+    return outcomes
+
+
+def run_cell(cfg: dict[str, object], cell: CellSpec) -> dict:
+    """Train and evaluate one cell as a group of one; returns a plain row dict."""
+    [outcome] = run_group(cfg, [cell])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _group_task(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict]:
+    """run_group with each error written out as a failure row."""
+    return [
+        {
             "accuracy": cell.accuracy,
             "density": cell.density,
             "seed": cell.seed,
-            "error": traceback.format_exc(limit=3),
+            "error": "".join(traceback.format_exception(outcome, limit=3)),
         }
+        if isinstance(outcome, Exception)
+        else outcome
+        for cell, outcome in zip(cells, run_group(cfg, cells))
+    ]
 
 
 def _row_order(row: dict):
@@ -122,18 +171,26 @@ def _row_order(row: dict):
 
 
 def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[dict]]:
-    """Run every cell, tolerating per-cell failures.  Rows come back sorted."""
+    """Run every cell, tolerating per-cell failures.  Rows come back sorted.
+
+    The cells are split into min(jobs, cells) groups, and each group trains
+    in lockstep (run_group) in its own worker process, or in this process
+    when there is one group.  Output does not depend on the grouping.
+    """
+    if jobs < 1:
+        raise cfgmod.ConfigError(f"jobs: need at least 1 worker, got {jobs}")
     cells = build_cells(cfg)
-    payloads = [(cfg, cell) for cell in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_cell_task, payloads))
+    cfgmod.build_train_config(cfg)  # a bad agent.* setting fails the run, not each cell
+    n_groups = min(jobs, len(cells))
+    groups = [cells[i::n_groups] for i in range(n_groups)]
+    if n_groups > 1:
+        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+            done = list(pool.map(_group_task, [cfg] * n_groups, groups))
     else:
-        outcomes = [_cell_task(p) for p in payloads]
-    rows = [row for row, _ in outcomes if row is not None]
-    failures = [err for _, err in outcomes if err is not None]
-    rows.sort(key=_row_order)
-    failures.sort(key=_row_order)
+        done = [_group_task(cfg, cells)]
+    outcomes = [outcome for group in done for outcome in group]
+    rows = sorted((r for r in outcomes if "error" not in r), key=_row_order)
+    failures = sorted((r for r in outcomes if "error" in r), key=_row_order)
     return rows, failures
 
 

@@ -17,13 +17,21 @@ from signalfolio.agent import (
     save_checkpoint,
     train,
 )
-from signalfolio.engine import CostModel, run_backtest
+from signalfolio.engine import CostModel, EngineError, all_cash, run_backtest
 from signalfolio.market import PriceSeries, SyntheticMarketSpec, generate_synthetic
 from signalfolio.signals import SignalConfig, oracle_labels, true_movements
 
 LN_1_01 = 0.009950330853168092
 
 NO_COST = CostModel(c_buy=0.0, c_sell=0.0)
+
+
+def train_one(params, prices, signals, cm, cfg, seed=0):
+    """Train a group of one cell; raise the error that stopped it."""
+    [outcome] = train([params], prices, [signals], cm, cfg, [seed])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _zero_params(input_dim: int, n_actions: int, hidden=(8,)) -> PolicyParams:
@@ -169,9 +177,7 @@ class TestTrain:
         return generate_synthetic(spec)
 
     def _cfg(self, **kw):
-        base = dict(
-            learning_rate=1.0, batch_window=32, epochs=4, seed=0, window=8
-        )
+        base = dict(learning_rate=1.0, batch_window=32, epochs=4, window=8)
         base.update(kw)
         return TrainConfig(**base)
 
@@ -179,7 +185,7 @@ class TestTrain:
         prices = self._market()
         params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
         snapshot = params.copy()
-        trained, curve = train(params, prices, None, CostModel(), self._cfg(learning_rate=0.0))
+        trained, curve = train_one(params, prices, None, CostModel(), self._cfg(learning_rate=0.0))
         for w0, w1 in zip(snapshot.weights, trained.weights):
             assert np.array_equal(w0, w1)
         assert len(curve) == 4
@@ -188,7 +194,7 @@ class TestTrain:
     def test_zero_epochs_empty_curve(self):
         prices = self._market()
         params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
-        trained, curve = train(params, prices, None, CostModel(), self._cfg(epochs=0))
+        trained, curve = train_one(params, prices, None, CostModel(), self._cfg(epochs=0))
         assert curve == []
         for w0, w1 in zip(params.weights, trained.weights):
             assert np.array_equal(w0, w1)
@@ -197,7 +203,7 @@ class TestTrain:
         prices = self._market()
         params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
         snapshot = params.copy()
-        train(params, prices, None, CostModel(), self._cfg())
+        train_one(params, prices, None, CostModel(), self._cfg())
         for w0, w1 in zip(snapshot.weights, params.weights):
             assert np.array_equal(w0, w1)
 
@@ -206,7 +212,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
-            trained, curve = train(params, prices, None, CostModel(), self._cfg())
+            trained, curve = train_one(params, prices, None, CostModel(), self._cfg())
             runs.append((trained, curve))
         assert runs[0][1] == runs[1][1]
         for w0, w1 in zip(runs[0][0].weights, runs[1][0].weights):
@@ -217,10 +223,8 @@ class TestTrain:
         # should end up nearly all-in and close to the per-step log gain
         prices = _drift_prices(n_steps=160)
         params = init_policy(1 * 8, 2, hidden=(8,), seed=0)
-        cfg = TrainConfig(
-            learning_rate=2.0, batch_window=40, epochs=120, seed=0, window=8
-        )
-        trained, curve = train(params, prices, None, NO_COST, cfg)
+        cfg = TrainConfig(learning_rate=2.0, batch_window=40, epochs=120, window=8)
+        trained, curve = train_one(params, prices, None, NO_COST, cfg)
         episode = Episode.from_market(prices, window=8, signal_dim=0)
         final_actions = np.stack(
             [policy_forward(trained, s) for s in episode.states]
@@ -238,11 +242,11 @@ class TestTrain:
         labels = oracle_labels(
             true_movements(prices), SignalConfig(accuracy=1.0, density=1.0, seed=0)
         )
-        cfg = TrainConfig(learning_rate=2.0, batch_window=40, epochs=60, seed=0, window=8)
+        cfg = TrainConfig(learning_rate=2.0, batch_window=40, epochs=60, window=8)
         scores = {}
         for name, sig in (("informed", labels), ("blind", None)):
             params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=1)
-            _, curve = train(params, prices, sig, NO_COST, cfg)
+            _, curve = train_one(params, prices, sig, NO_COST, cfg)
             scores[name] = curve[-1]
         assert scores["informed"] >= scores["blind"]
 
@@ -251,7 +255,115 @@ class TestTrain:
         params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
         params.weights[0][0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
-            train(params, prices, None, CostModel(), self._cfg())
+            train_one(params, prices, None, CostModel(), self._cfg())
+
+
+def _assert_same_outcome(got, want):
+    (got_params, got_curve), (want_params, want_curve) = got, want
+    assert got_curve == want_curve
+    for a, b in zip(
+        got_params.weights + got_params.biases, want_params.weights + want_params.biases
+    ):
+        assert np.array_equal(a, b)
+
+
+class TestLockstep:
+    """A group trained in lockstep gives each cell its solo result, bit for bit."""
+
+    WINDOW = 8
+
+    def _cells(self, hidden):
+        """Four cells: oracle signals of accuracy 0.6, 1.0, 0.8 and a control."""
+        spec = SyntheticMarketSpec(n_assets=3, n_steps=260, vol=0.02, seed=13)
+        prices = generate_synthetic(spec)
+        moves = true_movements(prices)
+        signals = [
+            oracle_labels(moves, SignalConfig(accuracy=acc, density=1.0, seed=i))
+            for i, acc in enumerate((0.6, 1.0, 0.8))
+        ]
+        signals.insert(1, None)  # the zero-signal control, mixed in
+        params = [
+            init_policy(3 * self.WINDOW + 3, 4, hidden=hidden, seed=10 + i) for i in range(4)
+        ]
+        return prices, params, signals, [101, 7, 55, 3]
+
+    def _cfg(self, **kw):
+        base = dict(learning_rate=3.0, batch_window=32, epochs=3, window=self.WINDOW)
+        return TrainConfig(**{**base, **kw})
+
+    def _solo(self, prices, params, signals, seeds, cm, cfg):
+        return [
+            train([p], prices, [s], cm, cfg, [seed])[0]
+            for p, s, seed in zip(params, signals, seeds)
+        ]
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    @pytest.mark.parametrize("hidden", [(32,), (16, 8)])
+    def test_group_equals_solo_runs(self, mode, hidden):
+        prices, params, signals, seeds = self._cells(hidden)
+        cm, cfg = CostModel(mode=mode), self._cfg()
+        solo = self._solo(prices, params, signals, seeds, cm, cfg)
+        group = train(params, prices, signals, cm, cfg, seeds)
+        prefix = train(params[:2], prices, signals[:2], cm, cfg, seeds[:2])
+        for got, want in zip(group + prefix, solo + solo[:2]):
+            _assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_equals_step_by_step_replay(self, mode):
+        # the documented loop, one window at a time: uniform start j, entry
+        # weights from the current policy on row j - 1 (all cash at j = 0)
+        prices, params, signals, seeds = self._cells((16,))
+        cm, cfg = CostModel(mode=mode), self._cfg(epochs=2)
+        [(trained, curve)] = train(params[:1], prices, signals[:1], cm, cfg, seeds[:1])
+        episode = Episode.from_market(prices, signals[0], window=self.WINDOW)
+        t_total, batch = episode.states.shape[0], cfg.batch_window
+        replay, rng, replay_curve = params[0].copy(), np.random.default_rng(seeds[0]), []
+        for _ in range(cfg.epochs):
+            for _ in range(t_total // batch):
+                j = int(rng.integers(0, t_total - batch + 1))
+                entry_w = policy_forward(replay, episode.states[j - 1]) if j else all_cash(4)
+                entry_y = episode.rel[j - 1] if j else np.ones(4)
+                window = Episode(
+                    episode.states[j : j + batch], episode.rel[j : j + batch], entry_w, entry_y
+                )
+                ascent_step(replay, gradient(replay, window, cm), cfg.learning_rate)
+            replay_curve.append(objective(replay, episode, cm))
+        _assert_same_outcome((trained, curve), (replay, replay_curve))
+
+    def test_diverging_cells_fail_alone(self):
+        prices, params, signals, seeds = self._cells((16,))
+        cm, cfg = CostModel(mode="simple"), self._cfg()
+        solo = self._solo(prices, params, signals, seeds, cm, cfg)
+        nan_init = params[1].copy()
+        nan_init.weights[0][0, 0] = np.nan
+        overflowing = params[2].copy()  # finite, but not after the first step
+        overflowing.weights[-1][:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            group = train(
+                [params[0], nan_init, overflowing, params[3]], prices, signals, cm, cfg, seeds
+            )
+        assert isinstance(group[1], TrainingDivergedError)
+        assert isinstance(group[2], TrainingDivergedError)
+        _assert_same_outcome(group[0], solo[0])
+        _assert_same_outcome(group[3], solo[3])
+
+    def test_infeasible_rebalance_fails_alone(self):
+        # At a 0.9 blended rate, beta = 1 - 0.9 * turnover <= 0 once a policy
+        # swaps one asset for another.  The flipper goes all in on asset 1 or
+        # asset 2 by the sign of asset 1's signal; the others stay diversified.
+        prices, params, signals, seeds = self._cells((16,))
+        cm = CostModel(c_buy=0.9, c_sell=0.9, mode="simple")
+        cfg = self._cfg(learning_rate=0.1, epochs=2)
+        flipper = _zero_params(3 * self.WINDOW + 3, 4, hidden=(16,))
+        flipper.weights[0][0, 3 * self.WINDOW] = 5.0
+        flipper.weights[1][1, 0], flipper.weights[1][2, 0] = 40.0, -40.0
+        params[2] = flipper
+        solo = self._solo(prices, params, signals, seeds, cm, cfg)
+        group = train(params, prices, signals, cm, cfg, seeds)
+        assert isinstance(solo[2], EngineError)
+        assert isinstance(group[2], EngineError)
+        for pos in (0, 1, 3):
+            _assert_same_outcome(group[pos], solo[pos])
 
 
 class TestCheckpoint:
@@ -274,12 +386,12 @@ class TestCheckpoint:
         spec = SyntheticMarketSpec(n_assets=2, n_steps=120, drift=0.002, vol=0.01, seed=5)
         prices = generate_synthetic(spec)
         params = init_policy(2 * 8, 3, hidden=(8,), seed=2)
-        cfg = TrainConfig(learning_rate=1.0, batch_window=30, epochs=2, seed=0, window=8)
-        first, curve1 = train(params, prices, None, CostModel(), cfg)
+        cfg = TrainConfig(learning_rate=1.0, batch_window=30, epochs=2, window=8)
+        first, curve1 = train_one(params, prices, None, CostModel(), cfg)
         path = tmp_path / "ckpt.json"
         save_checkpoint(first, path, meta={"epochs_trained": 2})
         loaded, meta = load_checkpoint(path)
-        second, curve2 = train(loaded, prices, None, CostModel(), cfg)
+        second, curve2 = train_one(loaded, prices, None, CostModel(), cfg)
         assert meta["epochs_trained"] == 2
         assert len(curve1) == len(curve2) == 2
         assert np.isfinite(curve2).all()

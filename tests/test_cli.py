@@ -199,6 +199,14 @@ class TestTrainCommand:
         lines = (out / "learning_curve.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("steps", ["-3", "0"])
+    def test_bad_steps_per_epoch_exits_one(self, tmp_path, capsys, command, steps):
+        args = sets(FAST_MARKET + FAST_AGENT + [f"agent.steps_per_epoch={steps}"])
+        assert run(command, "--out", str(tmp_path / "x"), *args) == 1
+        err = capsys.readouterr().err
+        assert "agent.*" in err and "steps_per_epoch" in err
+
     def test_train_deterministic(self, tmp_path):
         args = sets(FAST_MARKET + FAST_AGENT)
         first, second = tmp_path / "a", tmp_path / "b"
@@ -229,6 +237,11 @@ class TestSweepCommand:
         assert run("sweep", "--out", str(first), *sets(self.ARGS)) == 0
         assert run("sweep", "--out", str(second), *sets(self.ARGS)) == 0
         assert read_all(first) == read_all(second)
+
+    @pytest.mark.parametrize("how", [["--jobs", "0"], ["--set", "jobs=-2"]])
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys, how):
+        assert run("sweep", "--out", str(tmp_path / "x"), *sets(self.ARGS), *how) == 1
+        assert "jobs" in capsys.readouterr().err
 
     def test_seed_flag_changes_cells(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

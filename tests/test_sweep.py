@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from signalfolio import config as cfgmod
+from signalfolio import sweep as sweepmod
 from signalfolio.config import ConfigError, resolve
 from signalfolio.sweep import (
     CellSpec,
@@ -37,6 +39,22 @@ def tiny_cfg(**overrides):
     }
     base.update(overrides)
     return resolve(base)
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor, running the groups in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestCellSeeds:
@@ -125,6 +143,48 @@ class TestRunSweep:
         serial, _ = run_sweep(tiny_cfg(), jobs=1)
         parallel, _ = run_sweep(tiny_cfg(), jobs=2)
         assert serial == parallel
+
+    def test_rows_identical_for_any_number_of_jobs(self):
+        serial, _ = run_sweep(tiny_cfg(), jobs=1)
+        for jobs in (2, 3):
+            assert run_sweep(tiny_cfg(), jobs=jobs)[0] == serial
+
+    @pytest.mark.parametrize(
+        "jobs,group_sizes", [(1, [3]), (2, [2, 1]), (3, [1, 1, 1]), (5, [1, 1, 1])]
+    )
+    def test_one_train_call_per_group(self, monkeypatch, jobs, group_sizes):
+        calls = []
+        real_train = cfgmod.train
+
+        def counting_train(params, *args):
+            calls.append(len(params))
+            return real_train(params, *args)
+
+        monkeypatch.setattr(cfgmod, "train", counting_train)
+        monkeypatch.setattr(sweepmod, "ProcessPoolExecutor", InProcessPool)
+        rows, failures = run_sweep(tiny_cfg(), jobs=jobs)
+        assert failures == [] and len(rows) == 3
+        assert calls == group_sizes
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_sweep(tiny_cfg(), jobs=jobs)
+
+    def test_setup_failure_fails_one_cell(self, monkeypatch):
+        expected, _ = run_sweep(tiny_cfg(), jobs=1)
+        real_prepare = cfgmod.prepare_agent
+
+        def prepare(cfg, *args):
+            if cfg["signal.mode"] == "none":
+                raise RuntimeError("no labels for the control")
+            return real_prepare(cfg, *args)
+
+        monkeypatch.setattr(cfgmod, "prepare_agent", prepare)
+        rows, failures = run_sweep(tiny_cfg(), jobs=1)
+        assert rows == expected[:2]
+        assert [f["accuracy"] for f in failures] == [None]
+        assert "no labels for the control" in failures[0]["error"]
 
     def test_cell_failures_reported_not_raised(self):
         # a split too short for the observation window breaks every cell
