@@ -14,7 +14,6 @@ from .baselines import (
     CRPPolicy,
     OLMARPolicy,
     WMAMRPolicy,
-    crp_action,
     ew_policy,
     olmar_action,
     simplex_project,
@@ -38,17 +37,14 @@ from .evaluation import (
     sharpe_ratio,
 )
 from .market import (
-    CsvSchema,
     MarketDataError,
     PriceSeries,
-    RelativePrices,
     SplitSpec,
     SyntheticMarketSpec,
     chronological_split,
     generate_synthetic,
     load_csv,
     relative_prices,
-    write_csv,
 )
 from .signals import (
     MovementPredictor,
@@ -58,7 +54,6 @@ from .signals import (
     build_states,
     fit_internal_predictor,
     oracle_labels,
-    predict_internal,
     true_movements,
 )
 

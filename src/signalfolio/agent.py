@@ -62,18 +62,11 @@ class PolicyParams:
     def n_actions(self) -> int:
         return self.weights[-1].shape[0]
 
-    @property
-    def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.weights[:-1])
-
     def copy(self) -> "PolicyParams":
         return PolicyParams(
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
         )
-
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 def init_policy(
@@ -162,7 +155,7 @@ class Episode:
         m = prices.n_assets + 1
         return cls(
             states=obs.matrix,
-            rel=relative_prices(prices).y[:, obs.steps].T,
+            rel=relative_prices(prices)[:, obs.steps].T,
             entry_weights=all_cash(m),
             entry_rel=np.ones(m),
         )
@@ -386,7 +379,7 @@ def train(
         )
         if obs is None:
             obs = np.zeros((cells, len(cell_obs) + 1, d))
-            rel = relative_prices(train_prices).y[:, cell_obs.steps].T
+            rel = relative_prices(train_prices)[:, cell_obs.steps].T
         obs[c, 1:] = cell_obs.matrix
     t_total, batch = rel.shape[0], cfg.batch_window
     if t_total < batch:

@@ -28,11 +28,6 @@ def simplex_project(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def crp_action(target: np.ndarray) -> np.ndarray:
-    """Constantly rebalanced portfolio: always the fixed target mix."""
-    return as_simplex(target, "target").copy()
-
-
 def _reversion_inputs(b, y_history, window: int) -> tuple[np.ndarray, np.ndarray]:
     b = as_simplex(b, "weights")
     hist = np.asarray(y_history, dtype=float)

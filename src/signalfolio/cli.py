@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .agent import load_checkpoint, save_checkpoint
+from .agent import save_checkpoint
 from .baselines import (
     CRPPolicy,
     OLMARPolicy,
@@ -118,8 +118,7 @@ def cmd_backtest(cfg, out: Path) -> int:
         policy = _make_baseline(name, cfg, m)
         runs[name] = run_backtest(test_p, policy, None, cm, window=window)
     if cfgmod.get_bool(cfg, "agent.enabled"):
-        checkpoint = cfgmod.get_str(cfg, "agent.checkpoint")
-        loaded = load_checkpoint(checkpoint)[0] if checkpoint else None
+        loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
         params, _, test_signals = cfgmod.setup_agent(
             cfg, train_p, test_p, _agent_seeds(cfg), loaded, fit=loaded is None
         )
@@ -165,8 +164,7 @@ def _write_metric_tables(cfg, runs, out: Path) -> None:
 
 def cmd_train(cfg, out: Path) -> int:
     train_p, _ = cfgmod.build_segments(cfg)
-    checkpoint = cfgmod.get_str(cfg, "agent.checkpoint")
-    loaded, meta = load_checkpoint(checkpoint) if checkpoint else (None, {})
+    loaded, meta = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
     epochs_done = int(meta.get("epochs_trained", 0))
     params, curve, _ = cfgmod.setup_agent(cfg, train_p, None, _agent_seeds(cfg), loaded)
     save_checkpoint(
@@ -174,7 +172,7 @@ def cmd_train(cfg, out: Path) -> int:
         out / "checkpoint.json",
         meta={"epochs_trained": epochs_done + len(curve)},
     )
-    _append_curve(out / "learning_curve.csv", curve, start_epoch=epochs_done, resumed=bool(checkpoint))
+    _append_curve(out / "learning_curve.csv", curve, start_epoch=epochs_done, resumed=loaded is not None)
     _write_echo(cfg, out)
     return 0
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .agent import PolicyParams, TrainConfig, init_policy, policy_forward, train
+from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, policy_forward, train
 from .engine import BacktestResult, CostModel, run_backtest
 from .market import (
-    CsvSchema,
+    MarketDataError,
     PriceSeries,
     SplitSpec,
     SyntheticMarketSpec,
@@ -217,7 +217,7 @@ def build_market(cfg: dict[str, object]) -> PriceSeries:
             raise ConfigError("market.csv.path: required when market.source = csv")
         if not Path(path).exists():
             raise ConfigError(f"market.csv.path: no such file {path!r}")
-        return load_csv(path, CsvSchema(), forward_fill=get_bool(cfg, "market.csv.forward_fill"))
+        return load_csv(path, forward_fill=get_bool(cfg, "market.csv.forward_fill"))
     raise ConfigError(f"market.source: unknown source {source!r}")
 
 
@@ -233,9 +233,11 @@ def build_split(cfg: dict[str, object]) -> SplitSpec:
 
 def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
     """The configured market, split into train and test segments."""
-    return chronological_split(
-        build_market(cfg), build_split(cfg), min_steps=get_int(cfg, "window") + 2
-    )
+    market, spec, window = build_market(cfg), build_split(cfg), get_int(cfg, "window")
+    try:
+        return chronological_split(market, spec, min_steps=window + 2)
+    except MarketDataError as exc:
+        raise ConfigError(f"split.* / window: {exc}") from exc
 
 
 def build_cost(cfg: dict[str, object]) -> CostModel:
@@ -319,22 +321,22 @@ def prepare_agent(
     return params, train_signals, test_signals
 
 
-def train_agents(
-    cfg: dict[str, object],
-    train_p: PriceSeries,
-    params: list[PolicyParams],
-    train_signals: list[SignalSeries | None],
-    seeds: list[tuple[int, int, int, int]],
-) -> list[tuple[PolicyParams, list[float]] | Exception]:
-    """Train prepared runs in lockstep: one agent.train call, one outcome per run."""
-    return train(
-        params,
-        train_p,
-        train_signals,
-        build_cost(cfg),
-        build_train_config(cfg),
-        [train_seed for _, train_seed, _, _ in seeds],
-    )
+def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict]:
+    """agent.checkpoint's parameters and meta, or (None, {}) when it is unset."""
+    path = get_str(cfg, "agent.checkpoint")
+    if not path:
+        return None, {}
+    if not Path(path).exists():
+        raise ConfigError(f"agent.checkpoint: no such file {path!r}")
+    params, meta = load_checkpoint(path)
+    window = get_int(cfg, "window")
+    got, want = (params.input_dim, params.n_actions), (n_assets * window + n_assets, n_assets + 1)
+    if got != want:
+        raise ConfigError(
+            f"agent.checkpoint: policy (inputs, outputs) {got}, but {n_assets} assets "
+            f"at window {window} need {want}"
+        )
+    return params, meta
 
 
 def setup_agent(
@@ -353,7 +355,9 @@ def setup_agent(
     params, train_signals, test_signals = prepare_agent(cfg, train_p, test_p, seeds, params, fit)
     if not fit:
         return params, [], test_signals
-    [outcome] = train_agents(cfg, train_p, [params], [train_signals], [seeds])
+    [outcome] = train(
+        [params], train_p, [train_signals], build_cost(cfg), build_train_config(cfg), [seeds[1]]
+    )
     if isinstance(outcome, Exception):
         raise outcome
     params, curve = outcome

@@ -132,8 +132,6 @@ def accumulate(rewards, p0: float = 1.0) -> np.ndarray:
     rewards = np.asarray(rewards, dtype=float)
     if p0 <= 0.0:
         raise EngineError("initial portfolio value must be positive")
-    if rewards.size == 0:
-        return np.array([p0])
     return np.concatenate([[p0], p0 * np.exp(np.cumsum(rewards))])
 
 
@@ -291,7 +289,6 @@ def run_backtest(
     signals: SignalSeries | None = None,
     cm: CostModel | None = None,
     window: int = 30,
-    p0: float = 1.0,
     lookback: int = 1,
 ) -> BacktestResult:
     """Run a policy over a price series, starting from all cash.
@@ -309,7 +306,7 @@ def run_backtest(
     if actions.shape != (len(obs), m):
         raise EngineError(f"actions have shape {actions.shape}, want {(len(obs), m)}")
     as_simplex(actions, "actions")
-    rel_rows = relative_prices(prices).y[:, obs.steps].T
+    rel_rows = relative_prices(prices)[:, obs.steps].T
     chain = reward_chain(actions, rel_rows, all_cash(m), np.ones(m), cm)
     return BacktestResult(
         start_index=obs.steps.start,
@@ -318,5 +315,5 @@ def run_backtest(
         betas=chain.betas,
         factors=chain.factors,
         rewards=chain.rewards,
-        pv=accumulate(chain.rewards, p0),
+        pv=accumulate(chain.rewards),
     )

@@ -3,9 +3,7 @@
 sharpe_ratio follows the sum convention: the portfolio return over a
 horizon is the sum of per-step wealth factors beta * (a . y), the risk
 term is their population standard deviation, and the risk-free rate is
-subtracted as a plain number.  sr_log is a conventional annualized
-log-return Sharpe kept under a separate key for sanity checks; the two
-are not comparable.
+subtracted as a plain number.
 """
 
 from __future__ import annotations
@@ -33,38 +31,19 @@ def portfolio_value(result: BacktestResult, p0: float = 1.0) -> float:
     return float(p0 * np.exp(np.sum(result.rewards)))
 
 
-def _horizon_factors(result: BacktestResult, horizon: int) -> np.ndarray:
+def sharpe_ratio(result: BacktestResult, horizon: int, r_free: float = DEFAULT_RISK_FREE) -> float:
+    """Sum-of-factors Sharpe over the first `horizon` steps."""
     if horizon < 2:
         raise EngineError(f"horizon {horizon} too short (need >= 2 steps)")
     if horizon > result.n_steps:
         raise EngineError(
             f"horizon {horizon} exceeds backtest length {result.n_steps}"
         )
-    return result.factors[:horizon]
-
-
-def sharpe_ratio(result: BacktestResult, horizon: int, r_free: float = DEFAULT_RISK_FREE) -> float:
-    """Sum-of-factors Sharpe over the first `horizon` steps."""
-    factors = _horizon_factors(result, horizon)
+    factors = result.factors[:horizon]
     sigma = float(np.std(factors))
     if sigma == 0.0:
         raise UndefinedSharpeError(f"constant wealth factors over horizon {horizon}")
     return (float(factors.sum()) - r_free) / sigma
-
-
-def sr_log(
-    result: BacktestResult,
-    horizon: int,
-    r_free: float = DEFAULT_RISK_FREE,
-    periods_per_year: int = 252,
-) -> float:
-    """Conventional annualized log-return Sharpe (not the sum form above)."""
-    rewards = result.rewards[: _horizon_factors(result, horizon).size]
-    sigma = float(np.std(rewards))
-    if sigma == 0.0:
-        raise UndefinedSharpeError(f"constant log returns over horizon {horizon}")
-    excess = float(rewards.mean()) - r_free / periods_per_year
-    return excess / sigma * float(np.sqrt(periods_per_year))
 
 
 _HORIZON_RE = re.compile(r"^(\d+)([dwm])$")

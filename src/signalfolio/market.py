@@ -15,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-CASH = "CASH"
-
 
 class MarketDataError(ValueError):
     """Malformed or inconsistent price data."""
@@ -35,8 +33,6 @@ class PriceSeries:
     close: np.ndarray
     timestamps: tuple
     assets: tuple[str, ...]
-    high: np.ndarray | None = None
-    low: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         close = np.asarray(self.close, dtype=float)
@@ -66,20 +62,6 @@ class PriceSeries:
         object.__setattr__(self, "close", _frozen(close))
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
         object.__setattr__(self, "assets", tuple(self.assets))
-        for name in ("high", "low"):
-            extra = getattr(self, name)
-            if extra is None:
-                continue
-            extra = np.asarray(extra, dtype=float)
-            if extra.shape != close.shape:
-                raise MarketDataError(f"{name} shape does not match close")
-            if not np.all(np.isfinite(extra)) or np.any(extra <= 0.0):
-                raise MarketDataError(f"{name} must be finite and strictly positive")
-            object.__setattr__(self, name, _frozen(extra))
-        if self.high is not None and np.any(self.close > self.high):
-            raise MarketDataError("close exceeds high")
-        if self.low is not None and np.any(self.close < self.low):
-            raise MarketDataError("close below low")
 
     @property
     def n_assets(self) -> int:
@@ -97,39 +79,22 @@ class PriceSeries:
             close=self.close[:, start:stop],
             timestamps=self.timestamps[start:stop],
             assets=self.assets,
-            high=None if self.high is None else self.high[:, start:stop],
-            low=None if self.low is None else self.low[:, start:stop],
         )
 
 
-@dataclass(frozen=True)
-class RelativePrices:
-    """Per-step price ratios close[t+1] / close[t]; the cash row is exactly 1."""
+def relative_prices(prices: PriceSeries) -> np.ndarray:
+    """Read-only per-step ratios close[t+1] / close[t]; the cash row is exactly 1.
 
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 2 or y.shape[1] < 1:
-            raise MarketDataError("relative prices must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
-            raise MarketDataError("relative prices must be finite and strictly positive")
-        if np.any(y[0] != 1.0):
-            raise MarketDataError("cash relative price must be exactly 1")
-        object.__setattr__(self, "y", _frozen(y))
-
-    @property
-    def n_steps(self) -> int:
-        return self.y.shape[1]
-
-
-def relative_prices(prices: PriceSeries) -> RelativePrices:
-    """Consecutive close ratios.  Requires at least two steps."""
+    Requires at least two steps.  Ratios of valid closes can still overflow
+    or underflow (1e-300 then 1e300), so they are checked too.
+    """
     if prices.n_steps < 2:
         raise MarketDataError("need at least two steps for relative prices")
     y = prices.close[:, 1:] / prices.close[:, :-1]
     y[0, :] = 1.0
-    return RelativePrices(y=y)
+    if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
+        raise MarketDataError("relative prices must be finite and strictly positive")
+    return _frozen(y)
 
 
 @dataclass(frozen=True)
@@ -186,7 +151,7 @@ class SyntheticMarketSpec:
             raise MarketDataError("need at least two steps")
         if not 0.0 <= self.regime_switch_prob <= 1.0:
             raise MarketDataError("regime switch probability outside [0, 1]")
-        if np.any(self._vols() < 0.0):
+        if np.any(self._per_asset(self.vol) < 0.0):
             raise MarketDataError("volatility must be non-negative")
 
     def _per_asset(self, value) -> np.ndarray:
@@ -196,12 +161,6 @@ class SyntheticMarketSpec:
         if arr.shape != (self.n_assets,):
             raise MarketDataError(f"per-asset value has shape {arr.shape}, want ({self.n_assets},)")
         return arr
-
-    def _drifts(self) -> np.ndarray:
-        return self._per_asset(self.drift)
-
-    def _vols(self) -> np.ndarray:
-        return self._per_asset(self.vol)
 
 
 def generate_synthetic(spec: SyntheticMarketSpec) -> PriceSeries:
@@ -213,8 +172,8 @@ def generate_synthetic(spec: SyntheticMarketSpec) -> PriceSeries:
     """
     rng = np.random.default_rng(spec.seed)
     n, t_total = spec.n_assets, spec.n_steps
-    drift = spec._drifts()
-    vol = spec._vols()
+    drift = spec._per_asset(spec.drift)
+    vol = spec._per_asset(spec.vol)
     flips = rng.random(t_total - 1) < spec.regime_switch_prob
     signs = np.where(flips, -1.0, 1.0).cumprod()
     noise = rng.standard_normal((n, t_total - 1))
@@ -226,18 +185,6 @@ def generate_synthetic(spec: SyntheticMarketSpec) -> PriceSeries:
         timestamps=tuple(range(t_total)),
         assets=tuple(f"A{i + 1}" for i in range(n)),
     )
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column names for long-format price CSVs, plus an optional asset order."""
-
-    timestamp: str = "timestamp"
-    asset: str = "asset"
-    close: str = "close"
-    high: str = "high"
-    low: str = "low"
-    assets: tuple[str, ...] | None = None
 
 
 def _parse_timestamp(raw: str):
@@ -262,54 +209,35 @@ def _parse_price(raw: str, where: str) -> float:
     return value
 
 
-def load_csv(
-    path: str | Path,
-    schema: CsvSchema | None = None,
-    forward_fill: bool = False,
-) -> PriceSeries:
-    """Load a long-format CSV of (timestamp, asset, close[, high, low]) rows.
+def load_csv(path: str | Path, forward_fill: bool = False) -> PriceSeries:
+    """Load a long-format CSV of (timestamp, asset, close) rows.
 
+    Other columns are ignored, and assets keep the order of their first row.
     All assets must cover the same timestamps.  With forward_fill=True a
     missing (asset, timestamp) cell reuses the asset's most recent earlier
     row; leading gaps are still an error.  Cash is synthesized at row 0.
     """
-    schema = schema or CsvSchema()
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        for required in (schema.timestamp, schema.asset, schema.close):
+        for required in ("timestamp", "asset", "close"):
             if required not in header:
                 raise MarketDataError(f"{path}: missing column {required!r}")
-        has_high = schema.high in header
-        has_low = schema.low in header
         cells: dict[str, dict] = {}
-        order: list[str] = []
         for lineno, row in enumerate(reader, start=2):
             where = f"{path}:{lineno}"
-            asset = (row[schema.asset] or "").strip()
+            asset = (row["asset"] or "").strip()
             if not asset:
                 raise MarketDataError(f"empty asset id at {where}")
-            ts = _parse_timestamp(row[schema.timestamp] or "")
+            ts = _parse_timestamp(row["timestamp"] or "")
             if asset not in cells:
                 cells[asset] = {}
-                order.append(asset)
             if ts in cells[asset]:
                 raise MarketDataError(f"duplicate row for asset {asset!r} at {where}")
-            close = _parse_price(row[schema.close], where)
-            high = _parse_price(row[schema.high], where) if has_high else None
-            low = _parse_price(row[schema.low], where) if has_low else None
-            cells[asset][ts] = (close, high, low)
+            cells[asset][ts] = _parse_price(row["close"], where)
     if not cells:
         raise MarketDataError(f"{path}: no data rows")
-    if schema.assets is not None:
-        missing = [a for a in schema.assets if a not in cells]
-        if missing:
-            raise MarketDataError(f"{path}: assets {missing} not present")
-        extra = [a for a in order if a not in schema.assets]
-        if extra:
-            raise MarketDataError(f"{path}: assets {extra} not listed in schema")
-        order = list(schema.assets)
     timestamps = set()
     for per_asset in cells.values():
         timestamps.update(per_asset.keys())
@@ -317,12 +245,9 @@ def load_csv(
         grid = sorted(timestamps)
     except TypeError as exc:
         raise MarketDataError(f"{path}: mixed timestamp types") from exc
-    n, t_total = len(order), len(grid)
+    n, t_total = len(cells), len(grid)
     close = np.empty((n, t_total))
-    high = np.empty((n, t_total)) if has_high else None
-    low = np.empty((n, t_total)) if has_low else None
-    for i, asset in enumerate(order):
-        per_asset = cells[asset]
+    for i, (asset, per_asset) in enumerate(cells.items()):
         last = None
         for j, ts in enumerate(grid):
             if ts in per_asset:
@@ -331,36 +256,9 @@ def load_csv(
                 raise MarketDataError(
                     f"{path}: ragged series, asset {asset!r} missing timestamp {ts!r}"
                 )
-            close[i, j] = last[0]
-            if high is not None:
-                high[i, j] = last[1]
-            if low is not None:
-                low[i, j] = last[2]
-    cash = np.ones((1, t_total))
+            close[i, j] = last
     return PriceSeries(
-        close=np.vstack([cash, close]),
+        close=np.vstack([np.ones((1, t_total)), close]),
         timestamps=tuple(grid),
-        assets=tuple(order),
-        high=None if high is None else np.vstack([cash, high]),
-        low=None if low is None else np.vstack([cash, low]),
+        assets=tuple(cells),
     )
-
-
-def write_csv(prices: PriceSeries, path: str | Path, schema: CsvSchema | None = None) -> None:
-    """Write the risky rows back to long-format CSV (cash is implicit)."""
-    schema = schema or CsvSchema()
-    include_extra = prices.high is not None and prices.low is not None
-    fields = [schema.timestamp, schema.asset, schema.close]
-    if include_extra:
-        fields += [schema.high, schema.low]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for j, ts in enumerate(prices.timestamps):
-            stamp = ts.isoformat() if isinstance(ts, datetime) else str(ts)
-            for i, asset in enumerate(prices.assets):
-                row = [stamp, asset, repr(float(prices.close[i + 1, j]))]
-                if include_extra:
-                    row.append(repr(float(prices.high[i + 1, j])))
-                    row.append(repr(float(prices.low[i + 1, j])))
-                writer.writerow(row)

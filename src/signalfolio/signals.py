@@ -7,9 +7,7 @@ t to t+1, so it is information a real predictor could emit at decision time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,8 +43,6 @@ class SignalSeries:
     """Per-asset signal matrix, one row per risky asset, one column per step."""
 
     values: np.ndarray
-    ties: np.ndarray | None = None
-    discrete: bool = True
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -54,15 +50,9 @@ class SignalSeries:
             raise SignalError("signal values must be a 2-D matrix")
         if not np.all(np.isfinite(values)):
             raise SignalError("signal values must be finite")
-        if self.discrete and not np.all(np.isin(values, (-1.0, 0.0, 1.0))):
-            raise SignalError("discrete signal values must lie in {-1, 0, +1}")
+        if not np.all(np.isin(values, (-1.0, 0.0, 1.0))):
+            raise SignalError("signal values must lie in {-1, 0, +1}")
         object.__setattr__(self, "values", _frozen(values))
-        if self.ties is not None:
-            ties = np.asarray(self.ties, dtype=bool)
-            if ties.shape != values.shape:
-                raise SignalError("tie mask shape does not match values")
-            ties.setflags(write=False)
-            object.__setattr__(self, "ties", ties)
 
     @property
     def n_assets(self) -> int:
@@ -76,8 +66,8 @@ class SignalSeries:
 def true_movements(prices: PriceSeries) -> SignalSeries:
     """Realized next-step movement labels for every risky asset.
 
-    Flat steps count as up so labels stay binary; ties are flagged in the
-    mask.  The final column has no next step and is left absent (0).
+    Flat steps count as up so labels stay binary.  The final column has no
+    next step and is left absent (0).
     """
     if prices.n_steps < 2:
         raise MarketDataError("need at least two steps for movements")
@@ -86,8 +76,7 @@ def true_movements(prices: PriceSeries) -> SignalSeries:
     labels = np.where(diff >= 0.0, 1.0, -1.0)
     n = prices.n_assets
     values = np.concatenate([labels, np.zeros((n, 1))], axis=1)
-    ties = np.concatenate([diff == 0.0, np.zeros((n, 1), dtype=bool)], axis=1)
-    return SignalSeries(values=values, ties=ties)
+    return SignalSeries(values=values)
 
 
 def oracle_labels(truth: SignalSeries, cfg: SignalConfig) -> SignalSeries:
@@ -130,10 +119,6 @@ class MovementPredictor:
     lags: int
     train_accuracy: np.ndarray = field(default=None)
     degenerate: np.ndarray = field(default=None)
-
-    @property
-    def mean_train_accuracy(self) -> float:
-        return float(np.mean(self.train_accuracy))
 
 
 def fit_internal_predictor(
@@ -196,25 +181,6 @@ def _logits(predictor: MovementPredictor, log_rel: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ijk->ij", predictor.weights, lagged) + predictor.bias[:, None]
 
 
-def predict_internal(predictor: MovementPredictor, window: np.ndarray) -> np.ndarray:
-    """Predict next movements from a price window of raw or normalized closes.
-
-    The window needs lags + 1 columns; log ratios are normalization
-    invariant.  Returns one label in {-1, +1} per asset.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[0] != predictor.weights.shape[0]:
-        raise SignalError("window shape does not match predictor")
-    if window.shape[1] < predictor.lags + 1:
-        raise SignalError(
-            f"window too short: {window.shape[1]} columns, need {predictor.lags + 1}"
-        )
-    if np.any(window <= 0.0):
-        raise SignalError("window prices must be strictly positive")
-    log_rel = np.diff(np.log(window), axis=1)[:, -predictor.lags :]
-    return np.where(_logits(predictor, log_rel)[:, 0] >= 0.0, 1.0, -1.0)
-
-
 def predictor_labels(predictor: MovementPredictor, prices: PriceSeries) -> SignalSeries:
     """Run the predictor over a whole series, absent where history is short."""
     if prices.n_assets != predictor.weights.shape[0]:
@@ -233,14 +199,6 @@ def decision_indices(n_steps: int, window: int) -> range:
     if window < 1:
         raise SignalError("window must be >= 1")
     return range(window - 1, n_steps - 1)
-
-
-def signal_at(series: SignalSeries, t: int, lookback: int = 1) -> np.ndarray:
-    """Signal column at t, optionally averaged over the last `lookback` steps."""
-    if lookback < 1:
-        raise SignalError("lookback must be >= 1")
-    start = max(0, t - lookback + 1)
-    return np.asarray(series.values[:, start : t + 1].mean(axis=1))
 
 
 @dataclass(frozen=True)
@@ -314,21 +272,3 @@ def build_states(
     matrix.setflags(write=False)
     return obs
 
-
-def save_signal_csv(
-    series: SignalSeries,
-    assets: tuple[str, ...],
-    timestamps: tuple,
-    path: str | Path,
-) -> None:
-    """Audit dump, one (asset, timestamp, label) row per cell."""
-    if len(assets) != series.n_assets or len(timestamps) != series.n_steps:
-        raise SignalError("assets/timestamps do not match signal shape")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset", "timestamp", "label"])
-        for i, asset in enumerate(assets):
-            for j, ts in enumerate(timestamps):
-                value = series.values[i, j]
-                text = str(int(value)) if series.discrete else repr(float(value))
-                writer.writerow([asset, str(ts), text])

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from .agent import train
 from .evaluation import UndefinedSharpeError, sharpe_ratio
 
 CONTROL = "control"
@@ -102,16 +103,25 @@ def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signa
     }
 
 
-def run_group(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict | Exception]:
+def _failure_row(cell: CellSpec, exc: Exception) -> dict:
+    return {
+        "accuracy": cell.accuracy,
+        "density": cell.density,
+        "seed": cell.seed,
+        "error": "".join(traceback.format_exception(exc, limit=3)),
+    }
+
+
+def run_group(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict]:
     """Set up every cell, train them in lockstep, backtest each.
 
-    Returns one row dict per cell, or the error that stopped it; a cell that
-    fails in setup, training or its backtest fails alone.
+    Returns one row dict per cell; a cell that fails in setup, training or
+    its backtest fails alone, as a row whose "error" holds the traceback.
     """
     try:
         train_prices, test_prices = cfgmod.build_segments(cfg)
     except Exception as exc:
-        return [exc] * len(cells)
+        return [_failure_row(cell, exc) for cell in cells]
     outcomes: list = [None] * len(cells)
     ready = []
     for index, cell in enumerate(cells):
@@ -119,44 +129,25 @@ def run_group(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict | Exce
             ready.append((index, *_prepare_cell(cfg, cell, train_prices, test_prices)))
         except Exception as exc:
             outcomes[index] = exc
-    if not ready:
-        return outcomes
-    indices, seeds, params, train_signals, test_signals = zip(*ready)
-    try:
-        trained = cfgmod.train_agents(cfg, train_prices, params, train_signals, seeds)
-    except Exception as exc:
-        trained = [exc] * len(ready)
-    for index, outcome, signals in zip(indices, trained, test_signals):
-        if isinstance(outcome, Exception):
-            outcomes[index] = outcome
-            continue
+    if ready:
+        indices, seeds, params, train_signals, test_signals = zip(*ready)
         try:
-            outcomes[index] = _cell_row(cfg, cells[index], test_prices, outcome[0], signals)
+            cm, train_cfg = cfgmod.build_cost(cfg), cfgmod.build_train_config(cfg)
+            train_seeds = [train_seed for _, train_seed, _, _ in seeds]
+            trained = train(params, train_prices, train_signals, cm, train_cfg, train_seeds)
         except Exception as exc:
-            outcomes[index] = exc
-    return outcomes
-
-
-def run_cell(cfg: dict[str, object], cell: CellSpec) -> dict:
-    """Train and evaluate one cell as a group of one; returns a plain row dict."""
-    [outcome] = run_group(cfg, [cell])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _group_task(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict]:
-    """run_group with each error written out as a failure row."""
+            trained = [exc] * len(ready)
+        for index, outcome, signals in zip(indices, trained, test_signals):
+            if isinstance(outcome, Exception):
+                outcomes[index] = outcome
+                continue
+            try:
+                outcomes[index] = _cell_row(cfg, cells[index], test_prices, outcome[0], signals)
+            except Exception as exc:
+                outcomes[index] = exc
     return [
-        {
-            "accuracy": cell.accuracy,
-            "density": cell.density,
-            "seed": cell.seed,
-            "error": "".join(traceback.format_exception(outcome, limit=3)),
-        }
-        if isinstance(outcome, Exception)
-        else outcome
-        for cell, outcome in zip(cells, run_group(cfg, cells))
+        _failure_row(cell, outcome) if isinstance(outcome, Exception) else outcome
+        for cell, outcome in zip(cells, outcomes)
     ]
 
 
@@ -185,9 +176,9 @@ def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[d
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:
         with ProcessPoolExecutor(max_workers=n_groups) as pool:
-            done = list(pool.map(_group_task, [cfg] * n_groups, groups))
+            done = list(pool.map(run_group, [cfg] * n_groups, groups))
     else:
-        done = [_group_task(cfg, cells)]
+        done = [run_group(cfg, cells)]
     outcomes = [outcome for group in done for outcome in group]
     rows = sorted((r for r in outcomes if "error" not in r), key=_row_order)
     failures = sorted((r for r in outcomes if "error" in r), key=_row_order)

@@ -10,7 +10,6 @@ from signalfolio.baselines import (
     CRPPolicy,
     OLMARPolicy,
     WMAMRPolicy,
-    crp_action,
     ew_policy,
     hold_cash_policy,
     olmar_action,
@@ -78,13 +77,9 @@ class TestSimplexProject:
 
 
 class TestFixedMixPolicies:
-    def test_crp_returns_target(self):
-        target = np.array([0.1, 0.6, 0.3])
-        assert np.array_equal(crp_action(target), target)
-
     def test_crp_rejects_off_simplex(self):
         with pytest.raises(EngineError):
-            crp_action(np.array([0.6, 0.6]))
+            CRPPolicy(np.array([0.6, 0.6]))
 
     def test_ew_is_uniform_crp(self, noisy_market):
         obs = build_states(noisy_market, window=10)
@@ -108,7 +103,7 @@ class TestFixedMixPolicies:
         target = np.array([0.2, 0.5, 0.3])
         cm = CostModel(c_buy=0.0, c_sell=0.0)
         result = run_backtest(noisy_market, CRPPolicy(target), None, cm, window=10)
-        rel = relative_prices(noisy_market).y
+        rel = relative_prices(noisy_market)
         wealth = 1.0
         for t in range(9, noisy_market.n_steps - 1):
             wealth *= float(target @ rel[:, t])

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signalfolio.agent import init_policy, load_checkpoint
+from signalfolio.agent import init_policy, load_checkpoint, save_checkpoint
 from signalfolio.cli import main
+from signalfolio.market import SyntheticMarketSpec, generate_synthetic
 
 FAST_MARKET = [
     "market.synthetic.n_assets=2",
@@ -40,6 +41,29 @@ def sets(pairs):
 
 def read_all(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+
+
+def write_fast_market_csv(path: Path, extra_columns: bool) -> None:
+    """FAST_MARKET's closes as a long-format CSV, optionally with unused columns."""
+    prices = generate_synthetic(
+        SyntheticMarketSpec(n_assets=2, n_steps=150, vol=0.02, drift=0.001, seed=5)
+    )
+    lines = ["high,timestamp,asset,low,close,volume" if extra_columns else "timestamp,asset,close"]
+    for j, ts in enumerate(prices.timestamps):
+        for i, asset in enumerate(prices.assets):
+            close = float(prices.close[i + 1, j])
+            if extra_columns:
+                lines.append(f"{close * 1.01!r},{ts},{asset},{close * 0.99!r},{close!r},{1000 + j}")
+            else:
+                lines.append(f"{ts},{asset},{close!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+# Either command with a checkpoint or a split that does not fit the config.
+CHECKPOINT_COMMANDS = {
+    "backtest": FAST_AGENT + ["agent.enabled=true", "baselines=ew", "metrics.horizons=1w"],
+    "train": FAST_AGENT,
+}
 
 
 class TestArgumentHandling:
@@ -159,6 +183,58 @@ class TestBacktestCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("runtime error")
+
+
+class TestCheckpointAndSplitErrors:
+    """A checkpoint or split that does not fit the config is a user error (exit 1)."""
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    @pytest.mark.parametrize(
+        "window,input_dim,n_actions", [(10, 2 * 8 + 2, 3), (8, 2 * 8 + 2, 4), (8, 2 * 8, 3)]
+    )
+    def test_mismatched_checkpoint_exits_one(
+        self, tmp_path, capsys, command, window, input_dim, n_actions
+    ):
+        # FAST_MARKET has 2 assets; at window w the policy needs 2w + 2 inputs, 3 outputs
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(init_policy(input_dim, n_actions, hidden=(8,), seed=0), ckpt)
+        args = FAST_MARKET + CHECKPOINT_COMMANDS[command]
+        args += [f"window={window}", f"agent.checkpoint={ckpt}"]
+        assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent.checkpoint:")
+        assert f"({input_dim}, {n_actions})" in err and f"({2 * window + 2}, 3)" in err
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    def test_missing_checkpoint_exits_one(self, tmp_path, capsys, command):
+        args = FAST_MARKET + CHECKPOINT_COMMANDS[command]
+        args += [f"agent.checkpoint={tmp_path / 'absent.json'}"]
+        assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
+        assert capsys.readouterr().err.startswith("error: agent.checkpoint: no such file")
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    def test_split_too_short_for_window_exits_one(self, tmp_path, capsys, command):
+        # 5 test steps cannot hold a window of 8 plus two steps
+        args = FAST_MARKET + CHECKPOINT_COMMANDS[command] + ["split.boundary=145"]
+        assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: split.* / window:") and "too short" in err
+
+
+class TestCsvMarket:
+    def test_extra_columns_do_not_change_results(self, tmp_path):
+        args = ["split.fraction=0.8", "window=8", "baselines=ew", "metrics.horizons=1w"]
+        results = {}
+        for name, extra in (("plain", False), ("extra", True)):
+            path = tmp_path / f"{name}.csv"
+            write_fast_market_csv(path, extra_columns=extra)
+            csv_args = ["market.source=csv", f"market.csv.path={path}"]
+            assert run("backtest", "--out", str(tmp_path / name), *sets(args + csv_args)) == 0
+            results[name] = (tmp_path / name / "result_ew.json").read_bytes()
+        assert results["extra"] == results["plain"]
+        # the file holds the synthetic market's closes exactly
+        assert run("backtest", "--out", str(tmp_path / "synthetic"), *sets(FAST_MARKET + args)) == 0
+        assert (tmp_path / "synthetic" / "result_ew.json").read_bytes() == results["plain"]
 
 
 class TestTrainCommand:

@@ -367,7 +367,7 @@ class TestRunBacktest:
 
         result = run_backtest(noisy_market, ew_policy(3), None, CostModel(), window=12)
         assert result.final_pv == pytest.approx(np.exp(result.rewards.sum()), rel=1e-12)
-        rel = relative_prices(noisy_market).y
+        rel = relative_prices(noisy_market)
         decided = np.arange(result.start_index, result.start_index + result.n_steps)
         gross = (result.actions * rel[:, decided].T).sum(axis=1)
         assert np.allclose(result.factors, result.betas * gross, atol=1e-12)

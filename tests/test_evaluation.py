@@ -14,7 +14,6 @@ from signalfolio.evaluation import (
     horizon_table,
     portfolio_value,
     sharpe_ratio,
-    sr_log,
     write_metrics_csv,
     write_metrics_json,
 )
@@ -93,17 +92,6 @@ class TestSharpe:
             sharpe_ratio(result, 1)
         with pytest.raises(EngineError):
             sharpe_ratio(result, 3)
-
-    def test_log_form_is_distinct_metric(self):
-        result = fake_result([1.1, 0.9, 1.05, 0.97])
-        sum_form = sharpe_ratio(result, 4)
-        log_form = sr_log(result, 4)
-        assert not np.isclose(sum_form, log_form)
-        rewards = result.rewards
-        expected = (
-            (rewards.mean() - 0.02 / 252) / np.std(rewards) * np.sqrt(252)
-        )
-        assert log_form == pytest.approx(expected, abs=1e-10)
 
 
 class TestHorizonSteps:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from signalfolio.market import (
-    CsvSchema,
     MarketDataError,
     PriceSeries,
     SplitSpec,
@@ -13,7 +12,6 @@ from signalfolio.market import (
     generate_synthetic,
     load_csv,
     relative_prices,
-    write_csv,
 )
 
 
@@ -40,12 +38,6 @@ class TestPriceSeries:
     def test_close_is_read_only(self, tiny_market):
         with pytest.raises(ValueError):
             tiny_market.close[0, 0] = 2.0
-
-    def test_high_low_bounds_checked(self):
-        close = np.array([[1.0, 1.0], [10.0, 11.0]])
-        high = np.array([[1.0, 1.0], [9.0, 12.0]])
-        with pytest.raises(MarketDataError, match="high"):
-            PriceSeries(close=close, timestamps=(0, 1), assets=("A",), high=high)
 
 
 class TestLoadCsv:
@@ -129,19 +121,37 @@ class TestLoadCsv:
         assert p.timestamps[0].year == 2021
 
     def test_schema_asset_order(self, tmp_path):
+        # assets keep the order of their first row, whatever their names
         path = tmp_path / "m.csv"
         write_lines(
             path,
-            ["timestamp,asset,close", "1,ETH,10.0", "1,BTC,100.0"],
+            ["timestamp,asset,close", "1,ETH,10.0", "1,BTC,100.0", "2,BTC,101.0", "2,ETH,11.0"],
         )
-        p = load_csv(path, CsvSchema(assets=("BTC", "ETH")))
-        assert p.assets == ("BTC", "ETH")
+        p = load_csv(path)
+        assert p.assets == ("ETH", "BTC")
+        assert np.array_equal(p.close[1:], [[10.0, 11.0], [100.0, 101.0]])
+
+    def test_extra_columns_ignored(self, tmp_path):
+        plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+        write_lines(plain, ["timestamp,asset,close", "1,BTC,100.0", "2,BTC,101.0"])
+        write_lines(
+            extra,
+            ["volume,high,timestamp,low,asset,close", "5,0,1,0,BTC,100.0", ",x,2,-1,BTC,101.0"],
+        )
+        a, b = load_csv(plain), load_csv(extra)
+        assert (a.assets, a.timestamps) == (b.assets, b.timestamps)
+        assert np.array_equal(a.close, b.close)
 
     def test_round_trip_identity(self, tmp_path):
         spec = SyntheticMarketSpec(n_assets=3, n_steps=40, drift=0.001, vol=0.05, seed=9)
         original = generate_synthetic(spec)
         path = tmp_path / "rt.csv"
-        write_csv(original, path)
+        rows = [
+            f"{ts},{asset},{float(original.close[i + 1, j])!r}"
+            for j, ts in enumerate(original.timestamps)
+            for i, asset in enumerate(original.assets)
+        ]
+        write_lines(path, ["timestamp,asset,close", *rows])
         loaded = load_csv(path)
         assert loaded.assets == original.assets
         assert loaded.timestamps == original.timestamps
@@ -152,17 +162,21 @@ class TestRelativePrices:
     def test_two_asset_example(self):
         close = np.array([[1.0, 1.0], [10.0, 11.0], [20.0, 18.0]])
         p = PriceSeries(close=close, timestamps=(0, 1), assets=("A", "B"))
-        y = relative_prices(p).y
+        y = relative_prices(p)
         assert np.allclose(y[:, 0], [1.0, 1.1, 0.9])
 
     def test_constant_market_all_ones(self):
         close = np.full((3, 6), 7.0)
         close[0] = 1.0
         p = PriceSeries(close=close, timestamps=tuple(range(6)), assets=("A", "B"))
-        assert np.all(relative_prices(p).y == 1.0)
+        assert np.all(relative_prices(p) == 1.0)
 
     def test_cash_row_exactly_one(self, noisy_market):
-        assert np.all(relative_prices(noisy_market).y[0] == 1.0)
+        assert np.all(relative_prices(noisy_market)[0] == 1.0)
+
+    def test_read_only(self, noisy_market):
+        with pytest.raises(ValueError):
+            relative_prices(noisy_market)[1, 0] = 2.0
 
     def test_cumprod_recovers_closes(self):
         rng = np.random.default_rng(3)
@@ -175,13 +189,21 @@ class TestRelativePrices:
                 seed=int(rng.integers(0, 1000)),
             )
             p = generate_synthetic(spec)
-            y = relative_prices(p).y
+            y = relative_prices(p)
             rebuilt = p.close[:, :1] * np.cumprod(y, axis=1)
             assert np.allclose(rebuilt, p.close[:, 1:], rtol=1e-12)
 
     def test_single_step_rejected(self):
         p = PriceSeries(close=np.ones((2, 1)), timestamps=(0,), assets=("A",))
         with pytest.raises(MarketDataError):
+            relative_prices(p)
+
+    @pytest.mark.parametrize("closes", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_ratio_overflow_rejected(self, closes):
+        # both closes are valid, but their ratio overflows to inf or underflows to 0
+        close = np.array([[1.0, 1.0], closes])
+        p = PriceSeries(close=close, timestamps=(0, 1), assets=("A",))
+        with np.errstate(over="ignore"), pytest.raises(MarketDataError, match="finite"):
             relative_prices(p)
 
 
@@ -238,14 +260,14 @@ class TestSynthetic:
         assert np.all(p.close == 1.0)
 
     def test_zero_vol_drift_compounds(self, drift_market):
-        y = relative_prices(drift_market).y
+        y = relative_prices(drift_market)
         assert np.allclose(y[1], 1.01, rtol=1e-12)
 
     def test_regime_prob_one_alternates_drift_sign(self):
         spec = SyntheticMarketSpec(
             n_assets=1, n_steps=7, drift=0.1, vol=0.0, regime_switch_prob=1.0, seed=0
         )
-        y = relative_prices(generate_synthetic(spec)).y[1]
+        y = relative_prices(generate_synthetic(spec))[1]
         signs = np.sign(np.log(y))
         assert list(signs) == [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
 

@@ -8,14 +8,12 @@ from signalfolio.signals import (
     SignalConfig,
     SignalError,
     SignalSeries,
+    _logits,
     build_states,
     decision_indices,
     fit_internal_predictor,
     oracle_labels,
-    predict_internal,
     predictor_labels,
-    save_signal_csv,
-    signal_at,
     true_movements,
 )
 
@@ -30,6 +28,20 @@ def series_from_closes(*rows):
     )
 
 
+def signal_at(series, t, lookback=1):
+    """Oracle of one row's signal columns in build_states: labels averaged
+    over the last `lookback` steps up to t, truncated at the series start."""
+    start = max(0, t - lookback + 1)
+    return series.values[:, start : t + 1].mean(axis=1)
+
+
+def predict_internal(predictor, window):
+    """Oracle of one step of predictor_labels: the labels that a window of
+    lags + 1 raw or normalized closes per asset gives."""
+    log_rel = np.diff(np.log(window), axis=1)[:, -predictor.lags :]
+    return np.where(_logits(predictor, log_rel)[:, 0] >= 0.0, 1.0, -1.0)
+
+
 class TestTrueMovements:
     def test_monotone_increase_all_up(self):
         truth = true_movements(series_from_closes([1.0, 2.0, 3.0, 4.0]))
@@ -41,10 +53,9 @@ class TestTrueMovements:
         assert list(truth.values[0, :2]) == [-1.0, 1.0]
 
     def test_tie_counts_up_and_is_flagged(self):
-        truth = true_movements(series_from_closes([5.0, 5.0, 6.0]))
-        assert truth.values[0, 0] == 1.0
-        assert truth.ties[0, 0]
-        assert not truth.ties[0, 1]
+        # a flat step is flagged as a move up: a present +1 label, not an absent 0
+        truth = true_movements(series_from_closes([5.0, 5.0, 4.0]))
+        assert list(truth.values[0]) == [1.0, -1.0, 0.0]
 
     def test_cash_excluded(self, tiny_market):
         truth = true_movements(tiny_market)
@@ -116,7 +127,7 @@ class TestInternalPredictor:
             SyntheticMarketSpec(n_assets=1, n_steps=5002, drift=0.0, vol=0.02, seed=21)
         )
         predictor = fit_internal_predictor(market, lags=5, epochs=100, seed=1)
-        assert abs(predictor.mean_train_accuracy - 0.5) <= 0.05
+        assert abs(np.mean(predictor.train_accuracy) - 0.5) <= 0.05
 
     def test_regime_market_beats_chance_modestly(self):
         market = generate_synthetic(
@@ -130,7 +141,7 @@ class TestInternalPredictor:
             )
         )
         predictor = fit_internal_predictor(market, lags=8, epochs=300, lr=1.0, seed=2)
-        assert 0.52 <= predictor.mean_train_accuracy <= 0.95
+        assert 0.52 <= np.mean(predictor.train_accuracy) <= 0.95
 
     def test_too_short_history_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):
@@ -138,14 +149,14 @@ class TestInternalPredictor:
 
     def test_predict_labels_binary(self, noisy_market):
         predictor = fit_internal_predictor(noisy_market, lags=4, epochs=20)
-        window = noisy_market.close[1:, -6:]
-        labels = predict_internal(predictor, window)
-        assert set(labels) <= {-1.0, 1.0}
+        labels = predictor_labels(predictor, noisy_market).values[:, 4:-1]
+        assert set(np.unique(labels)) <= {-1.0, 1.0}
 
     def test_window_too_short_rejected(self, noisy_market):
+        # a step needs lags log relatives before it: none of 5 steps has 4
         predictor = fit_internal_predictor(noisy_market, lags=4, epochs=5)
-        with pytest.raises(SignalError, match="too short"):
-            predict_internal(predictor, noisy_market.close[1:, -3:])
+        assert np.all(predictor_labels(predictor, noisy_market.slice(0, 5)).values == 0.0)
+        assert np.all(predictor_labels(predictor, noisy_market.slice(0, 6)).values[:, 4] != 0.0)
 
     def test_mirrored_window_flips_logit_sign(self):
         from signalfolio.signals import MovementPredictor
@@ -158,10 +169,12 @@ class TestInternalPredictor:
             train_accuracy=np.ones(1),
             degenerate=np.zeros(1, dtype=bool),
         )
-        window = np.array([[1.0, 1.1, 1.25, 1.3, 1.6]])
-        mirrored = window[:, ::-1]
-        assert predict_internal(predictor, window)[0] == 1.0
-        assert predict_internal(predictor, mirrored)[0] == -1.0
+        # step 4 of a 6-step series reads the log relatives of closes 0..4
+        closes = [1.0, 1.1, 1.25, 1.3, 1.6]
+        rising = predictor_labels(predictor, series_from_closes(closes + [1.0]))
+        falling = predictor_labels(predictor, series_from_closes(closes[::-1] + [1.0]))
+        assert rising.values[0, lags] == 1.0
+        assert falling.values[0, lags] == -1.0
 
     def test_predictor_labels_match_stepwise_predictions(self, noisy_market):
         predictor = fit_internal_predictor(noisy_market, lags=4, epochs=30, seed=2)
@@ -237,10 +250,12 @@ class TestStateAssembly:
         assert np.array_equal(obs.signals[:5], truth.values[:, 7:12].T)
 
     def test_lookback_averages_recent_labels(self):
-        values = np.array([[1.0, -1.0, 1.0, 0.0]])
-        series = SignalSeries(values=values)
-        assert signal_at(series, 2, lookback=1)[0] == 1.0
-        assert signal_at(series, 2, lookback=3)[0] == pytest.approx(1.0 / 3.0)
+        # window 3 makes step 2 the first decision row
+        prices = series_from_closes([1.0, 2.0, 3.0, 4.0, 5.0])
+        series = SignalSeries(values=np.array([[1.0, -1.0, 1.0, 0.0, 0.0]]))
+        assert build_states(prices, series, window=3, lookback=1).signals[0, 0] == 1.0
+        third = build_states(prices, series, window=3, lookback=3).signals[0, 0]
+        assert third == pytest.approx(1.0 / 3.0)
 
     def test_too_short_series_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):
@@ -256,12 +271,3 @@ class TestSignalSeries:
     def test_discrete_values_validated(self):
         with pytest.raises(SignalError):
             SignalSeries(values=np.array([[0.5]]))
-
-    def test_save_csv(self, tmp_path):
-        series = SignalSeries(values=np.array([[1.0, -1.0], [0.0, 1.0]]))
-        path = tmp_path / "labels.csv"
-        save_signal_csv(series, ("A1", "A2"), (7, 8), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "asset,timestamp,label"
-        assert "A1,7,1" in lines
-        assert "A2,7,0" in lines

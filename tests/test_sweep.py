@@ -12,7 +12,7 @@ from signalfolio.sweep import (
     build_cells,
     cell_seed,
     read_sweep_csv,
-    run_cell,
+    run_group,
     run_sweep,
     write_summary,
     write_sweep_csv,
@@ -101,6 +101,13 @@ class TestBuildCells:
             build_cells(tiny_cfg(**{"sweep.accuracies": ()}))
 
 
+def run_cell(cfg, cell):
+    """A group of one cell; its row, which has no "error"."""
+    [row] = run_group(cfg, [cell])
+    assert "error" not in row, row.get("error")
+    return row
+
+
 class TestRunCell:
     def test_graded_cell_row(self):
         row = run_cell(tiny_cfg(), CellSpec(1.0, 1.0, 0))
@@ -154,13 +161,13 @@ class TestRunSweep:
     )
     def test_one_train_call_per_group(self, monkeypatch, jobs, group_sizes):
         calls = []
-        real_train = cfgmod.train
+        real_train = sweepmod.train
 
         def counting_train(params, *args):
             calls.append(len(params))
             return real_train(params, *args)
 
-        monkeypatch.setattr(cfgmod, "train", counting_train)
+        monkeypatch.setattr(sweepmod, "train", counting_train)
         monkeypatch.setattr(sweepmod, "ProcessPoolExecutor", InProcessPool)
         rows, failures = run_sweep(tiny_cfg(), jobs=jobs)
         assert failures == [] and len(rows) == 3
