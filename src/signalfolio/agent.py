@@ -11,6 +11,7 @@ dependence of each step's drifted weights on the previous action.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -35,38 +36,58 @@ class TrainingDivergedError(RuntimeError):
     """Objective became non-finite during training."""
 
 
-@dataclass
 class PolicyParams:
-    """Layer weight matrices (out, in) and bias vectors of the policy net."""
+    """Parameters of the policy net in one flat theta.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    theta is (P,) for one policy or (C, P) for a group of C cells that train
+    in lockstep, row c being cell c.  weights[l] (out, in) and biases[l]
+    (out,) are views into theta, all weights first, then all biases; a
+    group's views carry the leading cell axis, (C, out, in) and (C, out).
+    So writing a view writes theta, and one operation on theta updates or
+    checks every layer of every cell.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases) or not self.weights:
+    def __init__(self, theta: np.ndarray, shapes) -> None:
+        """Views over an existing theta with layer weight shapes (out, in); no copy."""
+        self.theta, self.shapes = theta, tuple(shapes)
+        sizes = [*self.shapes, *((out,) for out, _ in self.shapes)]
+        cuts = np.cumsum([math.prod(size) for size in sizes])[:-1]
+        views = [
+            part.reshape(*theta.shape[:-1], *size)
+            for part, size in zip(np.split(theta, cuts, axis=-1), sizes)
+        ]
+        self.weights, self.biases = views[: len(self.shapes)], views[len(self.shapes) :]
+
+    @classmethod
+    def from_layers(cls, weights, biases) -> "PolicyParams":
+        """One policy from per-layer (out, in) weights and (out,) biases, copied."""
+        if len(weights) != len(biases) or not weights:
             raise EngineError("weights and biases must pair up")
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
-        for w, b in zip(self.weights, self.biases):
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise EngineError("layer shapes inconsistent")
-        for prev, nxt in zip(self.weights, self.weights[1:]):
+        for prev, nxt in zip(weights, weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise EngineError("layer sizes do not chain")
+        theta = np.concatenate([a.ravel() for a in (*weights, *biases)])
+        return cls(theta, [w.shape for w in weights])
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.shapes[0][1]
 
     @property
     def n_actions(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.shapes[-1][0]
+
+    def cells(self, index) -> "PolicyParams":
+        """The cells of a group at index (a row, a slice or an index array)."""
+        return PolicyParams(self.theta[index], self.shapes)
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return PolicyParams(self.theta.copy(), self.shapes)
 
 
 def init_policy(
@@ -86,7 +107,7 @@ def init_policy(
         bound = init_scale / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return PolicyParams(weights=weights, biases=biases)
+    return PolicyParams.from_layers(weights, biases)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -98,17 +119,16 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 def _forward_batch(params, x: np.ndarray):
     """Softmax allocations and hidden activations for the rows of x.
 
-    params has (out, in) weights and (out,) biases, or is a _Stack of cells:
-    (C, out, in) weights and (C, 1, out) biases for x of shape (C, rows, in).
-    A stack takes one matmul per layer, and each cell's slice of it is
+    params is one policy, or a group of cells for x of shape (C, rows, in).
+    A group takes one matmul per layer, and each cell's slice of it is
     bit-identical to running that cell alone.
     """
     hs = []
     a_in = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a_in = np.tanh(a_in @ w.swapaxes(-1, -2) + b)
+        a_in = np.tanh(a_in @ w.swapaxes(-1, -2) + b[..., None, :])
         hs.append(a_in)
-    logits = a_in @ params.weights[-1].swapaxes(-1, -2) + params.biases[-1]
+    logits = a_in @ params.weights[-1].swapaxes(-1, -2) + params.biases[-1][..., None, :]
     return _softmax_rows(logits), hs
 
 
@@ -187,62 +207,16 @@ def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.n
     return chain.betas
 
 
-class _Stack:
-    """Parameters of the cells training in lockstep, one row of theta per cell.
-
-    weights (C, out, in) and biases (C, 1, out) are views into theta, so the
-    ascent updates them in place and one reduction checks every cell.
-    """
-
-    def __init__(self, params: list[PolicyParams]) -> None:
-        self.shapes = [w.shape for w in params[0].weights]
-        self.theta = np.stack(
-            [np.concatenate([a.ravel() for a in (*p.weights, *p.biases)]) for p in params]
-        )
-        self.cells = np.arange(len(params))  # input index of each stacked cell
-        self.errors: dict[int, Exception] = {}  # input index -> what stopped it
-        self._views()
-
-    def _views(self) -> None:
-        sizes = [(out, inp) for out, inp in self.shapes] + [(1, out) for out, _ in self.shapes]
-        ends = np.cumsum([out * inp for out, inp in sizes])
-        views = [
-            self.theta[:, end - out * inp : end].reshape(-1, out, inp)
-            for (out, inp), end in zip(sizes, ends)
-        ]
-        self.weights, self.biases = views[: len(self.shapes)], views[len(self.shapes) :]
-
-    def policy(self, pos: int) -> PolicyParams:
-        return PolicyParams([w[pos] for w in self.weights], [b[pos, 0] for b in self.biases])
-
-    def diverged(self) -> dict[int, Exception]:
-        return {
-            int(pos): TrainingDivergedError("policy parameters are no longer finite")
-            for pos in np.flatnonzero(~np.isfinite(self.theta).all(axis=1))
-        }
-
-    def drop(self, failed: dict[int, Exception]) -> np.ndarray:
-        """Stop the cells at the failed stack positions; returns the kept positions."""
-        if not failed:
-            return np.arange(self.cells.size)
-        for pos, exc in failed.items():
-            self.errors[int(self.cells[pos])] = exc
-        keep = np.setdiff1d(np.arange(self.cells.size), list(failed))
-        self.cells, self.theta = self.cells[keep], self.theta[keep]
-        self._views()
-        return keep
-
-
-def _grads(stack: _Stack, x, rel, entry_w, entry_y, cm: CostModel):
+def _grads(params: PolicyParams, x, rel, entry_w, entry_y, cm: CostModel, out: PolicyParams):
     """Gradient of each cell's mean log reward over its window: the step kernel.
 
-    For a stack of C cells: x (C, T, d) and rel (C, T, m) hold each cell's
+    For a group of C cells: x (C, T, d) and rel (C, T, m) hold each cell's
     window, and entry_w and entry_y (C, 1, m) the weights it held and the
     price move just before the window (read in simple cost mode only).
-    Returns the per-layer weight and bias gradients in the stack's shapes.
+    Writes the gradient into out, a group of the same layout.
     """
     t_total = x.shape[1]
-    actions, hs = _forward_batch(stack, x)
+    actions, hs = _forward_batch(params, x)
     gross = (actions * rel).sum(axis=-1)
     d_actions = rel / gross[..., None] / t_total
     if cm.mode == "simple":
@@ -260,15 +234,12 @@ def _grads(stack: _Stack, x, rel, entry_w, entry_y, cm: CostModel):
             d_actions[:, :-1] += rel[:, :-1] / gross[:, :-1, None] * correction
     d_out = actions * (d_actions - (d_actions * actions).sum(axis=-1, keepdims=True))
     layer_inputs = [x, *hs]
-    grads_w = [None] * len(stack.weights)
-    grads_b = [None] * len(stack.biases)
-    for layer in range(len(stack.weights) - 1, -1, -1):
-        grads_w[layer] = d_out.swapaxes(1, 2) @ layer_inputs[layer]
-        grads_b[layer] = d_out.sum(axis=1, keepdims=True)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        np.matmul(d_out.swapaxes(1, 2), layer_inputs[layer], out=out.weights[layer])
+        d_out.sum(axis=1, out=out.biases[layer])
         if layer > 0:
             h = hs[layer - 1]
-            d_out = (d_out @ stack.weights[layer]) * (1.0 - h * h)
-    return grads_w, grads_b
+            d_out = (d_out @ params.weights[layer]) * (1.0 - h * h)
 
 
 def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
@@ -281,19 +252,21 @@ def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
     the action of the step before.  This is a one-cell call of the kernel
     that every training step runs.
     """
-    grads_w, grads_b = _grads(
-        _Stack([params]),
+    grads = PolicyParams(np.empty((1, params.theta.size)), params.shapes)
+    _grads(
+        PolicyParams(params.theta[None], params.shapes),
         episode.states[None],
         episode.rel[None],
         episode.entry_weights[None, None],
         episode.entry_rel[None, None],
         cm,
+        grads,
     )
-    return [g[0] for g in grads_w], [g[0, 0] for g in grads_b]
+    return [g[0] for g in grads.weights], [g[0] for g in grads.biases]
 
 
 def ascent_step(params: PolicyParams, grads, lr: float) -> None:
-    """In-place ascent on the layers of params, one cell's or a stack's."""
+    """In-place ascent on the layers of one policy, by per-layer gradients."""
     grads_w, grads_b = grads
     for layer in range(len(params.weights)):
         params.weights[layer] += lr * grads_w[layer]
@@ -323,8 +296,8 @@ class TrainConfig:
             raise EngineError(f"steps_per_epoch must be at least 1, got {self.steps_per_epoch}")
 
 
-def _lockstep_grads(stack: _Stack, x, rel, at_start, cm: CostModel):
-    """Step gradients from (C, B + 1, .) windows whose row 0 precedes the batch.
+def _lockstep_grads(group: PolicyParams, x, rel, at_start, cm: CostModel, out: PolicyParams):
+    """Step gradients, into out, from (C, B + 1, .) windows whose row 0 precedes the batch.
 
     In simple cost mode the entry weights are each cell's policy on row 0, a
     separate (1, d) forward so they match a call on that row alone, or all
@@ -332,9 +305,9 @@ def _lockstep_grads(stack: _Stack, x, rel, at_start, cm: CostModel):
     """
     entry_w = None
     if cm.mode == "simple":
-        entry_w, _ = _forward_batch(stack, x[:, :1])
+        entry_w, _ = _forward_batch(group, x[:, :1])
         entry_w[at_start] = all_cash(rel.shape[-1])
-    return _grads(stack, x[:, 1:], rel[:, 1:], entry_w, rel[:, :1], cm)
+    _grads(group, x[:, 1:], rel[:, 1:], entry_w, rel[:, :1], cm, out)
 
 
 def train(
@@ -357,12 +330,12 @@ def train(
     bit-identical to training it alone.  Returns per cell the trained
     parameters and the per-epoch objective on the full training episode, or
     the error that stopped it: non-finite parameters or objective, or an
-    infeasible rebalance.  A stopped cell leaves the stack; the rest go on.
+    infeasible rebalance.  A stopped cell leaves the group; the rest go on.
     """
     cells = len(params)
     if not cells or len(signals) != cells or len(seeds) != cells:
         raise EngineError("train needs one signal series and one seed per policy")
-    if len({tuple(w.shape for w in p.weights) for p in params}) != 1:
+    if len({p.shapes for p in params}) != 1:
         raise EngineError("policies trained together must share one architecture")
     n, d = train_prices.n_assets, params[0].input_dim
     signal_dim = d - n * cfg.window
@@ -394,49 +367,74 @@ def train(
     steps = cfg.steps_per_epoch or max(1, t_total // batch)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     curves: list[list[float]] = [[] for _ in range(cells)]
-    stack = _Stack(params)
-    stack.drop(stack.diverged())
+    shapes = params[0].shapes
+    group = PolicyParams(np.stack([p.theta for p in params]), shapes)
+    grads = PolicyParams(np.empty_like(group.theta), shapes)
+    inputs = np.arange(cells)  # input index of each row of the group
+    errors: dict[int, Exception] = {}  # input index -> what stopped it
+
+    def drop(failed: dict[int, Exception]) -> np.ndarray:
+        """Stop the cells at the failed rows; returns the kept rows."""
+        nonlocal group, grads, inputs
+        if not failed:
+            return np.arange(inputs.size)
+        for pos, exc in failed.items():
+            errors[int(inputs[pos])] = exc
+        keep = np.setdiff1d(np.arange(inputs.size), list(failed))
+        group, inputs = group.cells(keep), inputs[keep]
+        grads = PolicyParams(np.empty_like(group.theta), shapes)
+        return keep
+
+    def diverged() -> dict[int, Exception]:
+        return {
+            int(pos): TrainingDivergedError("policy parameters are no longer finite")
+            for pos in np.flatnonzero(~np.isfinite(group.theta).all(axis=1))
+        }
+
+    drop(diverged())
     for _ in range(cfg.epochs):
         starts = np.array(
-            [rngs[c].integers(0, t_total - batch + 1, size=steps) for c in stack.cells]
+            [rngs[c].integers(0, t_total - batch + 1, size=steps) for c in inputs]
         ).reshape(-1, steps)
         for step in range(steps):
-            if not stack.cells.size:
+            if not inputs.size:
                 break
             rows = starts[:, step, None] + offsets
-            x = obs_rows.take(stack.cells[:, None] * (t_total + 1) + rows, axis=0)
+            x = obs_rows.take(inputs[:, None] * (t_total + 1) + rows, axis=0)
             y = moves.take(rows, axis=0)
             at_start = starts[:, step] == 0
             try:
-                grads = _lockstep_grads(stack, x, y, at_start, cm)
+                _lockstep_grads(group, x, y, at_start, cm, grads)
             except EngineError:
                 # An infeasible rebalance stops only the cells that hit it.
                 failed = {}
-                for pos in range(stack.cells.size):
-                    alone, one = _Stack([stack.policy(pos)]), slice(pos, pos + 1)
+                for pos in range(inputs.size):
+                    one = slice(pos, pos + 1)
                     try:
-                        _lockstep_grads(alone, x[one], y[one], at_start[one], cm)
+                        _lockstep_grads(
+                            group.cells(one), x[one], y[one], at_start[one], cm, grads.cells(one)
+                        )
                     except EngineError as exc:
                         failed[pos] = exc
-                keep = stack.drop(failed)
+                keep = drop(failed)
                 starts, x, y, at_start = starts[keep], x[keep], y[keep], at_start[keep]
-                grads = _lockstep_grads(stack, x, y, at_start, cm)
-            ascent_step(stack, grads, cfg.learning_rate)
-            starts = starts[stack.drop(stack.diverged())]
+                _lockstep_grads(group, x, y, at_start, cm, grads)
+            group.theta += cfg.learning_rate * grads.theta
+            starts = starts[drop(diverged())]
         failed = {}
-        for pos, c in enumerate(stack.cells):
+        for pos, c in enumerate(inputs):
             try:
-                score = objective(stack.policy(pos), episodes[c], cm)
+                score = objective(group.cells(pos), episodes[c], cm)
                 if not np.isfinite(score):
                     raise TrainingDivergedError(f"objective became {score} during training")
             except (EngineError, ConvergenceError, TrainingDivergedError) as exc:
                 failed[pos] = exc
             else:
                 curves[c].append(score)
-        stack.drop(failed)
-    outcomes: list = [stack.errors.get(c) for c in range(cells)]
-    for pos, c in enumerate(stack.cells):
-        outcomes[c] = (stack.policy(pos).copy(), curves[c])
+        drop(failed)
+    outcomes: list = [errors.get(c) for c in range(cells)]
+    for pos, c in enumerate(inputs):
+        outcomes[c] = (group.cells(pos), curves[c])
     return outcomes
 
 
@@ -464,8 +462,7 @@ def save_checkpoint(params: PolicyParams, path: str | Path, meta: dict | None = 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict]:
     data = json.loads(Path(path).read_text())
     layers = data["layers"]
-    params = PolicyParams(
-        weights=[np.asarray(layer["weights"], dtype=float) for layer in layers],
-        biases=[np.asarray(layer["biases"], dtype=float) for layer in layers],
+    params = PolicyParams.from_layers(
+        [layer["weights"] for layer in layers], [layer["biases"] for layer in layers]
     )
     return params, data.get("meta", {})

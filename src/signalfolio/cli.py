@@ -19,13 +19,6 @@ import numpy as np
 
 from . import config as cfgmod
 from .agent import save_checkpoint
-from .baselines import (
-    CRPPolicy,
-    OLMARPolicy,
-    WMAMRPolicy,
-    ew_policy,
-    hold_cash_policy,
-)
 from .config import ConfigError
 from .engine import BacktestResult, run_backtest
 from .evaluation import horizon_table, write_metrics_csv, write_metrics_json
@@ -84,45 +77,20 @@ def _agent_seeds(cfg) -> tuple[int, int, int, int]:
     return (agent_seed, agent_seed, *(int(s) for s in labels))
 
 
-def _make_baseline(name: str, cfg, m: int):
-    epsilon = cfg["baseline.epsilon"]
-    window = cfgmod.get_int(cfg, "baseline.window")
-    if name == "ew":
-        return ew_policy(m)
-    if name == "hold_cash":
-        return hold_cash_policy(m)
-    if name == "crp":
-        target = cfgmod._as_tuple(cfg["baseline.target_weights"])
-        if target:
-            if len(target) != m:
-                raise ConfigError(
-                    f"baseline.target_weights: got {len(target)} weights, need {m}"
-                )
-            return CRPPolicy(np.asarray(target, dtype=float))
-        return ew_policy(m)
-    if name == "olmar":
-        return OLMARPolicy(10.0 if epsilon is None else float(epsilon), window)
-    if name == "wmamr":
-        return WMAMRPolicy(1.0 if epsilon is None else float(epsilon), window)
-    raise ConfigError(f"baseline.name: unknown strategy {name!r}")
-
-
 def cmd_backtest(cfg, out: Path) -> int:
     train_p, test_p = cfgmod.build_segments(cfg)
     window = cfgmod.get_int(cfg, "window")
     cm = cfgmod.build_cost(cfg)
-    m = test_p.n_assets + 1
-    names = cfgmod.baseline_names(cfg)
-    runs: dict[str, BacktestResult] = {}
-    for name in names:
-        policy = _make_baseline(name, cfg, m)
-        runs[name] = run_backtest(test_p, policy, None, cm, window=window)
+    runs: dict[str, BacktestResult] = {
+        name: run_backtest(test_p, policy, None, cm, window=window)
+        for name, policy in cfgmod.build_baselines(cfg, test_p.n_assets + 1).items()
+    }
     if cfgmod.get_bool(cfg, "agent.enabled"):
         loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
         params, _, test_signals = cfgmod.setup_agent(
             cfg, train_p, test_p, _agent_seeds(cfg), loaded, fit=loaded is None
         )
-        runs["agent"] = cfgmod.backtest_agent(cfg, test_p, params, test_signals)
+        runs["agent"] = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
     if not runs:
         raise ConfigError("baselines: nothing to run (no baselines, agent disabled)")
     for name, result in runs.items():
@@ -149,13 +117,10 @@ def _write_pv_curves(runs: dict[str, BacktestResult], path: Path) -> None:
 
 def _write_metric_tables(cfg, runs, out: Path) -> None:
     horizons = [str(h) for h in cfgmod._as_tuple(cfg["metrics.horizons"])]
+    steps_per_day = cfgmod.get_int(cfg, "metrics.steps_per_day", 1)
+    r_free = cfgmod.get_number(cfg, "rfree")
     try:
-        table = horizon_table(
-            runs,
-            horizons,
-            steps_per_day=cfgmod.get_int(cfg, "metrics.steps_per_day"),
-            r_free=cfgmod.get_number(cfg, "rfree"),
-        )
+        table = horizon_table(runs, horizons, steps_per_day=steps_per_day, r_free=r_free)
     except ValueError as exc:
         raise ConfigError(f"metrics.horizons: {exc}") from exc
     write_metrics_csv(table, horizons, out / "metrics.csv")

@@ -8,10 +8,12 @@ win over the file, and dedicated flags win over both.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, policy_forward, train
-from .engine import BacktestResult, CostModel, run_backtest
+from .baselines import CRPPolicy, OLMARPolicy, WMAMRPolicy, ew_policy, hold_cash_policy
+from .engine import BacktestResult, CostModel, EngineError, run_backtest
 from .market import (
     MarketDataError,
     PriceSeries,
@@ -87,7 +89,6 @@ DEFAULTS: dict[str, object] = {
 
 KNOWN_KEYS = frozenset(DEFAULTS)
 
-BASELINE_NAMES = ("ew", "crp", "olmar", "wmamr", "hold_cash")
 SIGNAL_MODES = ("oracle", "internal", "none")
 
 
@@ -164,17 +165,21 @@ def _as_tuple(value) -> tuple:
     return (value,)
 
 
-def get_number(cfg, key, kind=float):
+def get_number(cfg, key, low: float = -math.inf, high: float = math.inf) -> float:
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return kind(value)
+    if not low <= value <= high:
+        raise ConfigError(f"{key}: {value!r} outside [{low}, {high}]")
+    return float(value)
 
 
-def get_int(cfg, key) -> int:
+def get_int(cfg, key, minimum: int | None = None) -> int:
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -217,7 +222,10 @@ def build_market(cfg: dict[str, object]) -> PriceSeries:
             raise ConfigError("market.csv.path: required when market.source = csv")
         if not Path(path).exists():
             raise ConfigError(f"market.csv.path: no such file {path!r}")
-        return load_csv(path, forward_fill=get_bool(cfg, "market.csv.forward_fill"))
+        try:
+            return load_csv(path, forward_fill=get_bool(cfg, "market.csv.forward_fill"))
+        except MarketDataError as exc:
+            raise ConfigError(f"market.csv.path: {exc}") from exc
     raise ConfigError(f"market.source: unknown source {source!r}")
 
 
@@ -233,7 +241,7 @@ def build_split(cfg: dict[str, object]) -> SplitSpec:
 
 def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
     """The configured market, split into train and test segments."""
-    market, spec, window = build_market(cfg), build_split(cfg), get_int(cfg, "window")
+    market, spec, window = build_market(cfg), build_split(cfg), get_int(cfg, "window", 1)
     try:
         return chronological_split(market, spec, min_steps=window + 2)
     except MarketDataError as exc:
@@ -260,11 +268,11 @@ def build_train_config(cfg: dict[str, object]) -> TrainConfig:
             learning_rate=get_number(cfg, "agent.learning_rate"),
             batch_window=get_int(cfg, "agent.batch_window"),
             epochs=get_int(cfg, "agent.epochs"),
-            window=get_int(cfg, "window"),
+            window=get_int(cfg, "window", 1),
             steps_per_epoch=None if steps is None else get_int(cfg, "agent.steps_per_epoch"),
-            lookback=get_int(cfg, "signal.lookback"),
+            lookback=get_int(cfg, "signal.lookback", 1),
         )
-    except ValueError as exc:
+    except EngineError as exc:  # a ConfigError above already names its key
         raise ConfigError(f"agent.*: {exc}") from exc
 
 
@@ -274,15 +282,15 @@ def _labeller(cfg, train_p: PriceSeries):
     if mode == "none":
         return lambda segment, seed: None
     if mode == "oracle":
-        accuracy = get_number(cfg, "signal.accuracy")
-        density = get_number(cfg, "signal.density")
+        accuracy = get_number(cfg, "signal.accuracy", 0.0, 1.0)
+        density = get_number(cfg, "signal.density", 0.0, 1.0)
         return lambda segment, seed: oracle_labels(
             true_movements(segment),
             SignalConfig(accuracy=accuracy, density=density, seed=seed),
         )
     predictor = fit_internal_predictor(
         train_p,
-        lags=get_int(cfg, "signal.lags"),
+        lags=get_int(cfg, "signal.lags", 1),
         epochs=get_int(cfg, "signal.fit_epochs"),
         lr=get_number(cfg, "signal.fit_lr"),
         seed=get_int(cfg, "signal.seed"),
@@ -365,16 +373,20 @@ def setup_agent(
 
 
 def backtest_agent(
-    cfg: dict[str, object], test_p: PriceSeries, params: PolicyParams, signals: SignalSeries | None
+    cfg: dict[str, object],
+    test_p: PriceSeries,
+    params: PolicyParams,
+    signals: SignalSeries | None,
+    cm: CostModel,
 ) -> BacktestResult:
     """Backtest the agent's policy on the test split; shared by backtest and sweep."""
     return run_backtest(
         test_p,
         lambda obs: policy_forward(params, obs.matrix),
         signals,
-        build_cost(cfg),
+        cm,
         window=get_int(cfg, "window"),
-        lookback=get_int(cfg, "signal.lookback"),
+        lookback=get_int(cfg, "signal.lookback", 1),
     )
 
 
@@ -386,18 +398,39 @@ def hidden_sizes(cfg: dict[str, object]) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def baseline_names(cfg: dict[str, object]) -> tuple[str, ...]:
-    names = list(_as_tuple(cfg["baselines"]))
+def build_baselines(cfg: dict[str, object], m: int) -> dict:
+    """Baseline policies over m components by name: `baselines`, then `baseline.name`."""
+    listed = _as_tuple(cfg["baselines"])
     single = get_str(cfg, "baseline.name")
-    if single and single not in names:
-        names.append(single)
+    names = dict.fromkeys([*listed, single] if single else listed)
+    reversion = {"window": get_int(cfg, "baseline.window", 1)}
+    if cfg["baseline.epsilon"] is not None:  # else the policy's own default
+        reversion["epsilon"] = get_number(cfg, "baseline.epsilon")
+    builders = {
+        "ew": lambda: ew_policy(m),
+        "crp": lambda: _crp_baseline(cfg, m),
+        "olmar": lambda: OLMARPolicy(**reversion),
+        "wmamr": lambda: WMAMRPolicy(**reversion),
+        "hold_cash": lambda: hold_cash_policy(m),
+    }
     for name in names:
-        if name not in BASELINE_NAMES:
-            key = "baselines" if name in _as_tuple(cfg["baselines"]) else "baseline.name"
+        if name not in builders:
+            key = "baselines" if name in listed else "baseline.name"
             raise ConfigError(
-                f"{key}: unknown strategy {name!r} (choose from {', '.join(BASELINE_NAMES)})"
+                f"{key}: unknown strategy {name!r} (choose from {', '.join(builders)})"
             )
-    return tuple(names)
+    return {name: builders[name]() for name in names}
+
+
+def _crp_baseline(cfg: dict[str, object], m: int):
+    """CRP toward baseline.target_weights, or equal weights when it is unset."""
+    target = _as_tuple(cfg["baseline.target_weights"]) or (1.0 / m,) * m
+    if len(target) != m:
+        raise ConfigError(f"baseline.target_weights: got {len(target)} weights, need {m}")
+    try:
+        return CRPPolicy(target)
+    except ValueError as exc:
+        raise ConfigError(f"baseline.target_weights: {exc}") from exc
 
 
 def signal_mode(cfg: dict[str, object]) -> str:

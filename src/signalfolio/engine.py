@@ -263,8 +263,12 @@ class BacktestResult:
             "final_pv": self.final_pv,
         }
 
+    def save(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
+
     @classmethod
-    def from_dict(cls, data: dict) -> "BacktestResult":
+    def load(cls, path: str | Path) -> "BacktestResult":
+        data = json.loads(Path(path).read_text())
         return cls(
             start_index=int(data["start_index"]),
             actions=np.asarray(data["actions"], dtype=float),
@@ -274,13 +278,6 @@ class BacktestResult:
             rewards=np.asarray(data["rewards"], dtype=float),
             pv=np.asarray(data["pv"], dtype=float),
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "BacktestResult":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def run_backtest(

@@ -151,15 +151,16 @@ class SyntheticMarketSpec:
             raise MarketDataError("need at least two steps")
         if not 0.0 <= self.regime_switch_prob <= 1.0:
             raise MarketDataError("regime switch probability outside [0, 1]")
-        if np.any(self._per_asset(self.vol) < 0.0):
+        self._per_asset("drift")
+        if np.any(self._per_asset("vol") < 0.0):
             raise MarketDataError("volatility must be non-negative")
 
-    def _per_asset(self, value) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
+    def _per_asset(self, name: str) -> np.ndarray:
+        arr = np.asarray(getattr(self, name), dtype=float)
         if arr.ndim == 0:
             return np.full(self.n_assets, float(arr))
         if arr.shape != (self.n_assets,):
-            raise MarketDataError(f"per-asset value has shape {arr.shape}, want ({self.n_assets},)")
+            raise MarketDataError(f"{name} has shape {arr.shape}, want ({self.n_assets},)")
         return arr
 
 
@@ -172,8 +173,8 @@ def generate_synthetic(spec: SyntheticMarketSpec) -> PriceSeries:
     """
     rng = np.random.default_rng(spec.seed)
     n, t_total = spec.n_assets, spec.n_steps
-    drift = spec._per_asset(spec.drift)
-    vol = spec._per_asset(spec.vol)
+    drift = spec._per_asset("drift")
+    vol = spec._per_asset("vol")
     flips = rng.random(t_total - 1) < spec.regime_switch_prob
     signs = np.where(flips, -1.0, 1.0).cumprod()
     noise = rng.standard_normal((n, t_total - 1))

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .agent import train
+from .engine import CostModel
 from .evaluation import UndefinedSharpeError, sharpe_ratio
 
 CONTROL = "control"
@@ -88,8 +89,8 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
     return seeds, *cfgmod.prepare_agent(cell_cfg, train_p, test_p, seeds)
 
 
-def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals) -> dict:
-    result = cfgmod.backtest_agent(cfg, test_p, params, test_signals)
+def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals, cm) -> dict:
+    result = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
     try:
         sharpe = sharpe_ratio(result, result.n_steps, cfgmod.get_number(cfg, "rfree"))
     except UndefinedSharpeError:
@@ -112,8 +113,8 @@ def _failure_row(cell: CellSpec, exc: Exception) -> dict:
     }
 
 
-def run_group(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict]:
-    """Set up every cell, train them in lockstep, backtest each.
+def run_group(cfg: dict[str, object], cells: list[CellSpec], cm: CostModel) -> list[dict]:
+    """Set up every cell, train them in lockstep under cm, backtest each.
 
     Returns one row dict per cell; a cell that fails in setup, training or
     its backtest fails alone, as a row whose "error" holds the traceback.
@@ -132,7 +133,7 @@ def run_group(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict]:
     if ready:
         indices, seeds, params, train_signals, test_signals = zip(*ready)
         try:
-            cm, train_cfg = cfgmod.build_cost(cfg), cfgmod.build_train_config(cfg)
+            train_cfg = cfgmod.build_train_config(cfg)
             train_seeds = [train_seed for _, train_seed, _, _ in seeds]
             trained = train(params, train_prices, train_signals, cm, train_cfg, train_seeds)
         except Exception as exc:
@@ -142,7 +143,9 @@ def run_group(cfg: dict[str, object], cells: list[CellSpec]) -> list[dict]:
                 outcomes[index] = outcome
                 continue
             try:
-                outcomes[index] = _cell_row(cfg, cells[index], test_prices, outcome[0], signals)
+                outcomes[index] = _cell_row(
+                    cfg, cells[index], test_prices, outcome[0], signals, cm
+                )
             except Exception as exc:
                 outcomes[index] = exc
     return [
@@ -171,14 +174,17 @@ def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[d
     if jobs < 1:
         raise cfgmod.ConfigError(f"jobs: need at least 1 worker, got {jobs}")
     cells = build_cells(cfg)
-    cfgmod.build_train_config(cfg)  # a bad agent.* setting fails the run, not each cell
+    # A bad setting that every cell reads fails the run, not each cell.
+    cm = cfgmod.build_cost(cfg)
+    cfgmod.build_train_config(cfg)
+    cfgmod.get_number(cfg, "rfree")
     n_groups = min(jobs, len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:
         with ProcessPoolExecutor(max_workers=n_groups) as pool:
-            done = list(pool.map(run_group, [cfg] * n_groups, groups))
+            done = list(pool.map(run_group, [cfg] * n_groups, groups, [cm] * n_groups))
     else:
-        done = [run_group(cfg, cells)]
+        done = [run_group(cfg, cells, cm)]
     outcomes = [outcome for group in done for outcome in group]
     rows = sorted((r for r in outcomes if "error" not in r), key=_row_order)
     failures = sorted((r for r in outcomes if "error" in r), key=_row_order)

@@ -8,6 +8,7 @@ from signalfolio.agent import (
     PolicyParams,
     TrainConfig,
     TrainingDivergedError,
+    _grads,
     ascent_step,
     gradient,
     init_policy,
@@ -78,6 +79,46 @@ class TestPolicyForward:
         b = init_policy(10, 3, hidden=(16,), seed=5)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
+
+
+class TestPolicyParams:
+    def test_layer_views_write_theta(self):
+        # the finite-difference check perturbs weights[l] entries in place
+        params = init_policy(12, 3, hidden=(8,), seed=1)
+        x = np.linspace(-1.0, 1.0, 12)
+        before, theta = policy_forward(params, x), params.theta.copy()
+        params.weights[1][2, 5] += 0.5
+        assert np.flatnonzero(params.theta != theta).tolist() == [8 * 12 + 2 * 8 + 5]
+        after = policy_forward(params, x)
+        assert not np.array_equal(after, before)
+        params.biases[0][3] += 0.5
+        assert np.flatnonzero(params.theta != theta).tolist() == [
+            8 * 12 + 2 * 8 + 5,
+            8 * 12 + 3 * 8 + 3,
+        ]
+        assert not np.array_equal(policy_forward(params, x), after)
+
+    def test_from_layers_copies_its_inputs(self):
+        weights = [np.ones((4, 3)), np.ones((2, 4))]
+        biases = [np.zeros(4), np.zeros(2)]
+        params = PolicyParams.from_layers(weights, biases)
+        weights[0][0, 0], biases[1][0] = 5.0, 5.0
+        assert params.weights[0][0, 0] == 1.0 and params.biases[1][0] == 0.0
+        params.weights[1][0, 0], params.biases[0][1] = 7.0, 7.0
+        assert weights[1][0, 0] == 1.0 and biases[0][1] == 0.0
+
+    @pytest.mark.parametrize(
+        "weights,biases",
+        [
+            ([np.ones((4, 3))], []),
+            ([np.ones((4, 3))], [np.zeros(3)]),
+            ([np.ones((4, 3)), np.ones((2, 5))], [np.zeros(4), np.zeros(2)]),
+        ],
+        ids=["unpaired", "bias-shape", "unchained"],
+    )
+    def test_from_layers_checks_layers(self, weights, biases):
+        with pytest.raises(EngineError):
+            PolicyParams.from_layers(weights, biases)
 
 
 def _drift_prices(n_steps: int = 80, rate: float = 1.01) -> PriceSeries:
@@ -151,6 +192,39 @@ class TestGradient:
                     assert fd == pytest.approx(g_flat[idx], rel=2e-4)
                     checked += 1
         assert checked >= 6
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    @pytest.mark.parametrize("hidden", [(32,), (16, 8)])
+    def test_group_rows_equal_one_cell_gradients(self, mode, hidden):
+        spec = SyntheticMarketSpec(n_assets=3, n_steps=120, vol=0.02, seed=13)
+        episode = Episode.from_market(generate_synthetic(spec), window=8)
+        cells = [init_policy(episode.states.shape[1], 4, hidden=hidden, seed=s) for s in (1, 2, 3)]
+        windows = [
+            Episode(
+                episode.states[j : j + 32],
+                episode.rel[j : j + 32],
+                policy_forward(p, episode.states[j - 1]),
+                episode.rel[j - 1],
+            )
+            for p, j in zip(cells, (5, 40, 71))
+        ]
+        group = PolicyParams(np.stack([p.theta for p in cells]), cells[0].shapes)
+        grads = PolicyParams(np.empty_like(group.theta), group.shapes)
+        cm = CostModel(mode=mode)
+        _grads(
+            group,
+            np.stack([w.states for w in windows]),
+            np.stack([w.rel for w in windows]),
+            np.stack([w.entry_weights for w in windows])[:, None],
+            np.stack([w.entry_rel for w in windows])[:, None],
+            cm,
+            grads,
+        )
+        for c, (params, window) in enumerate(zip(cells, windows)):
+            gw, gb = gradient(params, window, cm)
+            row = grads.cells(c)
+            for got, want in zip(row.weights + row.biases, gw + gb):
+                assert np.array_equal(got, want)
 
     def test_ascent_improves_objective(self):
         spec = SyntheticMarketSpec(n_assets=2, n_steps=70, drift=0.004, vol=0.01, seed=3)

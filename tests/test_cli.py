@@ -66,6 +66,34 @@ CHECKPOINT_COMMANDS = {
 }
 
 
+# Every command's run of the agent; a later --set of the same key wins.
+COMMAND_ARGS = {
+    **CHECKPOINT_COMMANDS,
+    "sweep": FAST_AGENT + ["sweep.accuracies=0.6", "sweep.densities=1.0", "seeds=0"],
+}
+
+# A value that does not fit, the commands that read it, and the key it is reported under.
+BAD_VALUES = [
+    (["cost.mode=bogus"], ["sweep"], "cost.*: unknown cost mode 'bogus'"),
+    (["market.synthetic.drift=0.1,0.2,0.3"], ["backtest"], "market.synthetic.*: drift"),
+    (["window=0"], ["backtest", "train", "sweep"], "window:"),
+    (["baselines=olmar", "baseline.epsilon=abc"], ["backtest"], "baseline.epsilon:"),
+    (
+        ["baselines=crp", "baseline.target_weights=0.5,0.5,0.5"],
+        ["backtest"],
+        "baseline.target_weights:",
+    ),
+    (["baselines=wmamr", "baseline.window=0"], ["backtest"], "baseline.window:"),
+    (["baselines=olmar", "baseline.window=-2"], ["backtest"], "baseline.window:"),
+    (["signal.mode=oracle", "signal.accuracy=1.5"], ["backtest", "train"], "signal.accuracy:"),
+    (["signal.mode=oracle", "signal.density=-0.1"], ["backtest", "train"], "signal.density:"),
+    (["signal.mode=internal", "signal.lags=0"], ["backtest", "train"], "signal.lags:"),
+    (["signal.lookback=0"], ["backtest", "train", "sweep"], "signal.lookback:"),
+    (["rfree=abc"], ["backtest", "sweep"], "rfree:"),
+    (["metrics.steps_per_day=0"], ["backtest"], "metrics.steps_per_day:"),
+]
+
+
 class TestArgumentHandling:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
@@ -185,6 +213,23 @@ class TestBacktestCommand:
         assert capsys.readouterr().err.startswith("runtime error")
 
 
+class TestBadValues:
+    """A setting that does not fit exits 1 and names its key, from every command."""
+
+    @pytest.mark.parametrize(
+        "command,pairs,key",
+        [
+            pytest.param(command, pairs, key, id=f"{command}-{pairs[-1]}")
+            for pairs, commands, key in BAD_VALUES
+            for command in commands
+        ],
+    )
+    def test_exits_one_naming_key(self, tmp_path, capsys, command, pairs, key):
+        args = FAST_MARKET + COMMAND_ARGS[command] + pairs
+        assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
 class TestCheckpointAndSplitErrors:
     """A checkpoint or split that does not fit the config is a user error (exit 1)."""
 
@@ -235,6 +280,15 @@ class TestCsvMarket:
         # the file holds the synthetic market's closes exactly
         assert run("backtest", "--out", str(tmp_path / "synthetic"), *sets(FAST_MARKET + args)) == 0
         assert (tmp_path / "synthetic" / "result_ew.json").read_bytes() == results["plain"]
+
+
+    def test_bad_close_exits_one_naming_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp,asset,close\n1,A,1.0\n2,A,-1\n")
+        args = ["market.source=csv", f"market.csv.path={path}", "baselines=ew"]
+        assert run("backtest", "--out", str(tmp_path / "x"), *sets(args)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: market.csv.path:") and "non-positive price '-1'" in err
 
 
 class TestTrainCommand:

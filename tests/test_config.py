@@ -6,7 +6,7 @@ from signalfolio.config import (
     DEFAULTS,
     ConfigError,
     apply_overrides,
-    baseline_names,
+    build_baselines,
     build_cost,
     build_market,
     build_split,
@@ -156,18 +156,18 @@ class TestBuilders:
 
     def test_baseline_names_merge(self):
         cfg = resolve({"baselines": ("ew", "crp"), "baseline.name": "olmar"})
-        assert baseline_names(cfg) == ("ew", "crp", "olmar")
+        assert tuple(build_baselines(cfg, 4)) == ("ew", "crp", "olmar")
 
     def test_baseline_names_deduplicate(self):
         cfg = resolve({"baselines": ("ew",), "baseline.name": "ew"})
-        assert baseline_names(cfg) == ("ew",)
+        assert tuple(build_baselines(cfg, 4)) == ("ew",)
 
     def test_unknown_baseline_names_offending_key(self):
         with pytest.raises(ConfigError) as err:
-            baseline_names(resolve({"baseline.name": "bah"}))
+            build_baselines(resolve({"baseline.name": "bah"}), 4)
         assert "baseline.name" in str(err.value)
         with pytest.raises(ConfigError) as err:
-            baseline_names(resolve({"baselines": ("bah",)}))
+            build_baselines(resolve({"baselines": ("bah",)}), 4)
         assert "baselines" in str(err.value)
 
     def test_signal_mode_validated(self):

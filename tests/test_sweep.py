@@ -103,7 +103,7 @@ class TestBuildCells:
 
 def run_cell(cfg, cell):
     """A group of one cell; its row, which has no "error"."""
-    [row] = run_group(cfg, [cell])
+    [row] = run_group(cfg, [cell], cfgmod.build_cost(cfg))
     assert "error" not in row, row.get("error")
     return row
 
