@@ -13,13 +13,8 @@ from .engine import EngineError, as_simplex
 from .signals import Observations
 
 
-def simplex_project(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-threshold)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise EngineError("can only project a vector")
-    if not np.all(np.isfinite(v)):
-        raise EngineError("cannot project non-finite values")
+def _project(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a finite vector onto the simplex (sort-threshold)."""
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
@@ -28,30 +23,32 @@ def simplex_project(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _reversion_inputs(b, y_history, window: int) -> tuple[np.ndarray, np.ndarray]:
-    b = as_simplex(b, "weights")
-    hist = np.asarray(y_history, dtype=float)
-    if hist.ndim != 2 or hist.shape[1] != b.size:
-        raise EngineError("y_history must be (steps, assets) matching weights")
-    if window < 1:
-        raise EngineError("window must be >= 1")
-    return b, hist
+def simplex_project(v) -> np.ndarray:
+    """Euclidean projection onto the probability simplex (sort-threshold)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise EngineError("can only project a vector")
+    if not np.all(np.isfinite(v)):
+        raise EngineError("cannot project non-finite values")
+    return _project(v)
 
 
-def _reversion_step(b: np.ndarray, x: np.ndarray, epsilon: float, sign: float) -> np.ndarray:
-    """Passive-aggressive step of b along the centered x toward b . x = epsilon.
+def _reversion_path(b, predicted: np.ndarray, epsilon: float, sign: float) -> np.ndarray:
+    """(T, m) weights from b after a passive-aggressive step per predicted row x.
 
-    Taken only when sign * (epsilon - b . x) > 0 and x is not flat; the
-    stepped weights are projected back onto the simplex.
+    A row steps along the centered x toward b . x = epsilon and projects back
+    onto the simplex when sign * (epsilon - b . x) > 0 and x is not flat.
     """
-    gap = epsilon - float(b @ x)
-    if sign * gap <= 0.0:
-        return b.copy()
-    centered = x - x.mean()
-    norm_sq = float(centered @ centered)
-    if norm_sq <= 1e-300:
-        return b.copy()
-    return simplex_project(b + (gap / norm_sq) * centered)
+    centered = predicted - predicted.mean(axis=1, keepdims=True)
+    path = np.empty_like(predicted)
+    for j, (x, c) in enumerate(zip(predicted, centered)):
+        gap = epsilon - float(b @ x)
+        if sign * gap > 0.0:
+            norm_sq = float(c @ c)  # per row: a batched reduction changes bits
+            if norm_sq > 1e-300:
+                b = _project(b + (gap / norm_sq) * c)
+        path[j] = b
+    return path
 
 
 def olmar_action(
@@ -68,11 +65,7 @@ def olmar_action(
     too little history, a satisfied constraint or a flat prediction the
     weights pass through unchanged.
     """
-    b, hist = _reversion_inputs(b, y_history, window)
-    if hist.shape[0] < window:
-        return b.copy()
-    predicted = np.cumprod(1.0 / hist[-1 : -window - 1 : -1], axis=0).mean(axis=0)
-    return _reversion_step(b, predicted, epsilon, 1.0)
+    return OLMARPolicy(epsilon, window)._step(b, y_history)
 
 
 def wmamr_action(
@@ -87,10 +80,7 @@ def wmamr_action(
     step against it (recent winners get trimmed) and reproject; otherwise
     they pass through unchanged.
     """
-    b, hist = _reversion_inputs(b, y_history, window)
-    if hist.shape[0] < window:
-        return b.copy()
-    return _reversion_step(b, hist[-window:].mean(axis=0), epsilon, -1.0)
+    return WMAMRPolicy(epsilon, window)._step(b, y_history)
 
 
 class CRPPolicy:
@@ -114,9 +104,9 @@ def hold_cash_policy(n_components: int) -> CRPPolicy:
 
 
 class _ReversionPolicy:
-    decide = None
-
     def __init__(self, epsilon: float, window: int) -> None:
+        if window < 1:
+            raise EngineError(f"window must be >= 1, got {window}")
         self.epsilon = epsilon
         self.window = window
 
@@ -128,27 +118,44 @@ class _ReversionPolicy:
         formed; a shorter history makes every update pass through.
         """
         t_total, m = len(obs), obs.n_assets + 1
-        k = min(self.window, obs.window - 1)
-        w = obs.windows[:, :, obs.window - k - 1 :]
-        hist = np.ones((t_total, k, m))
+        uniform = np.full(m, 1.0 / m)
+        if obs.window - 1 < self.window:
+            return np.tile(uniform, (t_total, 1))
+        w = obs.windows[:, :, obs.window - self.window - 1 :]
+        hist = np.ones((t_total, self.window, m))
         hist[:, :, 1:] = (w[:, :, 1:] / w[:, :, :-1]).transpose(0, 2, 1)
-        actions = np.empty((t_total, m))
-        b = np.full(m, 1.0 / m)
-        for j in range(t_total):
-            b = type(self).decide(b, hist[j], self.epsilon, self.window)
-            actions[j] = b
-        return actions
+        return _reversion_path(uniform, self.predict(hist, self.window), self.epsilon, self.sign)
+
+    def _step(self, b, y_history) -> np.ndarray:
+        """One checked update of b from a (steps, m) history: a one-row kernel call."""
+        b = as_simplex(b, "weights")
+        hist = np.asarray(y_history, dtype=float)
+        if hist.ndim != 2 or hist.shape[1] != b.size:
+            raise EngineError("y_history must be (steps, assets) matching weights")
+        if hist.shape[0] < self.window:
+            return b.copy()
+        return _reversion_path(b, self.predict(hist[None], self.window), self.epsilon, self.sign)[0]
 
 
 class OLMARPolicy(_ReversionPolicy):
-    decide = staticmethod(olmar_action)
+    sign = 1.0
 
     def __init__(self, epsilon: float = 10.0, window: int = 5) -> None:
         super().__init__(epsilon, window)
 
+    @staticmethod
+    def predict(hist: np.ndarray, window: int) -> np.ndarray:
+        """Mean cumulative inverse relative over the last window of each history."""
+        return np.cumprod(1.0 / hist[:, ::-1][:, :window], axis=1).mean(axis=1)
+
 
 class WMAMRPolicy(_ReversionPolicy):
-    decide = staticmethod(wmamr_action)
+    sign = -1.0
 
     def __init__(self, epsilon: float = 1.0, window: int = 5) -> None:
         super().__init__(epsilon, window)
+
+    @staticmethod
+    def predict(hist: np.ndarray, window: int) -> np.ndarray:
+        """Mean relative over the last window of each history."""
+        return hist[:, -window:].mean(axis=1)

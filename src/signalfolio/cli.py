@@ -72,8 +72,8 @@ def _write_echo(cfg: dict[str, object], out: Path) -> None:
 
 def _agent_seeds(cfg) -> tuple[int, int, int, int]:
     """Init, training, train-label and test-label seeds of a CLI run."""
-    agent_seed = cfgmod.get_int(cfg, "agent.seed")
-    labels = np.random.SeedSequence(cfgmod.get_int(cfg, "signal.seed")).generate_state(2)
+    agent_seed = cfgmod.get_int(cfg, "agent.seed", 0)
+    labels = np.random.SeedSequence(cfgmod.get_int(cfg, "signal.seed", 0)).generate_state(2)
     return (agent_seed, agent_seed, *(int(s) for s in labels))
 
 

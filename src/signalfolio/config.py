@@ -26,6 +26,7 @@ from .market import (
 from .signals import (
     SignalConfig,
     SignalSeries,
+    decision_indices,
     fit_internal_predictor,
     oracle_labels,
     predictor_labels,
@@ -257,14 +258,15 @@ def build_cost(cfg: dict[str, object]) -> CostModel:
             tol=get_number(cfg, "cost.tol"),
             mode=get_str(cfg, "cost.mode"),
         )
-    except ValueError as exc:
+    except EngineError as exc:  # a ConfigError above already names its key
         raise ConfigError(f"cost.*: {exc}") from exc
 
 
-def build_train_config(cfg: dict[str, object]) -> TrainConfig:
+def build_train_config(cfg: dict[str, object], train_p: PriceSeries | None = None) -> TrainConfig:
+    """Training settings; with train_p, also checks the batch window fits its episode."""
     steps = cfg["agent.steps_per_epoch"]
     try:
-        return TrainConfig(
+        tc = TrainConfig(
             learning_rate=get_number(cfg, "agent.learning_rate"),
             batch_window=get_int(cfg, "agent.batch_window"),
             epochs=get_int(cfg, "agent.epochs"),
@@ -274,6 +276,12 @@ def build_train_config(cfg: dict[str, object]) -> TrainConfig:
         )
     except EngineError as exc:  # a ConfigError above already names its key
         raise ConfigError(f"agent.*: {exc}") from exc
+    episode = None if train_p is None else len(decision_indices(train_p.n_steps, tc.window))
+    if episode is not None and episode < tc.batch_window:
+        raise ConfigError(
+            f"agent.batch_window: {tc.batch_window} longer than the {episode}-step training episode"
+        )
+    return tc
 
 
 def _labeller(cfg, train_p: PriceSeries):
@@ -291,9 +299,9 @@ def _labeller(cfg, train_p: PriceSeries):
     predictor = fit_internal_predictor(
         train_p,
         lags=get_int(cfg, "signal.lags", 1),
-        epochs=get_int(cfg, "signal.fit_epochs"),
+        epochs=get_int(cfg, "signal.fit_epochs", 1),
         lr=get_number(cfg, "signal.fit_lr"),
-        seed=get_int(cfg, "signal.seed"),
+        seed=get_int(cfg, "signal.seed", 0),
     )
     return lambda segment, seed: predictor_labels(predictor, segment)
 
@@ -323,7 +331,7 @@ def prepare_agent(
             n_actions=n + 1,
             hidden=hidden_sizes(cfg),
             seed=init_seed,
-            init_scale=get_number(cfg, "agent.init_scale"),
+            init_scale=get_number(cfg, "agent.init_scale", 0.0),
         )
     train_signals = label(train_p, train_label_seed) if fit else None
     return params, train_signals, test_signals
@@ -364,7 +372,8 @@ def setup_agent(
     if not fit:
         return params, [], test_signals
     [outcome] = train(
-        [params], train_p, [train_signals], build_cost(cfg), build_train_config(cfg), [seeds[1]]
+        [params], train_p, [train_signals], build_cost(cfg),
+        build_train_config(cfg, train_p), [seeds[1]],
     )
     if isinstance(outcome, Exception):
         raise outcome

@@ -118,11 +118,13 @@ def run_group(cfg: dict[str, object], cells: list[CellSpec], cm: CostModel) -> l
 
     Returns one row dict per cell; a cell that fails in setup, training or
     its backtest fails alone, as a row whose "error" holds the traceback.
+    A batch window longer than the training episode fails the run.
     """
     try:
         train_prices, test_prices = cfgmod.build_segments(cfg)
     except Exception as exc:
         return [_failure_row(cell, exc) for cell in cells]
+    train_cfg = cfgmod.build_train_config(cfg, train_prices)
     outcomes: list = [None] * len(cells)
     ready = []
     for index, cell in enumerate(cells):
@@ -133,7 +135,6 @@ def run_group(cfg: dict[str, object], cells: list[CellSpec], cm: CostModel) -> l
     if ready:
         indices, seeds, params, train_signals, test_signals = zip(*ready)
         try:
-            train_cfg = cfgmod.build_train_config(cfg)
             train_seeds = [train_seed for _, train_seed, _, _ in seeds]
             trained = train(params, train_prices, train_signals, cm, train_cfg, train_seeds)
         except Exception as exc:
@@ -178,6 +179,7 @@ def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[d
     cm = cfgmod.build_cost(cfg)
     cfgmod.build_train_config(cfg)
     cfgmod.get_number(cfg, "rfree")
+    cfgmod.get_number(cfg, "agent.init_scale", 0.0)
     n_groups = min(jobs, len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:

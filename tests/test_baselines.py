@@ -148,6 +148,25 @@ def wmamr_reference(b, hist, epsilon, window):
     return project_by_support_search(b - (loss / nsq) * centered)
 
 
+def reversion_loop_reference(b, hist, epsilon, window, olmar):
+    """One step as a plain per-row loop: row prediction, row dots, checked projection.
+
+    Same arithmetic as the row kernel, so the policies must match it bit for bit.
+    """
+    if hist.shape[0] < window:
+        return b
+    if olmar:
+        x = np.cumprod(1.0 / hist[-1 : -window - 1 : -1], axis=0).mean(axis=0)
+    else:
+        x = hist[-window:].mean(axis=0)
+    gap = epsilon - float(b @ x)
+    if (gap if olmar else -gap) <= 0.0:
+        return b
+    centered = x - x.mean()
+    nsq = float(centered @ centered)
+    return b if nsq <= 1e-300 else simplex_project(b + (gap / nsq) * centered)
+
+
 class TestOlmar:
     def test_insufficient_history_passthrough(self):
         b = np.array([0.3, 0.3, 0.4])
@@ -274,19 +293,53 @@ class TestReversionPolicies:
         policy(self._obs(*prices[:, ::-1], window=12))
         assert np.array_equal(first, policy(obs))
 
-    @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
-    def test_matches_full_window_replay(self, cls):
-        # reference: each step sees the ratios of its whole normalized window
-        spec = SyntheticMarketSpec(n_assets=3, n_steps=80, vol=0.03, seed=6)
+    @pytest.mark.parametrize(
+        "cls,action,n_assets,window",
+        [
+            pytest.param(
+                cls, action, n, w,
+                id=cls.__name__ + ("" if (n, w) == (3, 5) else f"-m{n + 1}-window{w}"),
+            )
+            for n, w in [(3, 5), (8, 5), (12, 5), (8, 15)]
+            for cls, action in [(OLMARPolicy, olmar_action), (WMAMRPolicy, wmamr_action)]
+        ],
+    )
+    def test_matches_full_window_replay(self, cls, action, n_assets, window):
+        # references: each step sees the ratios of its whole normalized window,
+        # through the public one-step action and through the per-row loop.
+        # 9 and 13 components cross numpy's 8-element pairwise-summation
+        # boundary; a policy window of 15 is longer than the 11 ratios.
+        spec = SyntheticMarketSpec(n_assets=n_assets, n_steps=80, vol=0.03, seed=6)
         obs = build_states(generate_synthetic(spec), window=12)
-        policy = cls(window=5)
-        b = np.full(4, 0.25)
-        expected = []
+        policy = cls(window=window)
+        b = looped = np.full(n_assets + 1, 1.0 / (n_assets + 1))
+        expected, loop_expected = [], []
         for w in obs.windows:
             hist = np.hstack([np.ones((11, 1)), (w[:, 1:] / w[:, :-1]).T])
-            b = type(policy).decide(b, hist, policy.epsilon, policy.window)
+            b = action(b, hist, policy.epsilon, policy.window)
+            looped = reversion_loop_reference(
+                looped, hist, policy.epsilon, policy.window, cls is OLMARPolicy
+            )
             expected.append(b)
-        assert np.array_equal(policy(obs), np.stack(expected))
+            loop_expected.append(looped)
+        actions = policy(obs)
+        assert np.array_equal(actions, np.stack(expected))
+        assert np.array_equal(actions, np.stack(loop_expected))
+
+    @pytest.mark.parametrize("m", [3, 4, 9, 13])
+    def test_vectorised_predictions_equal_rows(self, m):
+        hist = np.exp(np.random.default_rng(m).normal(0, 0.05, (40, 7, m)))
+        for window in (1, 5, 7):
+            olmar, wmamr = OLMARPolicy.predict(hist, window), WMAMRPolicy.predict(hist, window)
+            for j, h in enumerate(hist):
+                row = np.cumprod(1.0 / h[-1 : -window - 1 : -1], axis=0).mean(axis=0)
+                assert np.array_equal(olmar[j], row)
+                assert np.array_equal(wmamr[j], h[-window:].mean(axis=0))
+
+    @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
+    def test_window_below_one_rejected_at_construction(self, cls):
+        with pytest.raises(EngineError):
+            cls(window=0)
 
     @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
     def test_backtest_outputs_valid(self, cls):

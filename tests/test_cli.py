@@ -91,6 +91,17 @@ BAD_VALUES = [
     (["signal.lookback=0"], ["backtest", "train", "sweep"], "signal.lookback:"),
     (["rfree=abc"], ["backtest", "sweep"], "rfree:"),
     (["metrics.steps_per_day=0"], ["backtest"], "metrics.steps_per_day:"),
+    (["agent.seed=-1"], ["backtest", "train"], "agent.seed:"),
+    (["signal.mode=oracle", "signal.seed=-1"], ["backtest", "train"], "signal.seed:"),
+    (["agent.init_scale=-1"], ["backtest", "train", "sweep"], "agent.init_scale:"),
+    (["signal.mode=internal", "signal.fit_epochs=-1"], ["backtest", "train"], "signal.fit_epochs:"),
+    (["cost.tol=abc"], ["backtest", "train", "sweep"], "cost.tol: expected a number"),
+    # FAST_MARKET's 120 training steps leave 112 decisions at window 8
+    (
+        ["agent.batch_window=500"],
+        ["backtest", "train", "sweep"],
+        "agent.batch_window: 500 longer than the 112-step training episode",
+    ),
 ]
 
 
