@@ -56,14 +56,9 @@ def _parser() -> argparse.ArgumentParser:
 def _load_config(args) -> dict[str, object]:
     cfg = cfgmod.parse_config_file(args.config) if args.config else {}
     cfg = cfgmod.apply_overrides(cfg, args.overrides)
-    cfg = cfgmod.resolve(cfg)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.rfree is not None:
-        cfg["rfree"] = args.rfree
-    if args.jobs is not None:
-        cfg["jobs"] = args.jobs
-    return cfg
+    flags = {"seed": args.seed, "rfree": args.rfree, "jobs": args.jobs}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    return cfgmod.resolve(cfg)
 
 
 def _write_echo(cfg: dict[str, object], out: Path) -> None:
@@ -72,20 +67,19 @@ def _write_echo(cfg: dict[str, object], out: Path) -> None:
 
 def _agent_seeds(cfg) -> tuple[int, int, int, int]:
     """Init, training, train-label and test-label seeds of a CLI run."""
-    agent_seed = cfgmod.get_int(cfg, "agent.seed", 0)
-    labels = np.random.SeedSequence(cfgmod.get_int(cfg, "signal.seed", 0)).generate_state(2)
+    agent_seed = cfg["agent.seed"]
+    labels = np.random.SeedSequence(cfg["signal.seed"]).generate_state(2)
     return (agent_seed, agent_seed, *(int(s) for s in labels))
 
 
 def cmd_backtest(cfg, out: Path) -> int:
     train_p, test_p = cfgmod.build_segments(cfg)
-    window = cfgmod.get_int(cfg, "window")
     cm = cfgmod.build_cost(cfg)
     runs: dict[str, BacktestResult] = {
-        name: run_backtest(test_p, policy, None, cm, window=window)
+        name: run_backtest(test_p, policy, None, cm, window=cfg["window"])
         for name, policy in cfgmod.build_baselines(cfg, test_p.n_assets + 1).items()
     }
-    if cfgmod.get_bool(cfg, "agent.enabled"):
+    if cfg["agent.enabled"]:
         loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
         params, _, test_signals = cfgmod.setup_agent(
             cfg, train_p, test_p, _agent_seeds(cfg), loaded, fit=loaded is None
@@ -116,11 +110,11 @@ def _write_pv_curves(runs: dict[str, BacktestResult], path: Path) -> None:
 
 
 def _write_metric_tables(cfg, runs, out: Path) -> None:
-    horizons = [str(h) for h in cfgmod._as_tuple(cfg["metrics.horizons"])]
-    steps_per_day = cfgmod.get_int(cfg, "metrics.steps_per_day", 1)
-    r_free = cfgmod.get_number(cfg, "rfree")
+    horizons = cfg["metrics.horizons"]
     try:
-        table = horizon_table(runs, horizons, steps_per_day=steps_per_day, r_free=r_free)
+        table = horizon_table(
+            runs, horizons, steps_per_day=cfg["metrics.steps_per_day"], r_free=cfg["rfree"]
+        )
     except ValueError as exc:
         raise ConfigError(f"metrics.horizons: {exc}") from exc
     write_metrics_csv(table, horizons, out / "metrics.csv")
@@ -157,7 +151,7 @@ def _append_curve(path: Path, curve, start_epoch: int, resumed: bool) -> None:
 
 
 def cmd_sweep(cfg, out: Path) -> int:
-    rows, failures = run_sweep(cfg, jobs=cfgmod.get_int(cfg, "jobs"))
+    rows, failures = run_sweep(cfg, jobs=cfg["jobs"])
     write_sweep_csv(rows, out / "sweep.csv")
     write_summary(rows, failures, out / "summary.json")
     _write_echo(cfg, out)

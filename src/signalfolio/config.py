@@ -4,6 +4,12 @@ Config files are plain text: one `key = value` per line, `#` comments and
 blank lines allowed.  Values parse as bool, int, float, comma-separated
 lists of those, or bare strings.  Command-line `--set key=value` overrides
 win over the file, and dedicated flags win over both.
+
+KEYS holds every key's default next to its check.  resolve checks the merged
+config once, when it is loaded, and returns typed values that the builders
+read directly.  What is left for the builders are checks against the data
+or against other keys.  echo_config writes a resolved config as a config
+file, and resolving that file gives back the same config.
 """
 
 from __future__ import annotations
@@ -38,59 +44,66 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending key or line."""
 
 
-DEFAULTS: dict[str, object] = {
-    "market.source": "synthetic",
-    "market.csv.path": "",
-    "market.csv.forward_fill": False,
-    "market.synthetic.n_assets": 3,
-    "market.synthetic.n_steps": 2400,
-    "market.synthetic.drift": 0.0,
-    "market.synthetic.vol": 0.01,
-    "market.synthetic.regime_prob": 0.0,
-    "market.synthetic.seed": 0,
-    "split.fraction": 0.9,
-    "split.boundary": None,
-    "window": 30,
-    "cost.buy": 0.0025,
-    "cost.sell": 0.0025,
-    "cost.mode": "fixed_point",
-    "cost.max_iters": 100,
-    "cost.tol": 1e-10,
-    "signal.mode": "none",
-    "signal.accuracy": 1.0,
-    "signal.density": 1.0,
-    "signal.seed": 0,
-    "signal.lookback": 1,
-    "signal.lags": 5,
-    "signal.fit_epochs": 200,
-    "signal.fit_lr": 0.5,
-    "agent.enabled": False,
-    "agent.hidden": (64,),
-    "agent.learning_rate": 3.0,
-    "agent.batch_window": 64,
-    "agent.epochs": 100,
-    "agent.steps_per_epoch": None,
-    "agent.seed": 0,
-    "agent.init_scale": 1.0,
-    "agent.checkpoint": "",
-    "baseline.name": "",
-    "baselines": (),
-    "baseline.epsilon": None,
-    "baseline.window": 5,
-    "baseline.target_weights": (),
-    "sweep.accuracies": (1.0,),
-    "sweep.densities": (1.0,),
-    "seeds": (0,),
-    "seed": 0,
-    "rfree": 0.02,
-    "jobs": 1,
-    "metrics.horizons": ("1w", "2w", "1m", "2m"),
-    "metrics.steps_per_day": 1,
+# Every key: its default, its kind and, for "int" and "number" kinds, the
+# bounds [low, high] of its value.  A kind is "int", "number", "bool" or "str"
+# (none reads as ""), or the tuple of allowed strings (none reads as "none").
+# A suffix "?" also allows none; "*" makes a list, where a lone value becomes
+# a 1-tuple and none the empty one; "+" a list of at least one value; "~"
+# either one value or a list of them (one per asset).
+KEYS: dict[str, tuple] = {
+    "market.source": ("synthetic", "str"),
+    "market.csv.path": ("", "str"),
+    "market.csv.forward_fill": (False, "bool"),
+    "market.synthetic.n_assets": (3, "int"),
+    "market.synthetic.n_steps": (2400, "int"),
+    "market.synthetic.drift": (0.0, "number~"),
+    "market.synthetic.vol": (0.01, "number~"),
+    "market.synthetic.regime_prob": (0.0, "number"),
+    "market.synthetic.seed": (0, "int", 0),
+    "split.fraction": (0.9, "number"),
+    "split.boundary": (None, "int?"),
+    "window": (30, "int", 1),
+    "cost.buy": (0.0025, "number"),
+    "cost.sell": (0.0025, "number"),
+    "cost.mode": ("fixed_point", "str"),
+    "cost.max_iters": (100, "int"),
+    "cost.tol": (1e-10, "number"),
+    "signal.mode": ("none", ("oracle", "internal", "none")),
+    "signal.accuracy": (1.0, "number", 0.0, 1.0),
+    "signal.density": (1.0, "number", 0.0, 1.0),
+    "signal.seed": (0, "int", 0),
+    "signal.lookback": (1, "int", 1),
+    "signal.lags": (5, "int", 1),
+    "signal.fit_epochs": (200, "int", 1),
+    "signal.fit_lr": (0.5, "number", 0.0),
+    "agent.enabled": (False, "bool"),
+    "agent.hidden": ((64,), "int*", 1),
+    "agent.learning_rate": (3.0, "number"),
+    "agent.batch_window": (64, "int"),
+    "agent.epochs": (100, "int"),
+    "agent.steps_per_epoch": (None, "int?"),
+    "agent.seed": (0, "int", 0),
+    "agent.init_scale": (1.0, "number", 0.0),
+    "agent.checkpoint": ("", "str"),
+    "baseline.name": ("", "str"),
+    "baselines": ((), "str*"),
+    "baseline.epsilon": (None, "number?"),
+    "baseline.window": (5, "int", 1),
+    "baseline.target_weights": ((), "number*"),
+    "sweep.accuracies": ((1.0,), "number+", 0.0, 1.0),
+    "sweep.densities": ((1.0,), "number+", 0.0, 1.0),
+    "seeds": ((0,), "int+"),
+    "seed": (0, "int"),
+    "rfree": (0.02, "number"),
+    "jobs": (1, "int"),
+    "metrics.horizons": (("1w", "2w", "1m", "2m"), "str*"),
+    "metrics.steps_per_day": (1, "int", 1),
 }
 
-KNOWN_KEYS = frozenset(DEFAULTS)
+DEFAULTS: dict[str, object] = {key: spec[0] for key, spec in KEYS.items()}
 
-SIGNAL_MODES = ("oracle", "internal", "none")
+_TYPES = {"int": int, "number": (int, float), "bool": bool, "str": str}
+_EXPECTED = {"int": "an integer", "number": "a number", "bool": "true/false", "str": "a string"}
 
 
 def parse_scalar(text: str):
@@ -149,82 +162,70 @@ def apply_overrides(cfg: dict[str, object], pairs) -> dict[str, object]:
 
 
 def resolve(cfg: dict[str, object] | None) -> dict[str, object]:
-    """Merge user keys over defaults, rejecting unknown keys."""
+    """Merge user keys over defaults, then check every value once against KEYS.
+
+    Returns typed values: numbers as float, list keys as tuples, string keys
+    as str.  Raises ConfigError naming the first unknown key or bad value, so
+    every command rejects a bad value of any key, whether or not it reads it.
+    """
     merged = dict(DEFAULTS)
     for key, value in (cfg or {}).items():
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = value
-    return merged
+    return {key: _check(key, value, *KEYS[key][1:]) for key, value in merged.items()}
 
 
-def _as_tuple(value) -> tuple:
-    if value is None:
-        return ()
-    if isinstance(value, tuple):
+def _check(key: str, value, kind, low: float = -math.inf, high: float = math.inf):
+    """value as its KEYS kind, or a ConfigError naming key."""
+    if isinstance(kind, tuple):
+        value = "none" if value is None else value
+        if value not in kind:
+            raise ConfigError(f"{key}: unknown value {value!r} (choose from {', '.join(kind)})")
         return value
-    return (value,)
-
-
-def get_number(cfg, key, low: float = -math.inf, high: float = math.inf) -> float:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    if not low <= value <= high:
-        raise ConfigError(f"{key}: {value!r} outside [{low}, {high}]")
-    return float(value)
-
-
-def get_int(cfg, key, minimum: int | None = None) -> int:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def get_bool(cfg, key) -> bool:
-    value = cfg[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key}: expected true/false, got {value!r}")
-    return value
-
-
-def get_str(cfg, key) -> str:
-    value = cfg[key]
-    if value is None:
+    base = kind.rstrip("?*+~")
+    shape = kind[len(base):]
+    if shape in ("*", "+") or (shape == "~" and isinstance(value, tuple)):
+        items = value if isinstance(value, tuple) else () if value is None else (value,)
+        if shape == "+" and not items:
+            raise ConfigError(f"{key}: need at least one value")
+        return tuple(_check(key, item, base, low, high) for item in items)
+    if value is None and shape == "?":
+        return None
+    if value is None and base == "str":
         return ""
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    if not isinstance(value, _TYPES[base]) or (isinstance(value, bool) and base != "bool"):
+        raise ConfigError(f"{key}: expected {_EXPECTED[base]}, got {value!r}")
+    if base == "number":
+        value = float(value)
+    if base in ("int", "number") and not low <= value <= high:
+        raise ConfigError(f"{key}: {value!r} outside [{low}, {high}]")
     return value
 
 
 def build_market(cfg: dict[str, object]) -> PriceSeries:
-    source = get_str(cfg, "market.source")
+    source = cfg["market.source"]
     if source == "synthetic":
-        drift = cfg["market.synthetic.drift"]
-        vol = cfg["market.synthetic.vol"]
         try:
             spec = SyntheticMarketSpec(
-                n_assets=get_int(cfg, "market.synthetic.n_assets"),
-                n_steps=get_int(cfg, "market.synthetic.n_steps"),
-                drift=drift if isinstance(drift, tuple) else get_number(cfg, "market.synthetic.drift"),
-                vol=vol if isinstance(vol, tuple) else get_number(cfg, "market.synthetic.vol"),
-                regime_switch_prob=get_number(cfg, "market.synthetic.regime_prob"),
-                seed=get_int(cfg, "market.synthetic.seed"),
+                n_assets=cfg["market.synthetic.n_assets"],
+                n_steps=cfg["market.synthetic.n_steps"],
+                drift=cfg["market.synthetic.drift"],
+                vol=cfg["market.synthetic.vol"],
+                regime_switch_prob=cfg["market.synthetic.regime_prob"],
+                seed=cfg["market.synthetic.seed"],
             )
         except ValueError as exc:
             raise ConfigError(f"market.synthetic.*: {exc}") from exc
         return generate_synthetic(spec)
     if source == "csv":
-        path = get_str(cfg, "market.csv.path")
+        path = cfg["market.csv.path"]
         if not path:
             raise ConfigError("market.csv.path: required when market.source = csv")
         if not Path(path).exists():
             raise ConfigError(f"market.csv.path: no such file {path!r}")
         try:
-            return load_csv(path, forward_fill=get_bool(cfg, "market.csv.forward_fill"))
+            return load_csv(path, forward_fill=cfg["market.csv.forward_fill"])
         except MarketDataError as exc:
             raise ConfigError(f"market.csv.path: {exc}") from exc
     raise ConfigError(f"market.source: unknown source {source!r}")
@@ -234,15 +235,15 @@ def build_split(cfg: dict[str, object]) -> SplitSpec:
     boundary = cfg["split.boundary"]
     try:
         if boundary is not None:
-            return SplitSpec(boundary=get_int(cfg, "split.boundary"))
-        return SplitSpec(fraction=get_number(cfg, "split.fraction"))
+            return SplitSpec(boundary=boundary)
+        return SplitSpec(fraction=cfg["split.fraction"])
     except ValueError as exc:
         raise ConfigError(f"split.*: {exc}") from exc
 
 
 def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
     """The configured market, split into train and test segments."""
-    market, spec, window = build_market(cfg), build_split(cfg), get_int(cfg, "window", 1)
+    market, spec, window = build_market(cfg), build_split(cfg), cfg["window"]
     try:
         return chronological_split(market, spec, min_steps=window + 2)
     except MarketDataError as exc:
@@ -252,29 +253,28 @@ def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
 def build_cost(cfg: dict[str, object]) -> CostModel:
     try:
         return CostModel(
-            c_buy=get_number(cfg, "cost.buy"),
-            c_sell=get_number(cfg, "cost.sell"),
-            max_iters=get_int(cfg, "cost.max_iters"),
-            tol=get_number(cfg, "cost.tol"),
-            mode=get_str(cfg, "cost.mode"),
+            c_buy=cfg["cost.buy"],
+            c_sell=cfg["cost.sell"],
+            max_iters=cfg["cost.max_iters"],
+            tol=cfg["cost.tol"],
+            mode=cfg["cost.mode"],
         )
-    except EngineError as exc:  # a ConfigError above already names its key
+    except EngineError as exc:
         raise ConfigError(f"cost.*: {exc}") from exc
 
 
 def build_train_config(cfg: dict[str, object], train_p: PriceSeries | None = None) -> TrainConfig:
     """Training settings; with train_p, also checks the batch window fits its episode."""
-    steps = cfg["agent.steps_per_epoch"]
     try:
         tc = TrainConfig(
-            learning_rate=get_number(cfg, "agent.learning_rate"),
-            batch_window=get_int(cfg, "agent.batch_window"),
-            epochs=get_int(cfg, "agent.epochs"),
-            window=get_int(cfg, "window", 1),
-            steps_per_epoch=None if steps is None else get_int(cfg, "agent.steps_per_epoch"),
-            lookback=get_int(cfg, "signal.lookback", 1),
+            learning_rate=cfg["agent.learning_rate"],
+            batch_window=cfg["agent.batch_window"],
+            epochs=cfg["agent.epochs"],
+            window=cfg["window"],
+            steps_per_epoch=cfg["agent.steps_per_epoch"],
+            lookback=cfg["signal.lookback"],
         )
-    except EngineError as exc:  # a ConfigError above already names its key
+    except EngineError as exc:
         raise ConfigError(f"agent.*: {exc}") from exc
     episode = None if train_p is None else len(decision_indices(train_p.n_steps, tc.window))
     if episode is not None and episode < tc.batch_window:
@@ -286,22 +286,21 @@ def build_train_config(cfg: dict[str, object], train_p: PriceSeries | None = Non
 
 def _labeller(cfg, train_p: PriceSeries):
     """(segment, seed) -> movement labels per signal.mode, fit on train_p if needed."""
-    mode = signal_mode(cfg)
+    mode = cfg["signal.mode"]
     if mode == "none":
         return lambda segment, seed: None
     if mode == "oracle":
-        accuracy = get_number(cfg, "signal.accuracy", 0.0, 1.0)
-        density = get_number(cfg, "signal.density", 0.0, 1.0)
+        accuracy, density = cfg["signal.accuracy"], cfg["signal.density"]
         return lambda segment, seed: oracle_labels(
             true_movements(segment),
             SignalConfig(accuracy=accuracy, density=density, seed=seed),
         )
     predictor = fit_internal_predictor(
         train_p,
-        lags=get_int(cfg, "signal.lags", 1),
-        epochs=get_int(cfg, "signal.fit_epochs", 1),
-        lr=get_number(cfg, "signal.fit_lr"),
-        seed=get_int(cfg, "signal.seed", 0),
+        lags=cfg["signal.lags"],
+        epochs=cfg["signal.fit_epochs"],
+        lr=cfg["signal.fit_lr"],
+        seed=cfg["signal.seed"],
     )
     return lambda segment, seed: predictor_labels(predictor, segment)
 
@@ -325,13 +324,13 @@ def prepare_agent(
     label = _labeller(cfg, train_p)
     test_signals = None if test_p is None else label(test_p, test_label_seed)
     if params is None:
-        n, window = train_p.n_assets, get_int(cfg, "window")
+        n, window = train_p.n_assets, cfg["window"]
         params = init_policy(
             input_dim=n * window + n,
             n_actions=n + 1,
-            hidden=hidden_sizes(cfg),
+            hidden=cfg["agent.hidden"],
             seed=init_seed,
-            init_scale=get_number(cfg, "agent.init_scale", 0.0),
+            init_scale=cfg["agent.init_scale"],
         )
     train_signals = label(train_p, train_label_seed) if fit else None
     return params, train_signals, test_signals
@@ -339,13 +338,13 @@ def prepare_agent(
 
 def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict]:
     """agent.checkpoint's parameters and meta, or (None, {}) when it is unset."""
-    path = get_str(cfg, "agent.checkpoint")
+    path = cfg["agent.checkpoint"]
     if not path:
         return None, {}
     if not Path(path).exists():
         raise ConfigError(f"agent.checkpoint: no such file {path!r}")
     params, meta = load_checkpoint(path)
-    window = get_int(cfg, "window")
+    window = cfg["window"]
     got, want = (params.input_dim, params.n_actions), (n_assets * window + n_assets, n_assets + 1)
     if got != want:
         raise ConfigError(
@@ -394,27 +393,18 @@ def backtest_agent(
         lambda obs: policy_forward(params, obs.matrix),
         signals,
         cm,
-        window=get_int(cfg, "window"),
-        lookback=get_int(cfg, "signal.lookback", 1),
+        window=cfg["window"],
+        lookback=cfg["signal.lookback"],
     )
-
-
-def hidden_sizes(cfg: dict[str, object]) -> tuple[int, ...]:
-    sizes = _as_tuple(cfg["agent.hidden"])
-    for size in sizes:
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ConfigError(f"agent.hidden: bad layer size {size!r}")
-    return tuple(sizes)
 
 
 def build_baselines(cfg: dict[str, object], m: int) -> dict:
     """Baseline policies over m components by name: `baselines`, then `baseline.name`."""
-    listed = _as_tuple(cfg["baselines"])
-    single = get_str(cfg, "baseline.name")
+    listed, single = cfg["baselines"], cfg["baseline.name"]
     names = dict.fromkeys([*listed, single] if single else listed)
-    reversion = {"window": get_int(cfg, "baseline.window", 1)}
+    reversion = {"window": cfg["baseline.window"]}
     if cfg["baseline.epsilon"] is not None:  # else the policy's own default
-        reversion["epsilon"] = get_number(cfg, "baseline.epsilon")
+        reversion["epsilon"] = cfg["baseline.epsilon"]
     builders = {
         "ew": lambda: ew_policy(m),
         "crp": lambda: _crp_baseline(cfg, m),
@@ -433,32 +423,13 @@ def build_baselines(cfg: dict[str, object], m: int) -> dict:
 
 def _crp_baseline(cfg: dict[str, object], m: int):
     """CRP toward baseline.target_weights, or equal weights when it is unset."""
-    target = _as_tuple(cfg["baseline.target_weights"]) or (1.0 / m,) * m
+    target = cfg["baseline.target_weights"] or (1.0 / m,) * m
     if len(target) != m:
         raise ConfigError(f"baseline.target_weights: got {len(target)} weights, need {m}")
     try:
         return CRPPolicy(target)
     except ValueError as exc:
         raise ConfigError(f"baseline.target_weights: {exc}") from exc
-
-
-def signal_mode(cfg: dict[str, object]) -> str:
-    mode = get_str(cfg, "signal.mode")
-    if mode not in SIGNAL_MODES:
-        raise ConfigError(
-            f"signal.mode: unknown mode {mode!r} (choose from {', '.join(SIGNAL_MODES)})"
-        )
-    return mode
-
-
-def seed_list(cfg: dict[str, object]) -> tuple[int, ...]:
-    seeds = _as_tuple(cfg["seeds"])
-    if not seeds:
-        raise ConfigError("seeds: need at least one seed")
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"seeds: bad seed {seed!r}")
-    return tuple(seeds)
 
 
 def _format_value(value) -> str:

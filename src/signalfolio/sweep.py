@@ -54,22 +54,14 @@ def cell_seed(master_seed: int, cell: CellSpec) -> int:
 
 
 def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
-    accuracies = cfgmod._as_tuple(cfg["sweep.accuracies"])
-    densities = cfgmod._as_tuple(cfg["sweep.densities"])
-    seeds = cfgmod.seed_list(cfg)
-    for key, values in (("sweep.accuracies", accuracies), ("sweep.densities", densities)):
-        if not values:
-            raise cfgmod.ConfigError(f"{key}: need at least one value")
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-                raise cfgmod.ConfigError(f"{key}: bad value {v!r}")
+    seeds = cfg["seeds"]
     cells = [
-        CellSpec(float(a), float(d), int(s))
-        for a in accuracies
-        for d in densities
+        CellSpec(a, d, s)
+        for a in cfg["sweep.accuracies"]
+        for d in cfg["sweep.densities"]
         for s in seeds
     ]
-    cells += [CellSpec(None, None, int(s)) for s in seeds]
+    cells += [CellSpec(None, None, s) for s in seeds]
     return cells
 
 
@@ -84,7 +76,7 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
             "signal.accuracy": cell.accuracy,
             "signal.density": cell.density,
         }
-    root = cell_seed(cfgmod.get_int(cfg, "seed"), cell)
+    root = cell_seed(cfg["seed"], cell)
     seeds = tuple(int(s) for s in np.random.SeedSequence(root).generate_state(4))
     return seeds, *cfgmod.prepare_agent(cell_cfg, train_p, test_p, seeds)
 
@@ -92,7 +84,7 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
 def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals, cm) -> dict:
     result = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
     try:
-        sharpe = sharpe_ratio(result, result.n_steps, cfgmod.get_number(cfg, "rfree"))
+        sharpe = sharpe_ratio(result, result.n_steps, cfg["rfree"])
     except UndefinedSharpeError:
         sharpe = float("nan")
     return {
@@ -178,8 +170,6 @@ def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[d
     # A bad setting that every cell reads fails the run, not each cell.
     cm = cfgmod.build_cost(cfg)
     cfgmod.build_train_config(cfg)
-    cfgmod.get_number(cfg, "rfree")
-    cfgmod.get_number(cfg, "agent.init_scale", 0.0)
     n_groups = min(jobs, len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:

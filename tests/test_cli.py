@@ -72,30 +72,36 @@ COMMAND_ARGS = {
     "sweep": FAST_AGENT + ["sweep.accuracies=0.6", "sweep.densities=1.0", "seeds=0"],
 }
 
-# A value that does not fit, the commands that read it, and the key it is reported under.
+ALL_COMMANDS = ["backtest", "train", "sweep"]
+
+# A value that does not fit, the commands that reject it, and the key it is
+# reported under.  resolve checks every key's type and bounds, so each
+# command rejects those; the rest are checks against the data or other keys.
 BAD_VALUES = [
     (["cost.mode=bogus"], ["sweep"], "cost.*: unknown cost mode 'bogus'"),
     (["market.synthetic.drift=0.1,0.2,0.3"], ["backtest"], "market.synthetic.*: drift"),
-    (["window=0"], ["backtest", "train", "sweep"], "window:"),
-    (["baselines=olmar", "baseline.epsilon=abc"], ["backtest"], "baseline.epsilon:"),
+    (["market.synthetic.seed=-1"], ALL_COMMANDS, "market.synthetic.seed:"),
+    (["window=0"], ALL_COMMANDS, "window:"),
+    (["baselines=olmar", "baseline.epsilon=abc"], ALL_COMMANDS, "baseline.epsilon:"),
     (
         ["baselines=crp", "baseline.target_weights=0.5,0.5,0.5"],
         ["backtest"],
         "baseline.target_weights:",
     ),
-    (["baselines=wmamr", "baseline.window=0"], ["backtest"], "baseline.window:"),
-    (["baselines=olmar", "baseline.window=-2"], ["backtest"], "baseline.window:"),
-    (["signal.mode=oracle", "signal.accuracy=1.5"], ["backtest", "train"], "signal.accuracy:"),
-    (["signal.mode=oracle", "signal.density=-0.1"], ["backtest", "train"], "signal.density:"),
-    (["signal.mode=internal", "signal.lags=0"], ["backtest", "train"], "signal.lags:"),
-    (["signal.lookback=0"], ["backtest", "train", "sweep"], "signal.lookback:"),
-    (["rfree=abc"], ["backtest", "sweep"], "rfree:"),
-    (["metrics.steps_per_day=0"], ["backtest"], "metrics.steps_per_day:"),
-    (["agent.seed=-1"], ["backtest", "train"], "agent.seed:"),
-    (["signal.mode=oracle", "signal.seed=-1"], ["backtest", "train"], "signal.seed:"),
-    (["agent.init_scale=-1"], ["backtest", "train", "sweep"], "agent.init_scale:"),
-    (["signal.mode=internal", "signal.fit_epochs=-1"], ["backtest", "train"], "signal.fit_epochs:"),
-    (["cost.tol=abc"], ["backtest", "train", "sweep"], "cost.tol: expected a number"),
+    (["baselines=wmamr", "baseline.window=0"], ALL_COMMANDS, "baseline.window:"),
+    (["baselines=olmar", "baseline.window=-2"], ALL_COMMANDS, "baseline.window:"),
+    (["signal.mode=oracle", "signal.accuracy=1.5"], ALL_COMMANDS, "signal.accuracy:"),
+    (["signal.mode=oracle", "signal.density=-0.1"], ALL_COMMANDS, "signal.density:"),
+    (["signal.mode=internal", "signal.lags=0"], ALL_COMMANDS, "signal.lags:"),
+    (["signal.lookback=0"], ALL_COMMANDS, "signal.lookback:"),
+    (["rfree=abc"], ALL_COMMANDS, "rfree:"),
+    (["metrics.steps_per_day=0"], ALL_COMMANDS, "metrics.steps_per_day:"),
+    (["agent.seed=-1"], ALL_COMMANDS, "agent.seed:"),
+    (["signal.mode=oracle", "signal.seed=-1"], ALL_COMMANDS, "signal.seed:"),
+    (["agent.init_scale=-1"], ALL_COMMANDS, "agent.init_scale:"),
+    (["signal.mode=internal", "signal.fit_epochs=-1"], ALL_COMMANDS, "signal.fit_epochs:"),
+    (["signal.mode=internal", "signal.fit_lr=-1"], ALL_COMMANDS, "signal.fit_lr:"),
+    (["cost.tol=abc"], ALL_COMMANDS, "cost.tol: expected a number"),
     # FAST_MARKET's 120 training steps leave 112 decisions at window 8
     (
         ["agent.batch_window=500"],
@@ -239,6 +245,21 @@ class TestBadValues:
         args = FAST_MARKET + COMMAND_ARGS[command] + pairs
         assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_echo_replays_the_run(self, tmp_path, command):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run(command, "--out", str(first), *sets(FAST_MARKET + COMMAND_ARGS[command])) == 0
+        echo = first / "config_echo.txt"
+        assert "signal.mode = none" in echo.read_text().splitlines()
+        assert run(command, "--out", str(second), "--config", str(echo)) == 0
+        assert read_all(second) == read_all(first)
+
+    def test_flags_are_checked(self, tmp_path, capsys):
+        assert run("backtest", "--out", str(tmp_path / "x"), "--rfree", "nan") == 1
+        assert capsys.readouterr().err.startswith("error: rfree:")
 
 
 class TestCheckpointAndSplitErrors:

@@ -12,13 +12,10 @@ from signalfolio.config import (
     build_split,
     build_train_config,
     echo_config,
-    hidden_sizes,
     parse_config_file,
     parse_scalar,
     parse_value,
     resolve,
-    seed_list,
-    signal_mode,
 )
 
 
@@ -101,6 +98,40 @@ class TestResolve:
         with pytest.raises(ConfigError):
             apply_overrides({}, ["window:9"])
 
+    def test_values_come_back_typed(self):
+        cfg = resolve(
+            {
+                "cost.buy": 0,
+                "market.synthetic.drift": (0, 0.001),
+                "baselines": "ew",
+                "metrics.horizons": None,
+                "agent.checkpoint": None,
+                "signal.mode": None,
+            }
+        )
+        assert cfg["cost.buy"] == 0.0 and isinstance(cfg["cost.buy"], float)
+        assert [type(v) for v in cfg["market.synthetic.drift"]] == [float, float]
+        assert cfg["baselines"] == ("ew",)
+        assert cfg["metrics.horizons"] == ()
+        assert cfg["agent.checkpoint"] == ""
+        assert cfg["signal.mode"] == "none"
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("window", 2.0),
+            ("window", True),
+            ("agent.enabled", 1),
+            ("market.synthetic.vol", (0.01, "x")),
+            ("sweep.densities", ()),
+            ("split.fraction", None),
+        ],
+    )
+    def test_bad_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            resolve({key: value})
+        assert str(err.value).startswith(f"{key}: ")
+
 
 class TestBuilders:
     def test_market_from_defaults(self):
@@ -149,10 +180,10 @@ class TestBuilders:
         assert tc.window == 9
 
     def test_hidden_sizes(self):
-        assert hidden_sizes(resolve({"agent.hidden": (32, 16)})) == (32, 16)
-        assert hidden_sizes(resolve({"agent.hidden": 32})) == (32,)
+        assert resolve({"agent.hidden": (32, 16)})["agent.hidden"] == (32, 16)
+        assert resolve({"agent.hidden": 32})["agent.hidden"] == (32,)
         with pytest.raises(ConfigError):
-            hidden_sizes(resolve({"agent.hidden": (32, 0)}))
+            resolve({"agent.hidden": (32, 0)})
 
     def test_baseline_names_merge(self):
         cfg = resolve({"baselines": ("ew", "crp"), "baseline.name": "olmar"})
@@ -171,15 +202,15 @@ class TestBuilders:
         assert "baselines" in str(err.value)
 
     def test_signal_mode_validated(self):
-        assert signal_mode(resolve({"signal.mode": "oracle"})) == "oracle"
+        assert resolve({"signal.mode": "oracle"})["signal.mode"] == "oracle"
         with pytest.raises(ConfigError):
-            signal_mode(resolve({"signal.mode": "psychic"}))
+            resolve({"signal.mode": "psychic"})
 
     def test_seed_list(self):
-        assert seed_list(resolve({"seeds": (3, 4)})) == (3, 4)
-        assert seed_list(resolve({"seeds": 5})) == (5,)
+        assert resolve({"seeds": (3, 4)})["seeds"] == (3, 4)
+        assert resolve({"seeds": 5})["seeds"] == (5,)
         with pytest.raises(ConfigError):
-            seed_list(resolve({"seeds": ("a",)}))
+            resolve({"seeds": ("a",)})
 
 
 class TestEcho:
@@ -205,3 +236,4 @@ class TestEcho:
         assert merged["sweep.accuracies"] == (0.5, 1.0)
         assert merged["agent.enabled"] is True
         assert merged["window"] == cfg["window"]
+        assert merged == cfg
