@@ -331,6 +331,7 @@ def train(
     parameters and the per-epoch objective on the full training episode, or
     the error that stopped it: non-finite parameters or objective, or an
     infeasible rebalance.  A stopped cell leaves the group; the rest go on.
+    Parameters that turn non-finite stop their cell at the end of the epoch.
     """
     cells = len(params)
     if not cells or len(signals) != cells or len(seeds) != cells:
@@ -360,81 +361,66 @@ def train(
             f"training episode of {t_total} steps shorter than batch window {batch}"
         )
     m = n + 1
-    episodes = [Episode(obs[c, 1:], rel, all_cash(m), np.ones(m)) for c in range(cells)]
     moves = np.vstack([np.ones(m), rel])
-    obs_rows = obs.reshape(-1, d)
     offsets = np.arange(batch + 1)
     steps = cfg.steps_per_epoch or max(1, t_total // batch)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     curves: list[list[float]] = [[] for _ in range(cells)]
+    outcomes: list = [None] * cells
     shapes = params[0].shapes
     group = PolicyParams(np.stack([p.theta for p in params]), shapes)
     grads = PolicyParams(np.empty_like(group.theta), shapes)
-    inputs = np.arange(cells)  # input index of each row of the group
-    errors: dict[int, Exception] = {}  # input index -> what stopped it
+    live = np.arange(cells)  # the cell of each row of the group
 
-    def drop(failed: dict[int, Exception]) -> np.ndarray:
-        """Stop the cells at the failed rows; returns the kept rows."""
-        nonlocal group, grads, inputs
-        if not failed:
-            return np.arange(inputs.size)
-        for pos, exc in failed.items():
-            errors[int(inputs[pos])] = exc
-        keep = np.setdiff1d(np.arange(inputs.size), list(failed))
-        group, inputs = group.cells(keep), inputs[keep]
-        grads = PolicyParams(np.empty_like(group.theta), shapes)
-        return keep
-
-    def diverged() -> dict[int, Exception]:
-        return {
-            int(pos): TrainingDivergedError("policy parameters are no longer finite")
-            for pos in np.flatnonzero(~np.isfinite(group.theta).all(axis=1))
-        }
-
-    drop(diverged())
-    for _ in range(cfg.epochs):
-        starts = np.array(
-            [rngs[c].integers(0, t_total - batch + 1, size=steps) for c in inputs]
-        ).reshape(-1, steps)
-        for step in range(steps):
-            if not inputs.size:
-                break
-            rows = starts[:, step, None] + offsets
-            x = obs_rows.take(inputs[:, None] * (t_total + 1) + rows, axis=0)
-            y = moves.take(rows, axis=0)
-            at_start = starts[:, step] == 0
+    def stop_failed(check=None) -> None:
+        """Stop the live rows whose parameters are not finite or whose check(row, cell) raises."""
+        nonlocal group, grads, live
+        kept = []
+        for row, cell in enumerate(live):
             try:
-                _lockstep_grads(group, x, y, at_start, cm, grads)
-            except EngineError:
-                # An infeasible rebalance stops only the cells that hit it.
-                failed = {}
-                for pos in range(inputs.size):
-                    one = slice(pos, pos + 1)
-                    try:
-                        _lockstep_grads(
-                            group.cells(one), x[one], y[one], at_start[one], cm, grads.cells(one)
-                        )
-                    except EngineError as exc:
-                        failed[pos] = exc
-                keep = drop(failed)
-                starts, x, y, at_start = starts[keep], x[keep], y[keep], at_start[keep]
-                _lockstep_grads(group, x, y, at_start, cm, grads)
-            group.theta += cfg.learning_rate * grads.theta
-            starts = starts[drop(diverged())]
-        failed = {}
-        for pos, c in enumerate(inputs):
-            try:
-                score = objective(group.cells(pos), episodes[c], cm)
-                if not np.isfinite(score):
-                    raise TrainingDivergedError(f"objective became {score} during training")
+                if not np.isfinite(group.theta[row]).all():
+                    raise TrainingDivergedError("policy parameters are no longer finite")
+                if check:
+                    check(row, cell)
+                kept.append(row)
             except (EngineError, ConvergenceError, TrainingDivergedError) as exc:
-                failed[pos] = exc
-            else:
-                curves[c].append(score)
-        drop(failed)
-    outcomes: list = [errors.get(c) for c in range(cells)]
-    for pos, c in enumerate(inputs):
-        outcomes[c] = (group.cells(pos), curves[c])
+                outcomes[cell] = exc
+        if len(kept) < live.size:
+            group, grads, live = group.cells(kept), grads.cells(kept), live[kept]
+
+    def retry(row, cell) -> None:
+        """One row's step alone; a row that passes keeps the gradient it wrote."""
+        one = slice(row, row + 1)
+        _lockstep_grads(group.cells(one), x[one], y[one], at_start[one], cm, grads.cells(one))
+
+    def judge(row, cell) -> None:
+        """The objective a cell scores at the end of an epoch, which must be finite."""
+        episode = Episode(obs[cell, 1:], rel, all_cash(m), np.ones(m))
+        score = objective(group.cells(row), episode, cm)
+        if not np.isfinite(score):
+            raise TrainingDivergedError(f"objective became {score} during training")
+        curves[cell].append(score)
+
+    # Rows never mix, so a cell that turns non-finite mid-epoch changes no other
+    # cell before the end of the epoch stops it.  Finiteness is checked before
+    # judge, whose fixed-point objective would raise ConvergenceError on NaN.
+    stop_failed()
+    for _ in range(cfg.epochs):
+        starts = np.array([rng.integers(0, t_total - batch + 1, size=steps) for rng in rngs])
+        for step in range(steps):
+            if not live.size:
+                break
+            at_start = starts[live, step] == 0
+            rows = starts[live, step, None] + offsets
+            x, y = obs[live[:, None], rows], moves[rows]
+            try:
+                _lockstep_grads(group, x, y, at_start, cm, grads)
+            except EngineError:  # an infeasible rebalance stops only the cells that hit it
+                stop_failed(retry)
+            group.theta += cfg.learning_rate * grads.theta
+        stop_failed(judge)
+    for row, cell in enumerate(live):
+        outcomes[cell] = (group.cells(row), curves[cell])
     return outcomes
 
 

@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from . import config as cfgmod
 from .agent import save_checkpoint
 from .config import ConfigError
 from .engine import BacktestResult, run_backtest
-from .evaluation import horizon_table, write_metrics_csv, write_metrics_json
+from .evaluation import horizon_table, write_metrics_csv, write_metrics_json, write_table
 from .sweep import run_sweep, write_summary, write_sweep_csv
 
 
@@ -47,7 +46,7 @@ def _parser() -> argparse.ArgumentParser:
             help="override one config key (repeatable)",
         )
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, help="override the master seed")
+        cmd.add_argument("--seed", type=int, help="sweep master seed (train, backtest ignore it)")
         cmd.add_argument("--rfree", type=float, help="override the risk-free rate")
         cmd.add_argument("--jobs", type=int, help="parallel sweep workers")
     return parser
@@ -100,13 +99,7 @@ def _write_pv_curves(runs: dict[str, BacktestResult], path: Path) -> None:
     lengths = {runs[n].pv.size for n in names}
     if len(lengths) != 1:
         raise ConfigError("strategies produced different backtest lengths")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", *names])
-        for step in range(lengths.pop()):
-            writer.writerow(
-                [str(step), *(repr(float(runs[n].pv[step])) for n in names)]
-            )
+    write_table(path, ["step", *names], zip(range(lengths.pop()), *(runs[n].pv for n in names)))
 
 
 def _write_metric_tables(cfg, runs, out: Path) -> None:
@@ -137,17 +130,8 @@ def cmd_train(cfg, out: Path) -> int:
 
 
 def _append_curve(path: Path, curve, start_epoch: int, resumed: bool) -> None:
-    rows = []
-    if resumed and path.exists():
-        with path.open(newline="") as fh:
-            rows = [r for r in csv.DictReader(fh)]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "J_T"])
-        for row in rows:
-            writer.writerow([row["epoch"], row["J_T"]])
-        for offset, value in enumerate(curve, start=1):
-            writer.writerow([str(start_epoch + offset), repr(float(value))])
+    rows = enumerate(curve, start=start_epoch + 1)
+    write_table(path, ["epoch", "J_T"], rows, append=resumed and path.exists())
 
 
 def cmd_sweep(cfg, out: Path) -> int:

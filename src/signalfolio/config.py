@@ -2,8 +2,9 @@
 
 Config files are plain text: one `key = value` per line, `#` comments and
 blank lines allowed.  Values parse as bool, int, float, comma-separated
-lists of those, or bare strings.  Command-line `--set key=value` overrides
-win over the file, and dedicated flags win over both.
+lists of those, or bare strings; a string key's value is never split at its
+commas.  Command-line `--set key=value` overrides win over the file, and
+dedicated flags win over both.
 
 KEYS holds every key's default next to its check.  resolve checks the merged
 config once, when it is loaded, and returns typed values that the builders
@@ -126,8 +127,9 @@ def parse_scalar(text: str):
     return token
 
 
-def parse_value(text: str):
-    if "," in text:
+def parse_value(text: str, key: str | None = None):
+    """A scalar, or a tuple of them split at commas unless key's kind is "str"."""
+    if "," in text and KEYS.get(key, (None, None))[1] != "str":
         return tuple(parse_scalar(part) for part in text.split(","))
     return parse_scalar(text)
 
@@ -147,7 +149,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        out[key] = parse_value(value)
+        out[key] = parse_value(value, key)
     return out
 
 
@@ -157,7 +159,8 @@ def apply_overrides(cfg: dict[str, object], pairs) -> dict[str, object]:
         if "=" not in pair:
             raise ConfigError(f"override {pair!r} is not key=value")
         key, _, value = pair.partition("=")
-        out[key.strip()] = parse_value(value)
+        key = key.strip()
+        out[key] = parse_value(value, key)
     return out
 
 
@@ -198,6 +201,8 @@ def _check(key: str, value, kind, low: float = -math.inf, high: float = math.inf
         raise ConfigError(f"{key}: expected {_EXPECTED[base]}, got {value!r}")
     if base == "number":
         value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     if base in ("int", "number") and not low <= value <= high:
         raise ConfigError(f"{key}: {value!r} outside [{low}, {high}]")
     return value

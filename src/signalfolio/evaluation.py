@@ -130,17 +130,31 @@ def horizon_table(
     return table
 
 
+def write_table(path: str | Path, header: Sequence[str], rows, append: bool = False) -> None:
+    """Write a CSV artifact: floats as their repr, None as empty, anything else as str.
+
+    append=True adds the rows under the header already in the file.  Floats go
+    through float() first, since numpy 2 reprs np.float64(1.0) as "np.float64(1.0)".
+    """
+    with Path(path).open("a" if append else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if not append:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                for v in row
+            )
+
+
 def write_metrics_csv(
     table: Mapping[str, MetricsReport], horizons: Sequence[str], path: str | Path
 ) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "final_pv", *horizons])
-        for name in sorted(table):
-            report = table[name]
-            row = [name, repr(float(report.final_pv))]
-            row += [repr(float(report.sharpe_by_horizon[h])) for h in horizons]
-            writer.writerow(row)
+    rows = (
+        [name, report.final_pv, *(report.sharpe_by_horizon[h] for h in horizons)]
+        for name, report in sorted(table.items())
+    )
+    write_table(path, ["strategy", "final_pv", *horizons], rows)
 
 
 def write_metrics_json(table: Mapping[str, MetricsReport], path: str | Path) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import config as cfgmod
 from .agent import train
 from .engine import CostModel
-from .evaluation import UndefinedSharpeError, sharpe_ratio
+from .evaluation import UndefinedSharpeError, sharpe_ratio, write_table
 
 CONTROL = "control"
 
@@ -183,28 +183,9 @@ def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[d
     return rows, failures
 
 
-def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["accuracy", "density", "seed", "final_pv", "sharpe"])
-        for row in rows:
-            writer.writerow(
-                [
-                    _cell_text(row["accuracy"]),
-                    _cell_text(row["density"]),
-                    str(row["seed"]),
-                    repr(float(row["final_pv"])),
-                    repr(float(row["sharpe"])),
-                ]
-            )
+    header = ["accuracy", "density", "seed", "final_pv", "sharpe"]
+    write_table(path, header, ([row[key] for key in header] for row in rows))
 
 
 def write_summary(rows: list[dict], failures: list[dict], path: str | Path) -> None:

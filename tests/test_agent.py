@@ -400,9 +400,10 @@ class TestLockstep:
             replay_curve.append(objective(replay, episode, cm))
         _assert_same_outcome((trained, curve), (replay, replay_curve))
 
-    def test_diverging_cells_fail_alone(self):
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_diverging_cells_fail_alone(self, mode):
         prices, params, signals, seeds = self._cells((16,))
-        cm, cfg = CostModel(mode="simple"), self._cfg()
+        cm, cfg = CostModel(mode=mode), self._cfg()
         solo = self._solo(prices, params, signals, seeds, cm, cfg)
         nan_init = params[1].copy()
         nan_init.weights[0][0, 0] = np.nan
@@ -412,8 +413,9 @@ class TestLockstep:
             group = train(
                 [params[0], nan_init, overflowing, params[3]], prices, signals, cm, cfg, seeds
             )
-        assert isinstance(group[1], TrainingDivergedError)
-        assert isinstance(group[2], TrainingDivergedError)
+        for pos in (1, 2):
+            assert isinstance(group[pos], TrainingDivergedError)
+            assert str(group[pos]) == "policy parameters are no longer finite"
         _assert_same_outcome(group[0], solo[0])
         _assert_same_outcome(group[3], solo[3])
 

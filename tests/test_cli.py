@@ -102,6 +102,8 @@ BAD_VALUES = [
     (["signal.mode=internal", "signal.fit_epochs=-1"], ALL_COMMANDS, "signal.fit_epochs:"),
     (["signal.mode=internal", "signal.fit_lr=-1"], ALL_COMMANDS, "signal.fit_lr:"),
     (["cost.tol=abc"], ALL_COMMANDS, "cost.tol: expected a number"),
+    (["rfree=inf"], ALL_COMMANDS, "rfree: expected a finite number, got inf"),
+    (["agent.learning_rate=inf"], ALL_COMMANDS, "agent.learning_rate: expected a finite number"),
     # FAST_MARKET's 120 training steps leave 112 decisions at window 8
     (
         ["agent.batch_window=500"],
@@ -313,6 +315,16 @@ class TestCsvMarket:
         assert run("backtest", "--out", str(tmp_path / "synthetic"), *sets(FAST_MARKET + args)) == 0
         assert (tmp_path / "synthetic" / "result_ew.json").read_bytes() == results["plain"]
 
+    def test_path_with_comma_runs_and_replays(self, tmp_path):
+        path = tmp_path / "a,b.csv"
+        write_fast_market_csv(path, extra_columns=False)
+        args = ["market.source=csv", f"market.csv.path={path}", "split.fraction=0.8", "window=8"]
+        args += ["baselines=ew", "metrics.horizons=1w"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("backtest", "--out", str(first), *sets(args)) == 0
+        echo = first / "config_echo.txt"
+        assert run("backtest", "--out", str(second), "--config", str(echo)) == 0
+        assert read_all(second) == read_all(first)
 
     def test_bad_close_exits_one_naming_path(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -351,6 +363,7 @@ class TestTrainCommand:
         out = tmp_path / "run"
         base = FAST_MARKET + FAST_AGENT
         assert run("train", "--out", str(out), *sets(base)) == 0
+        first_curve = (out / "learning_curve.csv").read_bytes()
         ckpt = out / "checkpoint.json"
         assert (
             run("train", "--out", str(out), *sets(base + [f"agent.checkpoint={ckpt}"]))
@@ -360,6 +373,7 @@ class TestTrainCommand:
         assert meta["epochs_trained"] == 4
         lines = (out / "learning_curve.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+        assert (out / "learning_curve.csv").read_bytes().startswith(first_curve)
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("steps", ["-3", "0"])
