@@ -86,9 +86,6 @@ class PolicyParams:
         """The cells of a group at index (a row, a slice or an index array)."""
         return PolicyParams(self.theta[index], self.shapes)
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(self.theta.copy(), self.shapes)
-
 
 def init_policy(
     input_dim: int,
@@ -263,14 +260,6 @@ def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
         grads,
     )
     return [g[0] for g in grads.weights], [g[0] for g in grads.biases]
-
-
-def ascent_step(params: PolicyParams, grads, lr: float) -> None:
-    """In-place ascent on the layers of one policy, by per-layer gradients."""
-    grads_w, grads_b = grads
-    for layer in range(len(params.weights)):
-        params.weights[layer] += lr * grads_w[layer]
-        params.biases[layer] += lr * grads_b[layer]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Config files are plain text: one `key = value` per line, `#` comments and
 blank lines allowed.  Values parse as bool, int, float, comma-separated
-lists of those, or bare strings; a string key's value is never split at its
-commas.  Command-line `--set key=value` overrides win over the file, and
-dedicated flags win over both.
+lists of those, or bare strings; a string key's value is taken as text,
+whole, and only none or an empty value leaves it unset.  Command-line
+`--set key=value` overrides win over the file, and dedicated flags win over
+both.
 
 KEYS holds every key's default next to its check.  resolve checks the merged
 config once, when it is loaded, and returns typed values that the builders
@@ -128,8 +129,10 @@ def parse_scalar(text: str):
 
 
 def parse_value(text: str, key: str | None = None):
-    """A scalar, or a tuple of them split at commas unless key's kind is "str"."""
-    if "," in text and KEYS.get(key, (None, None))[1] != "str":
+    """A scalar or a tuple of them split at commas; a "str" key's text stays whole."""
+    if KEYS.get(key, (None, None))[1] == "str":
+        return None if parse_scalar(text) is None else text.strip()
+    if "," in text:
         return tuple(parse_scalar(part) for part in text.split(","))
     return parse_scalar(text)
 

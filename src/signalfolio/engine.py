@@ -224,6 +224,9 @@ def reward_chain(
     )
 
 
+_RESULT_ARRAYS = ("actions", "weights", "betas", "factors", "rewards", "pv")
+
+
 @dataclass(frozen=True)
 class BacktestResult:
     """Everything recorded over one backtest run."""
@@ -237,7 +240,7 @@ class BacktestResult:
     pv: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("actions", "weights", "betas", "factors", "rewards", "pv"):
+        for name in _RESULT_ARRAYS:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         t_total = self.rewards.size
         if self.pv.size != t_total + 1 or self.actions.shape[0] != t_total:
@@ -251,33 +254,16 @@ class BacktestResult:
     def final_pv(self) -> float:
         return float(self.pv[-1])
 
-    def to_dict(self) -> dict:
-        return {
-            "start_index": self.start_index,
-            "actions": self.actions.tolist(),
-            "weights": self.weights.tolist(),
-            "betas": self.betas.tolist(),
-            "factors": self.factors.tolist(),
-            "rewards": self.rewards.tolist(),
-            "pv": self.pv.tolist(),
-            "final_pv": self.final_pv,
-        }
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
+        payload = {name: getattr(self, name).tolist() for name in _RESULT_ARRAYS}
+        payload.update(start_index=self.start_index, final_pv=self.final_pv)
+        Path(path).write_text(json.dumps(payload, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "BacktestResult":
         data = json.loads(Path(path).read_text())
-        return cls(
-            start_index=int(data["start_index"]),
-            actions=np.asarray(data["actions"], dtype=float),
-            weights=np.asarray(data["weights"], dtype=float),
-            betas=np.asarray(data["betas"], dtype=float),
-            factors=np.asarray(data["factors"], dtype=float),
-            rewards=np.asarray(data["rewards"], dtype=float),
-            pv=np.asarray(data["pv"], dtype=float),
-        )
+        arrays = {name: np.asarray(data[name], dtype=float) for name in _RESULT_ARRAYS}
+        return cls(start_index=int(data["start_index"]), **arrays)
 
 
 def run_backtest(

@@ -54,6 +54,10 @@ def cell_seed(master_seed: int, cell: CellSpec) -> int:
 
 
 def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
+    """The grid's cells, then one control per seed; a value listed twice is a ConfigError."""
+    for key in ("sweep.accuracies", "sweep.densities", "seeds"):
+        if len(set(cfg[key])) < len(cfg[key]):
+            raise cfgmod.ConfigError(f"{key}: duplicate values in {cfg[key]}")
     seeds = cfg["seeds"]
     cells = [
         CellSpec(a, d, s)

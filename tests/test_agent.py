@@ -9,7 +9,6 @@ from signalfolio.agent import (
     TrainConfig,
     TrainingDivergedError,
     _grads,
-    ascent_step,
     gradient,
     init_policy,
     load_checkpoint,
@@ -33,6 +32,18 @@ def train_one(params, prices, signals, cm, cfg, seed=0):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _copy(params: PolicyParams) -> PolicyParams:
+    return PolicyParams(params.theta.copy(), params.shapes)
+
+
+def ascent_step(params: PolicyParams, grads, lr: float) -> None:
+    """One-cell oracle of a training step: in-place ascent on each layer by its gradient."""
+    grads_w, grads_b = grads
+    for layer in range(len(params.weights)):
+        params.weights[layer] += lr * grads_w[layer]
+        params.biases[layer] += lr * grads_b[layer]
 
 
 def _zero_params(input_dim: int, n_actions: int, hidden=(8,)) -> PolicyParams:
@@ -254,7 +265,7 @@ class TestTrain:
     def test_zero_learning_rate_freezes_params(self):
         prices = self._market()
         params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
-        snapshot = params.copy()
+        snapshot = _copy(params)
         trained, curve = train_one(params, prices, None, CostModel(), self._cfg(learning_rate=0.0))
         for w0, w1 in zip(snapshot.weights, trained.weights):
             assert np.array_equal(w0, w1)
@@ -272,7 +283,7 @@ class TestTrain:
     def test_input_params_not_mutated(self):
         prices = self._market()
         params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
-        snapshot = params.copy()
+        snapshot = _copy(params)
         train_one(params, prices, None, CostModel(), self._cfg())
         for w0, w1 in zip(snapshot.weights, params.weights):
             assert np.array_equal(w0, w1)
@@ -387,7 +398,7 @@ class TestLockstep:
         [(trained, curve)] = train(params[:1], prices, signals[:1], cm, cfg, seeds[:1])
         episode = Episode.from_market(prices, signals[0], window=self.WINDOW)
         t_total, batch = episode.states.shape[0], cfg.batch_window
-        replay, rng, replay_curve = params[0].copy(), np.random.default_rng(seeds[0]), []
+        replay, rng, replay_curve = _copy(params[0]), np.random.default_rng(seeds[0]), []
         for _ in range(cfg.epochs):
             for _ in range(t_total // batch):
                 j = int(rng.integers(0, t_total - batch + 1))
@@ -405,9 +416,9 @@ class TestLockstep:
         prices, params, signals, seeds = self._cells((16,))
         cm, cfg = CostModel(mode=mode), self._cfg()
         solo = self._solo(prices, params, signals, seeds, cm, cfg)
-        nan_init = params[1].copy()
+        nan_init = _copy(params[1])
         nan_init.weights[0][0, 0] = np.nan
-        overflowing = params[2].copy()  # finite, but not after the first step
+        overflowing = _copy(params[2])  # finite, but not after the first step
         overflowing.weights[-1][:] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             group = train(

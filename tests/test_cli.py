@@ -104,6 +104,9 @@ BAD_VALUES = [
     (["cost.tol=abc"], ALL_COMMANDS, "cost.tol: expected a number"),
     (["rfree=inf"], ALL_COMMANDS, "rfree: expected a finite number, got inf"),
     (["agent.learning_rate=inf"], ALL_COMMANDS, "agent.learning_rate: expected a finite number"),
+    (["seeds=0,0"], ["sweep"], "seeds: duplicate values in (0, 0)"),
+    (["sweep.accuracies=1.0,1.0"], ["sweep"], "sweep.accuracies: duplicate values in (1.0, 1.0)"),
+    (["sweep.densities=0.5,0.5"], ["sweep"], "sweep.densities: duplicate values in (0.5, 0.5)"),
     # FAST_MARKET's 120 training steps leave 112 decisions at window 8
     (
         ["agent.batch_window=500"],
@@ -315,16 +318,26 @@ class TestCsvMarket:
         assert run("backtest", "--out", str(tmp_path / "synthetic"), *sets(FAST_MARKET + args)) == 0
         assert (tmp_path / "synthetic" / "result_ew.json").read_bytes() == results["plain"]
 
-    def test_path_with_comma_runs_and_replays(self, tmp_path):
-        path = tmp_path / "a,b.csv"
-        write_fast_market_csv(path, extra_columns=False)
+    @staticmethod
+    def _runs_and_replays(tmp_path, path) -> None:
+        """A backtest on the CSV market at path exits 0, and its echo keeps path and replays it."""
+        write_fast_market_csv(Path(path), extra_columns=False)
         args = ["market.source=csv", f"market.csv.path={path}", "split.fraction=0.8", "window=8"]
         args += ["baselines=ew", "metrics.horizons=1w"]
         first, second = tmp_path / "first", tmp_path / "second"
         assert run("backtest", "--out", str(first), *sets(args)) == 0
         echo = first / "config_echo.txt"
+        assert f"market.csv.path = {path}" in echo.read_text().splitlines()
         assert run("backtest", "--out", str(second), "--config", str(echo)) == 0
         assert read_all(second) == read_all(first)
+
+    def test_path_with_comma_runs_and_replays(self, tmp_path):
+        self._runs_and_replays(tmp_path, tmp_path / "a,b.csv")
+
+    @pytest.mark.parametrize("name", ["2024", "true"])
+    def test_path_that_reads_as_a_scalar_runs_and_replays(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)  # so the path is the bare name
+        self._runs_and_replays(tmp_path, name)
 
     def test_bad_close_exits_one_naming_path(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -43,6 +43,14 @@ class TestScalarParsing:
         assert parse_value("ew, crp") == ("ew", "crp")
         assert parse_value("7") == 7
 
+    def test_string_key_value_stays_text(self):
+        assert parse_value("2024", "market.csv.path") == "2024"
+        assert parse_value(" true ", "agent.checkpoint") == "true"
+        assert parse_value("2024.0,5", "market.csv.path") == "2024.0,5"
+        assert parse_value("None", "market.csv.path") is None
+        assert parse_value(" ", "agent.checkpoint") is None
+        assert parse_value("2024", "window") == 2024
+
 
 class TestConfigFile:
     def test_parses_keys_comments_blanks(self, tmp_path):

@@ -99,6 +99,8 @@ class TestBuildCells:
             build_cells(tiny_cfg(**{"sweep.densities": ("high",)}))
         with pytest.raises(ConfigError):
             build_cells(tiny_cfg(**{"sweep.accuracies": ()}))
+        with pytest.raises(ConfigError, match=r"accuracies: duplicate values in \(1.0, 1.0\)"):
+            build_cells(tiny_cfg(**{"sweep.accuracies": (1, 1.0)}))
 
 
 def run_cell(cfg, cell):
