@@ -81,7 +81,7 @@ def cmd_backtest(cfg, out: Path) -> int:
     if cfg["agent.enabled"]:
         loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
         params, _, test_signals = cfgmod.setup_agent(
-            cfg, train_p, test_p, _agent_seeds(cfg), loaded, fit=loaded is None
+            cfg, train_p, test_p, _agent_seeds(cfg), cm, loaded, fit=loaded is None
         )
         runs["agent"] = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
     if not runs:
@@ -118,7 +118,9 @@ def cmd_train(cfg, out: Path) -> int:
     train_p, _ = cfgmod.build_segments(cfg)
     loaded, meta = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
     epochs_done = int(meta.get("epochs_trained", 0))
-    params, curve, _ = cfgmod.setup_agent(cfg, train_p, None, _agent_seeds(cfg), loaded)
+    params, curve, _ = cfgmod.setup_agent(
+        cfg, train_p, None, _agent_seeds(cfg), cfgmod.build_cost(cfg), loaded
+    )
     save_checkpoint(
         params,
         out / "checkpoint.json",

@@ -7,11 +7,14 @@ whole, and only none or an empty value leaves it unset.  Command-line
 `--set key=value` overrides win over the file, and dedicated flags win over
 both.
 
-KEYS holds every key's default next to its check.  resolve checks the merged
-config once, when it is loaded, and returns typed values that the builders
-read directly.  What is left for the builders are checks against the data
-or against other keys.  echo_config writes a resolved config as a config
-file, and resolving that file gives back the same config.
+KEYS holds every key's default next to its check: type, range, choices,
+and distinct values in a grid.  resolve checks the merged config once, when
+it is loaded and before any work, and returns typed values that the
+builders read directly.  The builders check only against the data or
+other keys: the CSV file, the length of a per-asset list, a split too short
+for the window, a batch window longer than the training episode and a
+checkpoint that does not fit.  echo_config writes a resolved config as a
+config file, and resolving that file gives back the same config.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, policy_forward, train
 from .baselines import CRPPolicy, OLMARPolicy, WMAMRPolicy, ew_policy, hold_cash_policy
-from .engine import BacktestResult, CostModel, EngineError, run_backtest
+from .engine import BacktestResult, CostModel, run_backtest
 from .market import (
     MarketDataError,
     PriceSeries,
@@ -47,29 +50,32 @@ class ConfigError(ValueError):
 
 
 # Every key: its default, its kind and, for "int" and "number" kinds, the
-# bounds [low, high] of its value.  A kind is "int", "number", "bool" or "str"
-# (none reads as ""), or the tuple of allowed strings (none reads as "none").
-# A suffix "?" also allows none; "*" makes a list, where a lone value becomes
-# a 1-tuple and none the empty one; "+" a list of at least one value; "~"
+# bounds [low, high] of its value; an open end is written as the adjacent
+# float.  A kind is "int", "number", "bool" or "str" (none reads as ""), or
+# the tuple of allowed strings (none reads as "none").  A suffix "?" also
+# allows none; "*" makes a list, where a lone value becomes a 1-tuple and
+# none the empty one; "+" a list of at least one value, all distinct; "~"
 # either one value or a list of them (one per asset).
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
 KEYS: dict[str, tuple] = {
-    "market.source": ("synthetic", "str"),
+    "market.source": ("synthetic", ("synthetic", "csv")),
     "market.csv.path": ("", "str"),
     "market.csv.forward_fill": (False, "bool"),
-    "market.synthetic.n_assets": (3, "int"),
-    "market.synthetic.n_steps": (2400, "int"),
+    "market.synthetic.n_assets": (3, "int", 1),
+    "market.synthetic.n_steps": (2400, "int", 2),
     "market.synthetic.drift": (0.0, "number~"),
-    "market.synthetic.vol": (0.01, "number~"),
-    "market.synthetic.regime_prob": (0.0, "number"),
+    "market.synthetic.vol": (0.01, "number~", 0.0),
+    "market.synthetic.regime_prob": (0.0, "number", 0.0, 1.0),
     "market.synthetic.seed": (0, "int", 0),
-    "split.fraction": (0.9, "number"),
-    "split.boundary": (None, "int?"),
+    "split.fraction": (0.9, "number", _ABOVE_ZERO, _BELOW_ONE),
+    "split.boundary": (None, "int?", 1),
     "window": (30, "int", 1),
-    "cost.buy": (0.0025, "number"),
-    "cost.sell": (0.0025, "number"),
-    "cost.mode": ("fixed_point", "str"),
-    "cost.max_iters": (100, "int"),
-    "cost.tol": (1e-10, "number"),
+    "cost.buy": (0.0025, "number", 0.0, _BELOW_ONE),
+    "cost.sell": (0.0025, "number", 0.0, _BELOW_ONE),
+    "cost.mode": ("fixed_point", ("fixed_point", "simple")),
+    "cost.max_iters": (100, "int", 1),
+    "cost.tol": (1e-10, "number", _ABOVE_ZERO),
     "signal.mode": ("none", ("oracle", "internal", "none")),
     "signal.accuracy": (1.0, "number", 0.0, 1.0),
     "signal.density": (1.0, "number", 0.0, 1.0),
@@ -80,14 +86,13 @@ KEYS: dict[str, tuple] = {
     "signal.fit_lr": (0.5, "number", 0.0),
     "agent.enabled": (False, "bool"),
     "agent.hidden": ((64,), "int*", 1),
-    "agent.learning_rate": (3.0, "number"),
-    "agent.batch_window": (64, "int"),
-    "agent.epochs": (100, "int"),
-    "agent.steps_per_epoch": (None, "int?"),
+    "agent.learning_rate": (3.0, "number", 0.0),
+    "agent.batch_window": (64, "int", 1),
+    "agent.epochs": (100, "int", 0),
+    "agent.steps_per_epoch": (None, "int?", 1),
     "agent.seed": (0, "int", 0),
     "agent.init_scale": (1.0, "number", 0.0),
     "agent.checkpoint": ("", "str"),
-    "baseline.name": ("", "str"),
     "baselines": ((), "str*"),
     "baseline.epsilon": (None, "number?"),
     "baseline.window": (5, "int", 1),
@@ -97,8 +102,8 @@ KEYS: dict[str, tuple] = {
     "seeds": ((0,), "int+"),
     "seed": (0, "int"),
     "rfree": (0.02, "number"),
-    "jobs": (1, "int"),
-    "metrics.horizons": (("1w", "2w", "1m", "2m"), "str*"),
+    "jobs": (1, "int", 1),
+    "metrics.horizons": (("1w", "2w", "1m", "2m"), "str+"),
     "metrics.steps_per_day": (1, "int", 1),
 }
 
@@ -195,7 +200,10 @@ def _check(key: str, value, kind, low: float = -math.inf, high: float = math.inf
         items = value if isinstance(value, tuple) else () if value is None else (value,)
         if shape == "+" and not items:
             raise ConfigError(f"{key}: need at least one value")
-        return tuple(_check(key, item, base, low, high) for item in items)
+        values = tuple(_check(key, item, base, low, high) for item in items)
+        if shape == "+" and len(set(values)) < len(values):
+            raise ConfigError(f"{key}: duplicate values in {values}")
+        return values
     if value is None and shape == "?":
         return None
     if value is None and base == "str":
@@ -212,21 +220,7 @@ def _check(key: str, value, kind, low: float = -math.inf, high: float = math.inf
 
 
 def build_market(cfg: dict[str, object]) -> PriceSeries:
-    source = cfg["market.source"]
-    if source == "synthetic":
-        try:
-            spec = SyntheticMarketSpec(
-                n_assets=cfg["market.synthetic.n_assets"],
-                n_steps=cfg["market.synthetic.n_steps"],
-                drift=cfg["market.synthetic.drift"],
-                vol=cfg["market.synthetic.vol"],
-                regime_switch_prob=cfg["market.synthetic.regime_prob"],
-                seed=cfg["market.synthetic.seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"market.synthetic.*: {exc}") from exc
-        return generate_synthetic(spec)
-    if source == "csv":
+    if cfg["market.source"] == "csv":
         path = cfg["market.csv.path"]
         if not path:
             raise ConfigError("market.csv.path: required when market.source = csv")
@@ -236,17 +230,26 @@ def build_market(cfg: dict[str, object]) -> PriceSeries:
             return load_csv(path, forward_fill=cfg["market.csv.forward_fill"])
         except MarketDataError as exc:
             raise ConfigError(f"market.csv.path: {exc}") from exc
-    raise ConfigError(f"market.source: unknown source {source!r}")
+    n_assets = cfg["market.synthetic.n_assets"]
+    for key in ("market.synthetic.drift", "market.synthetic.vol"):
+        if isinstance(cfg[key], tuple) and len(cfg[key]) != n_assets:
+            raise ConfigError(f"{key}: {len(cfg[key])} values for {n_assets} assets")
+    return generate_synthetic(
+        SyntheticMarketSpec(
+            n_assets=n_assets,
+            n_steps=cfg["market.synthetic.n_steps"],
+            drift=cfg["market.synthetic.drift"],
+            vol=cfg["market.synthetic.vol"],
+            regime_switch_prob=cfg["market.synthetic.regime_prob"],
+            seed=cfg["market.synthetic.seed"],
+        )
+    )
 
 
 def build_split(cfg: dict[str, object]) -> SplitSpec:
-    boundary = cfg["split.boundary"]
-    try:
-        if boundary is not None:
-            return SplitSpec(boundary=boundary)
-        return SplitSpec(fraction=cfg["split.fraction"])
-    except ValueError as exc:
-        raise ConfigError(f"split.*: {exc}") from exc
+    if cfg["split.boundary"] is not None:
+        return SplitSpec(boundary=cfg["split.boundary"])
+    return SplitSpec(fraction=cfg["split.fraction"])
 
 
 def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
@@ -255,37 +258,32 @@ def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
     try:
         return chronological_split(market, spec, min_steps=window + 2)
     except MarketDataError as exc:
-        raise ConfigError(f"split.* / window: {exc}") from exc
+        key = "split.fraction" if spec.boundary is None else "split.boundary"
+        raise ConfigError(f"{key}: {exc} at window {window}") from exc
 
 
 def build_cost(cfg: dict[str, object]) -> CostModel:
-    try:
-        return CostModel(
-            c_buy=cfg["cost.buy"],
-            c_sell=cfg["cost.sell"],
-            max_iters=cfg["cost.max_iters"],
-            tol=cfg["cost.tol"],
-            mode=cfg["cost.mode"],
-        )
-    except EngineError as exc:
-        raise ConfigError(f"cost.*: {exc}") from exc
+    return CostModel(
+        c_buy=cfg["cost.buy"],
+        c_sell=cfg["cost.sell"],
+        max_iters=cfg["cost.max_iters"],
+        tol=cfg["cost.tol"],
+        mode=cfg["cost.mode"],
+    )
 
 
-def build_train_config(cfg: dict[str, object], train_p: PriceSeries | None = None) -> TrainConfig:
-    """Training settings; with train_p, also checks the batch window fits its episode."""
-    try:
-        tc = TrainConfig(
-            learning_rate=cfg["agent.learning_rate"],
-            batch_window=cfg["agent.batch_window"],
-            epochs=cfg["agent.epochs"],
-            window=cfg["window"],
-            steps_per_epoch=cfg["agent.steps_per_epoch"],
-            lookback=cfg["signal.lookback"],
-        )
-    except EngineError as exc:
-        raise ConfigError(f"agent.*: {exc}") from exc
-    episode = None if train_p is None else len(decision_indices(train_p.n_steps, tc.window))
-    if episode is not None and episode < tc.batch_window:
+def build_train_config(cfg: dict[str, object], train_p: PriceSeries) -> TrainConfig:
+    """Training settings, whose batch window must fit train_p's episode."""
+    tc = TrainConfig(
+        learning_rate=cfg["agent.learning_rate"],
+        batch_window=cfg["agent.batch_window"],
+        epochs=cfg["agent.epochs"],
+        window=cfg["window"],
+        steps_per_epoch=cfg["agent.steps_per_epoch"],
+        lookback=cfg["signal.lookback"],
+    )
+    episode = len(decision_indices(train_p.n_steps, tc.window))
+    if episode < tc.batch_window:
         raise ConfigError(
             f"agent.batch_window: {tc.batch_window} longer than the {episode}-step training episode"
         )
@@ -367,10 +365,11 @@ def setup_agent(
     train_p: PriceSeries,
     test_p: PriceSeries | None,
     seeds: tuple[int, int, int, int],
+    cm: CostModel,
     params: PolicyParams | None = None,
     fit: bool = True,
 ) -> tuple[PolicyParams, list[float], SignalSeries | None]:
-    """One run of the agent: prepare_agent, then training as a group of one.
+    """One run of the agent: prepare_agent, then training under cm as a group of one.
 
     Returns the parameters, the per-epoch learning curve and the test-split
     signals, and raises the error that stops the training.
@@ -379,8 +378,7 @@ def setup_agent(
     if not fit:
         return params, [], test_signals
     [outcome] = train(
-        [params], train_p, [train_signals], build_cost(cfg),
-        build_train_config(cfg, train_p), [seeds[1]],
+        [params], train_p, [train_signals], cm, build_train_config(cfg, train_p), [seeds[1]]
     )
     if isinstance(outcome, Exception):
         raise outcome
@@ -407,9 +405,7 @@ def backtest_agent(
 
 
 def build_baselines(cfg: dict[str, object], m: int) -> dict:
-    """Baseline policies over m components by name: `baselines`, then `baseline.name`."""
-    listed, single = cfg["baselines"], cfg["baseline.name"]
-    names = dict.fromkeys([*listed, single] if single else listed)
+    """Baseline policies over m components, by the names in `baselines`."""
     reversion = {"window": cfg["baseline.window"]}
     if cfg["baseline.epsilon"] is not None:  # else the policy's own default
         reversion["epsilon"] = cfg["baseline.epsilon"]
@@ -420,13 +416,12 @@ def build_baselines(cfg: dict[str, object], m: int) -> dict:
         "wmamr": lambda: WMAMRPolicy(**reversion),
         "hold_cash": lambda: hold_cash_policy(m),
     }
-    for name in names:
+    for name in cfg["baselines"]:
         if name not in builders:
-            key = "baselines" if name in listed else "baseline.name"
             raise ConfigError(
-                f"{key}: unknown strategy {name!r} (choose from {', '.join(builders)})"
+                f"baselines: unknown strategy {name!r} (choose from {', '.join(builders)})"
             )
-    return {name: builders[name]() for name in names}
+    return {name: builders[name]() for name in cfg["baselines"]}
 
 
 def _crp_baseline(cfg: dict[str, object], m: int):
@@ -452,11 +447,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def echo_config(cfg: dict[str, object], exclude: tuple[str, ...] = ("out",)) -> str:
+def echo_config(cfg: dict[str, object]) -> str:
     """Reproducible text rendering of the resolved config, sorted by key."""
-    lines = [
-        f"{key} = {_format_value(cfg[key])}"
-        for key in sorted(cfg)
-        if key not in exclude
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format_value(cfg[key])}\n" for key in sorted(cfg))

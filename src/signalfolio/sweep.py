@@ -7,7 +7,10 @@ in lockstep, one stacked gradient step for all of them, and each cell's
 numbers are bit-identical to training it alone.  Cell seeds are derived by
 hashing the master seed with the cell's values (not grid positions), so
 extending a grid never changes existing cells, and rows merge in sorted
-order so results are identical however the cells were grouped.
+order so results are identical however the cells were grouped.  The
+segments, the cost model and the training settings are built once, before
+any cell runs, so a bad market, split or window fails the whole run with a
+ConfigError.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .agent import train
+from .agent import TrainConfig, train
 from .engine import CostModel
 from .evaluation import UndefinedSharpeError, sharpe_ratio, write_table
+from .market import PriceSeries
 
 CONTROL = "control"
 
@@ -54,10 +59,7 @@ def cell_seed(master_seed: int, cell: CellSpec) -> int:
 
 
 def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
-    """The grid's cells, then one control per seed; a value listed twice is a ConfigError."""
-    for key in ("sweep.accuracies", "sweep.densities", "seeds"):
-        if len(set(cfg[key])) < len(cfg[key]):
-            raise cfgmod.ConfigError(f"{key}: duplicate values in {cfg[key]}")
+    """The grid's cells, then one control per seed."""
     seeds = cfg["seeds"]
     cells = [
         CellSpec(a, d, s)
@@ -109,18 +111,19 @@ def _failure_row(cell: CellSpec, exc: Exception) -> dict:
     }
 
 
-def run_group(cfg: dict[str, object], cells: list[CellSpec], cm: CostModel) -> list[dict]:
-    """Set up every cell, train them in lockstep under cm, backtest each.
+def run_group(
+    cfg: dict[str, object],
+    train_prices: PriceSeries,
+    test_prices: PriceSeries,
+    cm: CostModel,
+    train_cfg: TrainConfig,
+    cells: list[CellSpec],
+) -> list[dict]:
+    """Set up every cell, train them in lockstep on train_prices, backtest each.
 
     Returns one row dict per cell; a cell that fails in setup, training or
     its backtest fails alone, as a row whose "error" holds the traceback.
-    A batch window longer than the training episode fails the run.
     """
-    try:
-        train_prices, test_prices = cfgmod.build_segments(cfg)
-    except Exception as exc:
-        return [_failure_row(cell, exc) for cell in cells]
-    train_cfg = cfgmod.build_train_config(cfg, train_prices)
     outcomes: list = [None] * len(cells)
     ready = []
     for index, cell in enumerate(cells):
@@ -164,23 +167,27 @@ def _row_order(row: dict):
 def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[dict]]:
     """Run every cell, tolerating per-cell failures.  Rows come back sorted.
 
-    The cells are split into min(jobs, cells) groups, and each group trains
-    in lockstep (run_group) in its own worker process, or in this process
-    when there is one group.  Output does not depend on the grouping.
+    The segments, cost model and training settings are built once, so a bad
+    one raises ConfigError before any cell runs.  The cells are split into
+    min(jobs, cells) groups, and each group trains in lockstep (run_group)
+    in its own worker process, or in this process when there is one group.
+    Output does not depend on the grouping.
     """
     if jobs < 1:
         raise cfgmod.ConfigError(f"jobs: need at least 1 worker, got {jobs}")
     cells = build_cells(cfg)
-    # A bad setting that every cell reads fails the run, not each cell.
-    cm = cfgmod.build_cost(cfg)
-    cfgmod.build_train_config(cfg)
+    train_prices, test_prices = cfgmod.build_segments(cfg)
+    run = partial(
+        run_group, cfg, train_prices, test_prices, cfgmod.build_cost(cfg),
+        cfgmod.build_train_config(cfg, train_prices),
+    )
     n_groups = min(jobs, len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:
         with ProcessPoolExecutor(max_workers=n_groups) as pool:
-            done = list(pool.map(run_group, [cfg] * n_groups, groups, [cm] * n_groups))
+            done = list(pool.map(run, groups))
     else:
-        done = [run_group(cfg, cells, cm)]
+        done = [run(cells)]
     outcomes = [outcome for group in done for outcome in group]
     rows = sorted((r for r in outcomes if "error" not in r), key=_row_order)
     failures = sorted((r for r in outcomes if "error" in r), key=_row_order)

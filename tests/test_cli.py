@@ -78,8 +78,36 @@ ALL_COMMANDS = ["backtest", "train", "sweep"]
 # reported under.  resolve checks every key's type and bounds, so each
 # command rejects those; the rest are checks against the data or other keys.
 BAD_VALUES = [
-    (["cost.mode=bogus"], ["sweep"], "cost.*: unknown cost mode 'bogus'"),
-    (["market.synthetic.drift=0.1,0.2,0.3"], ["backtest"], "market.synthetic.*: drift"),
+    (["cost.mode=bogus"], ALL_COMMANDS, "cost.mode: unknown value 'bogus'"),
+    (["market.source=bogus"], ALL_COMMANDS, "market.source: unknown value 'bogus'"),
+    (
+        ["market.synthetic.drift=0.1,0.2,0.3"],
+        ALL_COMMANDS,
+        "market.synthetic.drift: 3 values for 2 assets",
+    ),
+    (["market.synthetic.vol=0.01,0.02,0.03"], ALL_COMMANDS, "market.synthetic.vol: 3 values"),
+    (["market.synthetic.n_assets=0"], ALL_COMMANDS, "market.synthetic.n_assets:"),
+    (["market.synthetic.n_steps=1"], ALL_COMMANDS, "market.synthetic.n_steps:"),
+    (["market.synthetic.regime_prob=1.5"], ALL_COMMANDS, "market.synthetic.regime_prob:"),
+    (["market.synthetic.vol=-0.01"], ALL_COMMANDS, "market.synthetic.vol:"),
+    (["market.synthetic.vol=0.01,-0.01"], ALL_COMMANDS, "market.synthetic.vol:"),
+    (["split.boundary=100", "split.fraction=1.5"], ALL_COMMANDS, "split.fraction:"),
+    (["split.fraction=0"], ALL_COMMANDS, "split.fraction:"),
+    (["split.boundary=0"], ALL_COMMANDS, "split.boundary:"),
+    (["cost.buy=1.0"], ALL_COMMANDS, "cost.buy:"),
+    (["cost.sell=-0.001"], ALL_COMMANDS, "cost.sell:"),
+    (["cost.max_iters=0"], ALL_COMMANDS, "cost.max_iters:"),
+    (["cost.tol=0"], ALL_COMMANDS, "cost.tol:"),
+    (["agent.learning_rate=-1"], ALL_COMMANDS, "agent.learning_rate:"),
+    (["agent.batch_window=0"], ALL_COMMANDS, "agent.batch_window:"),
+    (["agent.epochs=-1"], ALL_COMMANDS, "agent.epochs:"),
+    (["agent.steps_per_epoch=0"], ALL_COMMANDS, "agent.steps_per_epoch:"),
+    (["jobs=0"], ALL_COMMANDS, "jobs:"),
+    (
+        ["metrics.horizons=1w,1w"],
+        ALL_COMMANDS,
+        "metrics.horizons: duplicate values in ('1w', '1w')",
+    ),
     (["market.synthetic.seed=-1"], ALL_COMMANDS, "market.synthetic.seed:"),
     (["window=0"], ALL_COMMANDS, "window:"),
     (["baselines=olmar", "baseline.epsilon=abc"], ALL_COMMANDS, "baseline.epsilon:"),
@@ -294,13 +322,14 @@ class TestCheckpointAndSplitErrors:
         assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
         assert capsys.readouterr().err.startswith("error: agent.checkpoint: no such file")
 
-    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
     def test_split_too_short_for_window_exits_one(self, tmp_path, capsys, command):
         # 5 test steps cannot hold a window of 8 plus two steps
-        args = FAST_MARKET + CHECKPOINT_COMMANDS[command] + ["split.boundary=145"]
+        args = FAST_MARKET + COMMAND_ARGS[command] + ["split.boundary=145"]
         assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: split.* / window:") and "too short" in err
+        assert err.startswith("error: split.boundary:") and "too short" in err
+        assert err.rstrip().endswith("at window 8")
 
 
 class TestCsvMarket:
@@ -393,8 +422,7 @@ class TestTrainCommand:
     def test_bad_steps_per_epoch_exits_one(self, tmp_path, capsys, command, steps):
         args = sets(FAST_MARKET + FAST_AGENT + [f"agent.steps_per_epoch={steps}"])
         assert run(command, "--out", str(tmp_path / "x"), *args) == 1
-        err = capsys.readouterr().err
-        assert "agent.*" in err and "steps_per_epoch" in err
+        assert capsys.readouterr().err.startswith("error: agent.steps_per_epoch:")
 
     def test_train_deterministic(self, tmp_path):
         args = sets(FAST_MARKET + FAST_AGENT)
@@ -431,6 +459,13 @@ class TestSweepCommand:
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, how):
         assert run("sweep", "--out", str(tmp_path / "x"), *sets(self.ARGS), *how) == 1
         assert "jobs" in capsys.readouterr().err
+
+    def test_missing_csv_exits_one_before_any_cell(self, tmp_path, capsys):
+        args = self.ARGS + ["market.source=csv", f"market.csv.path={tmp_path / 'absent.csv'}"]
+        out = tmp_path / "x"
+        assert run("sweep", "--out", str(out), *sets(args)) == 1
+        assert capsys.readouterr().err.startswith("error: market.csv.path: no such file")
+        assert not (out / "summary.json").exists()
 
     def test_seed_flag_changes_cells(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

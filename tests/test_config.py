@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 
 from signalfolio.config import (
@@ -9,6 +12,7 @@ from signalfolio.config import (
     build_baselines,
     build_cost,
     build_market,
+    build_segments,
     build_split,
     build_train_config,
     echo_config,
@@ -60,13 +64,13 @@ class TestConfigFile:
             "\n"
             "window = 20\n"
             "sweep.accuracies = 0.5, 0.8, 1.0\n"
-            "baseline.name = olmar\n"
+            "baselines = olmar\n"
             "agent.enabled = true\n"
         )
         cfg = parse_config_file(path)
         assert cfg["window"] == 20
         assert cfg["sweep.accuracies"] == (0.5, 0.8, 1.0)
-        assert cfg["baseline.name"] == "olmar"
+        assert cfg["baselines"] == "olmar"
         assert cfg["agent.enabled"] is True
 
     def test_bad_line_reports_location(self, tmp_path):
@@ -112,7 +116,7 @@ class TestResolve:
                 "cost.buy": 0,
                 "market.synthetic.drift": (0, 0.001),
                 "baselines": "ew",
-                "metrics.horizons": None,
+                "baseline.target_weights": None,
                 "agent.checkpoint": None,
                 "signal.mode": None,
             }
@@ -120,7 +124,7 @@ class TestResolve:
         assert cfg["cost.buy"] == 0.0 and isinstance(cfg["cost.buy"], float)
         assert [type(v) for v in cfg["market.synthetic.drift"]] == [float, float]
         assert cfg["baselines"] == ("ew",)
-        assert cfg["metrics.horizons"] == ()
+        assert cfg["baseline.target_weights"] == ()
         assert cfg["agent.checkpoint"] == ""
         assert cfg["signal.mode"] == "none"
 
@@ -133,6 +137,7 @@ class TestResolve:
             ("market.synthetic.vol", (0.01, "x")),
             ("sweep.densities", ()),
             ("split.fraction", None),
+            ("metrics.horizons", None),
         ],
     )
     def test_bad_value_names_its_key(self, key, value):
@@ -148,9 +153,8 @@ class TestBuilders:
         assert prices.n_steps == 2400
 
     def test_market_rejects_bad_spec(self):
-        cfg = resolve({"market.synthetic.n_steps": 1})
         with pytest.raises(ConfigError) as err:
-            build_market(cfg)
+            build_market(resolve({"market.synthetic.n_steps": 1}))
         assert "market.synthetic" in str(err.value)
 
     def test_split_fraction_by_default(self):
@@ -182,7 +186,7 @@ class TestBuilders:
 
     def test_train_config(self):
         cfg = resolve({"agent.epochs": 7, "agent.learning_rate": 0.5, "window": 9})
-        tc = build_train_config(cfg)
+        tc = build_train_config(cfg, build_segments(cfg)[0])
         assert tc.epochs == 7
         assert tc.learning_rate == 0.5
         assert tc.window == 9
@@ -193,21 +197,10 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             resolve({"agent.hidden": (32, 0)})
 
-    def test_baseline_names_merge(self):
-        cfg = resolve({"baselines": ("ew", "crp"), "baseline.name": "olmar"})
-        assert tuple(build_baselines(cfg, 4)) == ("ew", "crp", "olmar")
-
-    def test_baseline_names_deduplicate(self):
-        cfg = resolve({"baselines": ("ew",), "baseline.name": "ew"})
-        assert tuple(build_baselines(cfg, 4)) == ("ew",)
-
     def test_unknown_baseline_names_offending_key(self):
         with pytest.raises(ConfigError) as err:
-            build_baselines(resolve({"baseline.name": "bah"}), 4)
-        assert "baseline.name" in str(err.value)
-        with pytest.raises(ConfigError) as err:
-            build_baselines(resolve({"baselines": ("bah",)}), 4)
-        assert "baselines" in str(err.value)
+            build_baselines(resolve({"baselines": ("ew", "bah")}), 4)
+        assert str(err.value).startswith("baselines: unknown strategy 'bah'")
 
     def test_signal_mode_validated(self):
         assert resolve({"signal.mode": "oracle"})["signal.mode"] == "oracle"
@@ -221,6 +214,57 @@ class TestBuilders:
             resolve({"seeds": ("a",)})
 
 
+def _train_config(cfg):
+    return build_train_config(cfg, build_segments(cfg)[0])
+
+
+_BELOW_0, _ABOVE_0 = math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0)
+_BELOW_1, _ABOVE_1 = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+
+# Each range that a KEYS entry shares with a library dataclass: the key, the
+# value just inside the range, the value just outside it, and the builder
+# that hands the key to the dataclass.
+SHARED_BOUNDS = [
+    ("agent.learning_rate", 0.0, _BELOW_0, _train_config),
+    ("agent.batch_window", 1, 0, _train_config),
+    ("agent.epochs", 0, -1, _train_config),
+    ("agent.steps_per_epoch", 1, 0, _train_config),
+    ("cost.buy", 0.0, _BELOW_0, build_cost),
+    ("cost.buy", _BELOW_1, 1.0, build_cost),
+    ("cost.sell", 0.0, _BELOW_0, build_cost),
+    ("cost.sell", _BELOW_1, 1.0, build_cost),
+    ("cost.max_iters", 1, 0, build_cost),
+    ("cost.tol", _ABOVE_0, 0.0, build_cost),
+    ("cost.mode", "simple", "bogus", build_cost),
+    ("split.fraction", _ABOVE_0, 0.0, build_split),
+    ("split.fraction", _BELOW_1, 1.0, build_split),
+    ("split.boundary", 1, 0, build_split),
+    ("market.synthetic.n_assets", 1, 0, build_market),
+    ("market.synthetic.n_steps", 2, 1, build_market),
+    ("market.synthetic.regime_prob", 0.0, _BELOW_0, build_market),
+    ("market.synthetic.regime_prob", 1.0, _ABOVE_1, build_market),
+    ("market.synthetic.vol", 0.0, _BELOW_0, build_market),
+    ("market.synthetic.vol", (0.01, 0.0, 0.02), (0.01, _BELOW_0, 0.02), build_market),
+]
+
+
+class TestSharedBounds:
+    """KEYS and the dataclasses draw each shared range at the same value."""
+
+    @pytest.mark.parametrize(
+        "key,inside,outside,build",
+        SHARED_BOUNDS,
+        ids=[f"{key}={inside!r}" for key, inside, *_ in SHARED_BOUNDS],
+    )
+    def test_resolve_and_builder_agree(self, key, inside, outside, build):
+        cfg = resolve({"market.synthetic.n_steps": 150, "window": 8, key: inside})
+        build(cfg)
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            resolve({key: outside})
+        with pytest.raises(ValueError):
+            build({**cfg, key: outside})
+
+
 class TestEcho:
     def test_deterministic_and_sorted(self):
         cfg = resolve({"window": 15})
@@ -229,11 +273,6 @@ class TestEcho:
         lines = text.splitlines()
         assert lines == sorted(lines)
         assert "window = 15" in lines
-
-    def test_excludes_output_path(self):
-        cfg = dict(resolve(None))
-        cfg["out"] = "/tmp/results"
-        assert "out" not in echo_config(cfg)
 
     def test_round_trips_through_parser(self, tmp_path):
         cfg = resolve({"sweep.accuracies": (0.5, 1.0), "agent.enabled": True})

@@ -105,7 +105,9 @@ class TestBuildCells:
 
 def run_cell(cfg, cell):
     """A group of one cell; its row, which has no "error"."""
-    [row] = run_group(cfg, [cell], cfgmod.build_cost(cfg))
+    train_prices, test_prices = cfgmod.build_segments(cfg)
+    train_cfg = cfgmod.build_train_config(cfg, train_prices)
+    [row] = run_group(cfg, train_prices, test_prices, cfgmod.build_cost(cfg), train_cfg, [cell])
     assert "error" not in row, row.get("error")
     return row
 
@@ -196,14 +198,11 @@ class TestRunSweep:
         assert "no labels for the control" in failures[0]["error"]
 
     def test_cell_failures_reported_not_raised(self):
-        # a split too short for the observation window breaks every cell
+        # a split too short for the observation window would break every
+        # cell, so it fails the run before any cell is set up
         cfg = tiny_cfg(**{"market.synthetic.n_steps": 30, "split.fraction": 0.8})
-        rows, failures = run_sweep(cfg, jobs=1)
-        assert rows == []
-        assert len(failures) == 3
-        for failure in failures:
-            assert "error" in failure
-            assert failure["seed"] == 0
+        with pytest.raises(ConfigError, match=r"^split\.fraction: segment too short"):
+            run_sweep(cfg, jobs=1)
 
 
 class TestSweepCsv:
