@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from .engine import (
     all_cash,
     reward_chain,
 )
-from .market import PriceSeries, relative_prices
+from .market import PriceSeries, relative_prices, write_json
 from .signals import SignalSeries, build_states
 
 
@@ -414,24 +412,11 @@ def train(
 
 
 def save_checkpoint(params: PolicyParams, path: str | Path, meta: dict | None = None) -> None:
-    """Atomic JSON checkpoint write (temp file + rename)."""
-    payload = {
-        "layers": [
-            {"weights": w.tolist(), "biases": b.tolist()}
-            for w, b in zip(params.weights, params.biases)
-        ],
-        "meta": meta or {},
-    }
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """JSON checkpoint, written whole or not at all."""
+    layers = [
+        {"weights": w.tolist(), "biases": b.tolist()} for w, b in zip(params.weights, params.biases)
+    ]
+    write_json(path, {"layers": layers, "meta": meta or {}})
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict]:

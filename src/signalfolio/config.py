@@ -49,62 +49,61 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending key or line."""
 
 
-# Every key: its default, its kind and, for "int" and "number" kinds, the
-# bounds [low, high] of its value; an open end is written as the adjacent
-# float.  A kind is "int", "number", "bool" or "str" (none reads as ""), or
-# the tuple of allowed strings (none reads as "none").  A suffix "?" also
-# allows none; "*" makes a list, where a lone value becomes a 1-tuple and
-# none the empty one; "+" a list of at least one value, all distinct; "~"
-# either one value or a list of them (one per asset).
-_BELOW_ONE = math.nextafter(1.0, 0.0)
-_ABOVE_ZERO = math.nextafter(0.0, 1.0)
+# Every key: its default, its kind and, for some "int" and "number" kinds,
+# the interval its value must lie in, written like "[0, 1)": a round bracket
+# is an open end, and errors print the interval as written.  A kind is
+# "int", "number", "bool" or "str" (none reads as ""), or the tuple of
+# allowed strings (none reads as "none").  A suffix "?" also allows none;
+# "*" makes a list, where a lone value becomes a 1-tuple and none the empty
+# one; "+" a list of at least one value, all distinct; "~" either one value
+# or a list of them (one per asset).
 KEYS: dict[str, tuple] = {
     "market.source": ("synthetic", ("synthetic", "csv")),
     "market.csv.path": ("", "str"),
     "market.csv.forward_fill": (False, "bool"),
-    "market.synthetic.n_assets": (3, "int", 1),
-    "market.synthetic.n_steps": (2400, "int", 2),
+    "market.synthetic.n_assets": (3, "int", "[1, inf)"),
+    "market.synthetic.n_steps": (2400, "int", "[2, inf)"),
     "market.synthetic.drift": (0.0, "number~"),
-    "market.synthetic.vol": (0.01, "number~", 0.0),
-    "market.synthetic.regime_prob": (0.0, "number", 0.0, 1.0),
-    "market.synthetic.seed": (0, "int", 0),
-    "split.fraction": (0.9, "number", _ABOVE_ZERO, _BELOW_ONE),
-    "split.boundary": (None, "int?", 1),
-    "window": (30, "int", 1),
-    "cost.buy": (0.0025, "number", 0.0, _BELOW_ONE),
-    "cost.sell": (0.0025, "number", 0.0, _BELOW_ONE),
+    "market.synthetic.vol": (0.01, "number~", "[0, inf)"),
+    "market.synthetic.regime_prob": (0.0, "number", "[0, 1]"),
+    "market.synthetic.seed": (0, "int", "[0, inf)"),
+    "split.fraction": (0.9, "number", "(0, 1)"),
+    "split.boundary": (None, "int?", "[1, inf)"),
+    "window": (30, "int", "[1, inf)"),
+    "cost.buy": (0.0025, "number", "[0, 1)"),
+    "cost.sell": (0.0025, "number", "[0, 1)"),
     "cost.mode": ("fixed_point", ("fixed_point", "simple")),
-    "cost.max_iters": (100, "int", 1),
-    "cost.tol": (1e-10, "number", _ABOVE_ZERO),
+    "cost.max_iters": (100, "int", "[1, inf)"),
+    "cost.tol": (1e-10, "number", "(0, inf)"),
     "signal.mode": ("none", ("oracle", "internal", "none")),
-    "signal.accuracy": (1.0, "number", 0.0, 1.0),
-    "signal.density": (1.0, "number", 0.0, 1.0),
-    "signal.seed": (0, "int", 0),
-    "signal.lookback": (1, "int", 1),
-    "signal.lags": (5, "int", 1),
-    "signal.fit_epochs": (200, "int", 1),
-    "signal.fit_lr": (0.5, "number", 0.0),
+    "signal.accuracy": (1.0, "number", "[0, 1]"),
+    "signal.density": (1.0, "number", "[0, 1]"),
+    "signal.seed": (0, "int", "[0, inf)"),
+    "signal.lookback": (1, "int", "[1, inf)"),
+    "signal.lags": (5, "int", "[1, inf)"),
+    "signal.fit_epochs": (200, "int", "[1, inf)"),
+    "signal.fit_lr": (0.5, "number", "[0, inf)"),
     "agent.enabled": (False, "bool"),
-    "agent.hidden": ((64,), "int*", 1),
-    "agent.learning_rate": (3.0, "number", 0.0),
-    "agent.batch_window": (64, "int", 1),
-    "agent.epochs": (100, "int", 0),
-    "agent.steps_per_epoch": (None, "int?", 1),
-    "agent.seed": (0, "int", 0),
-    "agent.init_scale": (1.0, "number", 0.0),
+    "agent.hidden": ((64,), "int*", "[1, inf)"),
+    "agent.learning_rate": (3.0, "number", "[0, inf)"),
+    "agent.batch_window": (64, "int", "[1, inf)"),
+    "agent.epochs": (100, "int", "[0, inf)"),
+    "agent.steps_per_epoch": (None, "int?", "[1, inf)"),
+    "agent.seed": (0, "int", "[0, inf)"),
+    "agent.init_scale": (1.0, "number", "[0, inf)"),
     "agent.checkpoint": ("", "str"),
     "baselines": ((), "str*"),
     "baseline.epsilon": (None, "number?"),
-    "baseline.window": (5, "int", 1),
+    "baseline.window": (5, "int", "[1, inf)"),
     "baseline.target_weights": ((), "number*"),
-    "sweep.accuracies": ((1.0,), "number+", 0.0, 1.0),
-    "sweep.densities": ((1.0,), "number+", 0.0, 1.0),
+    "sweep.accuracies": ((1.0,), "number+", "[0, 1]"),
+    "sweep.densities": ((1.0,), "number+", "[0, 1]"),
     "seeds": ((0,), "int+"),
     "seed": (0, "int"),
     "rfree": (0.02, "number"),
-    "jobs": (1, "int", 1),
+    "jobs": (1, "int", "[1, inf)"),
     "metrics.horizons": (("1w", "2w", "1m", "2m"), "str+"),
-    "metrics.steps_per_day": (1, "int", 1),
+    "metrics.steps_per_day": (1, "int", "[1, inf)"),
 }
 
 DEFAULTS: dict[str, object] = {key: spec[0] for key, spec in KEYS.items()}
@@ -187,7 +186,7 @@ def resolve(cfg: dict[str, object] | None) -> dict[str, object]:
     return {key: _check(key, value, *KEYS[key][1:]) for key, value in merged.items()}
 
 
-def _check(key: str, value, kind, low: float = -math.inf, high: float = math.inf):
+def _check(key: str, value, kind, interval: str = ""):
     """value as its KEYS kind, or a ConfigError naming key."""
     if isinstance(kind, tuple):
         value = "none" if value is None else value
@@ -200,7 +199,7 @@ def _check(key: str, value, kind, low: float = -math.inf, high: float = math.inf
         items = value if isinstance(value, tuple) else () if value is None else (value,)
         if shape == "+" and not items:
             raise ConfigError(f"{key}: need at least one value")
-        values = tuple(_check(key, item, base, low, high) for item in items)
+        values = tuple(_check(key, item, base, interval) for item in items)
         if shape == "+" and len(set(values)) < len(values):
             raise ConfigError(f"{key}: duplicate values in {values}")
         return values
@@ -214,8 +213,12 @@ def _check(key: str, value, kind, low: float = -math.inf, high: float = math.inf
         value = float(value)
         if not math.isfinite(value):
             raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-    if base in ("int", "number") and not low <= value <= high:
-        raise ConfigError(f"{key}: {value!r} outside [{low}, {high}]")
+    if interval:
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        above = low < value if interval[0] == "(" else low <= value
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (above and below):
+            raise ConfigError(f"{key}: {value!r} outside {interval}")
     return value
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .market import PriceSeries, _frozen, relative_prices
+from .market import PriceSeries, _frozen, relative_prices, write_json
 from .signals import SignalSeries, build_states
 
 SIMPLEX_TOL = 1e-12
@@ -255,9 +255,8 @@ class BacktestResult:
         return float(self.pv[-1])
 
     def save(self, path: str | Path) -> None:
-        payload = {name: getattr(self, name).tolist() for name in _RESULT_ARRAYS}
-        payload.update(start_index=self.start_index, final_pv=self.final_pv)
-        Path(path).write_text(json.dumps(payload, sort_keys=True))
+        fields = {name: getattr(self, name) for name in _RESULT_ARRAYS}
+        write_json(path, {**fields, "start_index": self.start_index, "final_pv": self.final_pv})
 
     @classmethod
     def load(cls, path: str | Path) -> "BacktestResult":

@@ -9,15 +9,14 @@ subtracted as a plain number.
 from __future__ import annotations
 
 import csv
-import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .engine import BacktestResult, EngineError
+from .market import write_json
 
 DEFAULT_RISK_FREE = 0.02
 
@@ -73,45 +72,23 @@ def horizon_steps(label: str, steps_per_day: int = 1) -> int:
     return days * steps_per_day
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Final value plus Sharpe per requested horizon for one strategy."""
-
-    final_pv: float
-    sharpe_by_horizon: dict[str, float]
-    steps_per_day: int
-    r_free: float
-
-    def to_dict(self) -> dict:
-        # undefined ratios become null so the JSON stays standard
-        sharpes = {
-            label: (value if np.isfinite(value) else None)
-            for label, value in self.sharpe_by_horizon.items()
-        }
-        return {
-            "final_pv": self.final_pv,
-            "sharpe_by_horizon": sharpes,
-            "steps_per_day": self.steps_per_day,
-            "r_free": self.r_free,
-        }
-
-
 def horizon_table(
     results: Mapping[str, BacktestResult],
     horizons: Sequence[str],
     steps_per_day: int = 1,
     r_free: float = DEFAULT_RISK_FREE,
-) -> dict[str, MetricsReport]:
+) -> dict[str, dict]:
     """Sharpe per strategy and horizon; every run must cover the longest.
 
-    A strategy with constant wealth factors (hold-cash, say) gets NaN for
-    that horizon rather than failing the whole table.
+    Each strategy maps to {"final_pv", "sharpe_by_horizon", "steps_per_day",
+    "r_free"}.  A strategy with constant wealth factors (hold-cash, say)
+    gets NaN for that horizon rather than failing the whole table.
     """
     if not results:
         raise EngineError("no results to evaluate")
     if not horizons:
         raise EngineError("no horizons requested")
-    table: dict[str, MetricsReport] = {}
+    table = {}
     for name in results:
         result = results[name]
         sharpes = {}
@@ -121,12 +98,12 @@ def horizon_table(
                 sharpes[label] = sharpe_ratio(result, steps, r_free)
             except UndefinedSharpeError:
                 sharpes[label] = float("nan")
-        table[name] = MetricsReport(
-            final_pv=portfolio_value(result),
-            sharpe_by_horizon=sharpes,
-            steps_per_day=steps_per_day,
-            r_free=r_free,
-        )
+        table[name] = {
+            "final_pv": portfolio_value(result),
+            "sharpe_by_horizon": sharpes,
+            "steps_per_day": steps_per_day,
+            "r_free": r_free,
+        }
     return table
 
 
@@ -147,16 +124,18 @@ def write_table(path: str | Path, header: Sequence[str], rows, append: bool = Fa
             )
 
 
-def write_metrics_csv(
-    table: Mapping[str, MetricsReport], horizons: Sequence[str], path: str | Path
-) -> None:
+def write_metrics_csv(table: Mapping[str, dict], horizons: Sequence[str], path: str | Path) -> None:
     rows = (
-        [name, report.final_pv, *(report.sharpe_by_horizon[h] for h in horizons)]
-        for name, report in sorted(table.items())
+        [name, row["final_pv"], *(row["sharpe_by_horizon"][h] for h in horizons)]
+        for name, row in sorted(table.items())
     )
     write_table(path, ["strategy", "final_pv", *horizons], rows)
 
 
-def write_metrics_json(table: Mapping[str, MetricsReport], path: str | Path) -> None:
-    payload = {name: table[name].to_dict() for name in sorted(table)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+def write_metrics_json(table: Mapping[str, dict], path: str | Path) -> None:
+    """The table, with each undefined Sharpe as null so the JSON stays standard."""
+    fields = {}
+    for name, row in table.items():
+        sharpes = {h: v if np.isfinite(v) else None for h, v in row["sharpe_by_horizon"].items()}
+        fields[name] = {**row, "sharpe_by_horizon": sharpes}
+    write_json(path, fields)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from . import config as cfgmod
 from .agent import TrainConfig, train
 from .engine import CostModel
 from .evaluation import UndefinedSharpeError, sharpe_ratio, write_table
-from .market import PriceSeries
+from .market import PriceSeries, write_json
 
 CONTROL = "control"
 
@@ -200,12 +199,9 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def write_summary(rows: list[dict], failures: list[dict], path: str | Path) -> None:
-    payload = {
-        "cells_completed": len(rows),
-        "cells_failed": len(failures),
-        "failed": failures,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    write_json(
+        path, {"cells_completed": len(rows), "cells_failed": len(failures), "failed": failures}
+    )
 
 
 def read_sweep_csv(path: str | Path) -> list[dict]:

@@ -91,13 +91,17 @@ BAD_VALUES = [
     (["market.synthetic.regime_prob=1.5"], ALL_COMMANDS, "market.synthetic.regime_prob:"),
     (["market.synthetic.vol=-0.01"], ALL_COMMANDS, "market.synthetic.vol:"),
     (["market.synthetic.vol=0.01,-0.01"], ALL_COMMANDS, "market.synthetic.vol:"),
-    (["split.boundary=100", "split.fraction=1.5"], ALL_COMMANDS, "split.fraction:"),
-    (["split.fraction=0"], ALL_COMMANDS, "split.fraction:"),
+    (
+        ["split.boundary=100", "split.fraction=1.5"],
+        ALL_COMMANDS,
+        "split.fraction: 1.5 outside (0, 1)",
+    ),
+    (["split.fraction=0"], ALL_COMMANDS, "split.fraction: 0.0 outside (0, 1)"),
     (["split.boundary=0"], ALL_COMMANDS, "split.boundary:"),
-    (["cost.buy=1.0"], ALL_COMMANDS, "cost.buy:"),
+    (["cost.buy=1.0"], ALL_COMMANDS, "cost.buy: 1.0 outside [0, 1)"),
     (["cost.sell=-0.001"], ALL_COMMANDS, "cost.sell:"),
     (["cost.max_iters=0"], ALL_COMMANDS, "cost.max_iters:"),
-    (["cost.tol=0"], ALL_COMMANDS, "cost.tol:"),
+    (["cost.tol=0"], ALL_COMMANDS, "cost.tol: 0.0 outside (0, inf)"),
     (["agent.learning_rate=-1"], ALL_COMMANDS, "agent.learning_rate:"),
     (["agent.batch_window=0"], ALL_COMMANDS, "agent.batch_window:"),
     (["agent.epochs=-1"], ALL_COMMANDS, "agent.epochs:"),

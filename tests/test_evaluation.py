@@ -8,7 +8,6 @@ import pytest
 from signalfolio.baselines import ew_policy
 from signalfolio.engine import BacktestResult, CostModel, EngineError, accumulate, run_backtest
 from signalfolio.evaluation import (
-    MetricsReport,
     UndefinedSharpeError,
     horizon_steps,
     horizon_table,
@@ -128,18 +127,18 @@ class TestHorizonTable:
     def test_reports_cover_all_strategies_and_horizons(self):
         table = horizon_table(self._results(), ["1w", "2w", "1m"])
         assert set(table) == {"alpha", "beta"}
-        for report in table.values():
-            assert set(report.sharpe_by_horizon) == {"1w", "2w", "1m"}
-            assert report.r_free == 0.02
+        for row in table.values():
+            assert set(row["sharpe_by_horizon"]) == {"1w", "2w", "1m"}
+            assert row["r_free"] == 0.02
 
     def test_table_values_match_scalar_calls(self):
         results = self._results()
         table = horizon_table(results, ["1w", "1m"])
         for name, result in results.items():
-            assert table[name].sharpe_by_horizon["1w"] == pytest.approx(
+            assert table[name]["sharpe_by_horizon"]["1w"] == pytest.approx(
                 sharpe_ratio(result, 5), abs=1e-12
             )
-            assert table[name].final_pv == pytest.approx(
+            assert table[name]["final_pv"] == pytest.approx(
                 portfolio_value(result), rel=1e-12
             )
 
@@ -149,26 +148,32 @@ class TestHorizonTable:
         with pytest.raises(EngineError):
             horizon_table(self._results(), [])
 
-    def test_constant_strategy_gets_nan_not_error(self):
+    def test_constant_strategy_gets_nan_not_error(self, tmp_path):
         results = {"flat": fake_result(np.ones(30)), "live": self._results()["alpha"]}
         table = horizon_table(results, ["1w"])
-        assert np.isnan(table["flat"].sharpe_by_horizon["1w"])
-        assert np.isfinite(table["live"].sharpe_by_horizon["1w"])
-        assert table["flat"].to_dict()["sharpe_by_horizon"]["1w"] is None
+        assert np.isnan(table["flat"]["sharpe_by_horizon"]["1w"])
+        assert np.isfinite(table["live"]["sharpe_by_horizon"]["1w"])
+        path = tmp_path / "metrics.json"
+        write_metrics_json(table, path)
+        assert json.loads(path.read_text())["flat"]["sharpe_by_horizon"]["1w"] is None
 
     def test_backtest_feeds_table(self):
         spec = SyntheticMarketSpec(n_assets=2, n_steps=60, vol=0.02, seed=31)
         prices = generate_synthetic(spec)
         result = run_backtest(prices, ew_policy(3), None, CostModel(), window=10)
         table = horizon_table({"ew": result}, ["1w", "2w"])
-        assert np.isfinite(table["ew"].sharpe_by_horizon["2w"])
+        assert np.isfinite(table["ew"]["sharpe_by_horizon"]["2w"])
+
+
+def metrics_row(final_pv, sharpes):
+    return {"final_pv": final_pv, "sharpe_by_horizon": sharpes, "steps_per_day": 1, "r_free": 0.02}
 
 
 class TestWriters:
     def _table(self):
         return {
-            "b_strategy": MetricsReport(1.5, {"1w": 2.0, "1m": 3.0}, 1, 0.02),
-            "a_strategy": MetricsReport(1.2, {"1w": -1.0, "1m": 0.5}, 1, 0.02),
+            "b_strategy": metrics_row(1.5, {"1w": 2.0, "1m": 3.0}),
+            "a_strategy": metrics_row(1.2, {"1w": -1.0, "1m": 0.5}),
         }
 
     def test_csv_sorted_and_complete(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Package layout: numpy is the only runtime dependency, and there is one import path.
+"""Package layout: numpy is the only runtime dependency, there is one import path,
+and one writer of JSON artifacts.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -43,3 +44,21 @@ def test_package_top_level_binds_only_submodules():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set()
+
+
+def test_only_write_json_encodes_or_replaces():
+    """json.dumps( and os.replace( appear in src/ only inside market.write_json."""
+    writers, outside = [], []
+    for path in SOURCES:
+        text = path.read_text()
+        bodies = [
+            ast.get_source_segment(text, node)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name == "write_json"
+        ]
+        writers += [path.name] * len(bodies)
+        for body in bodies:
+            text = text.replace(body, "")
+        outside += [(path.name, call) for call in ("json.dumps(", "os.replace(") if call in text]
+    assert writers == ["market.py"]
+    assert outside == []
