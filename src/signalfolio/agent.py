@@ -27,7 +27,7 @@ from .engine import (
     reward_chain,
 )
 from .market import PriceSeries, relative_prices, write_json
-from .signals import SignalSeries, build_states
+from .signals import SignalSeries, build_states, state_dim
 
 
 class TrainingDivergedError(RuntimeError):
@@ -161,12 +161,9 @@ class Episode:
         prices: PriceSeries,
         signals: SignalSeries | None = None,
         window: int = 30,
-        signal_dim: int | None = None,
         lookback: int = 1,
     ) -> "Episode":
-        obs = build_states(
-            prices, signals, window=window, signal_dim=signal_dim, lookback=lookback
-        )
+        obs = build_states(prices, signals, window=window, lookback=lookback)
         m = prices.n_assets + 1
         return cls(
             states=obs.matrix,
@@ -309,7 +306,8 @@ def train(
 
     Cell c starts from params[c], sees signals[c] (None: zero signal
     columns) and draws its window starts from default_rng(seeds[c]); the
-    cells share the prices, the architecture, the cost model and cfg.  Each
+    cells share the prices, the architecture, whose input width must be
+    state_dim(n_assets, cfg.window), the cost model and cfg.  Each
     gradient step draws a uniform window start per cell; the window enters
     with the drifted weights the cell's current policy produced on the
     preceding step, or all cash at the episode start.  All cells take the
@@ -326,17 +324,18 @@ def train(
     if len({p.shapes for p in params}) != 1:
         raise EngineError("policies trained together must share one architecture")
     n, d = train_prices.n_assets, params[0].input_dim
-    signal_dim = d - n * cfg.window
-    if signal_dim < 0:
-        raise EngineError(f"policy input dim {d} below price window {n}x{cfg.window}")
+    if d != state_dim(n, cfg.window):
+        raise EngineError(
+            f"policy input dim {d}, but {n} assets at window {cfg.window} "
+            f"need {state_dim(n, cfg.window)}"
+        )
     # One stacked observation array.  Row 0 of each cell, like row 0 of
     # moves below, stands before the episode's first step, so every window
     # gathers its entry row too; a window at the start enters all cash.
     obs = None
     for c, cell_signals in enumerate(signals):
         cell_obs = build_states(
-            train_prices, cell_signals, window=cfg.window, signal_dim=signal_dim,
-            lookback=cfg.lookback,
+            train_prices, cell_signals, window=cfg.window, lookback=cfg.lookback
         )
         if obs is None:
             obs = np.zeros((cells, len(cell_obs) + 1, d))

@@ -21,6 +21,7 @@ from .agent import save_checkpoint
 from .config import ConfigError
 from .engine import BacktestResult, run_backtest
 from .evaluation import horizon_table, write_metrics_csv, write_metrics_json, write_table
+from .signals import decision_indices
 from .sweep import run_sweep, write_summary, write_sweep_csv
 
 
@@ -46,18 +47,12 @@ def _parser() -> argparse.ArgumentParser:
             help="override one config key (repeatable)",
         )
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, help="sweep master seed (train, backtest ignore it)")
-        cmd.add_argument("--rfree", type=float, help="override the risk-free rate")
-        cmd.add_argument("--jobs", type=int, help="parallel sweep workers")
     return parser
 
 
 def _load_config(args) -> dict[str, object]:
     cfg = cfgmod.parse_config_file(args.config) if args.config else {}
-    cfg = cfgmod.apply_overrides(cfg, args.overrides)
-    flags = {"seed": args.seed, "rfree": args.rfree, "jobs": args.jobs}
-    cfg.update((key, value) for key, value in flags.items() if value is not None)
-    return cfgmod.resolve(cfg)
+    return cfgmod.resolve(cfgmod.apply_overrides(cfg, args.overrides))
 
 
 def _write_echo(cfg: dict[str, object], out: Path) -> None:
@@ -73,19 +68,23 @@ def _agent_seeds(cfg) -> tuple[int, int, int, int]:
 
 def cmd_backtest(cfg, out: Path) -> int:
     train_p, test_p = cfgmod.build_segments(cfg)
+    baselines = cfgmod.build_baselines(cfg, test_p.n_assets + 1)
+    if not baselines and not cfg["agent.enabled"]:
+        raise ConfigError("baselines: nothing to run (no baselines, agent disabled)")
+    cfgmod.check_horizons(cfg, len(decision_indices(test_p.n_steps, cfg["window"])))
     cm = cfgmod.build_cost(cfg)
     runs: dict[str, BacktestResult] = {
         name: run_backtest(test_p, policy, None, cm, window=cfg["window"])
-        for name, policy in cfgmod.build_baselines(cfg, test_p.n_assets + 1).items()
+        for name, policy in baselines.items()
     }
     if cfg["agent.enabled"]:
         loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
-        params, _, test_signals = cfgmod.setup_agent(
-            cfg, train_p, test_p, _agent_seeds(cfg), cm, loaded, fit=loaded is None
-        )
+        seeds = _agent_seeds(cfg)
+        if loaded is None:
+            params, _, test_signals = cfgmod.setup_agent(cfg, train_p, test_p, seeds, cm)
+        else:
+            params, _, test_signals = cfgmod.prepare_agent(cfg, train_p, test_p, seeds, loaded)
         runs["agent"] = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
-    if not runs:
-        raise ConfigError("baselines: nothing to run (no baselines, agent disabled)")
     for name, result in runs.items():
         result.save(out / f"result_{name}.json")
     _write_pv_curves(runs, out / "pv_curves.csv")

@@ -4,17 +4,17 @@ Config files are plain text: one `key = value` per line, `#` comments and
 blank lines allowed.  Values parse as bool, int, float, comma-separated
 lists of those, or bare strings; a string key's value is taken as text,
 whole, and only none or an empty value leaves it unset.  Command-line
-`--set key=value` overrides win over the file, and dedicated flags win over
-both.
+`--set key=value` overrides win over the file.
 
 KEYS holds every key's default next to its check: type, range, choices,
 and distinct values in a grid.  resolve checks the merged config once, when
 it is loaded and before any work, and returns typed values that the
 builders read directly.  The builders check only against the data or
 other keys: the CSV file, the length of a per-asset list, a split too short
-for the window, a batch window longer than the training episode and a
-checkpoint that does not fit.  echo_config writes a resolved config as a
-config file, and resolving that file gives back the same config.
+for the window, a batch window longer than the training episode, a
+checkpoint that does not fit and a horizon longer than the test split.
+echo_config writes a resolved config as a config file, and resolving that
+file gives back the same config.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, policy_forward, train
 from .baselines import CRPPolicy, OLMARPolicy, WMAMRPolicy, ew_policy, hold_cash_policy
-from .engine import BacktestResult, CostModel, run_backtest
+from .engine import BacktestResult, CostModel, EngineError, run_backtest
+from .evaluation import check_horizon, horizon_steps
 from .market import (
     MarketDataError,
     PriceSeries,
@@ -41,6 +42,7 @@ from .signals import (
     fit_internal_predictor,
     oracle_labels,
     predictor_labels,
+    state_dim,
     true_movements,
 )
 
@@ -176,14 +178,17 @@ def resolve(cfg: dict[str, object] | None) -> dict[str, object]:
 
     Returns typed values: numbers as float, list keys as tuples, string keys
     as str.  Raises ConfigError naming the first unknown key or bad value, so
-    every command rejects a bad value of any key, whether or not it reads it.
+    every command rejects a bad value of any key, whether or not it reads it;
+    that includes a horizon label that does not parse or is under 2 steps.
     """
     merged = dict(DEFAULTS)
     for key, value in (cfg or {}).items():
         if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = value
-    return {key: _check(key, value, *KEYS[key][1:]) for key, value in merged.items()}
+    resolved = {key: _check(key, value, *KEYS[key][1:]) for key, value in merged.items()}
+    check_horizons(resolved, math.inf)
+    return resolved
 
 
 def _check(key: str, value, kind, interval: str = ""):
@@ -220,6 +225,15 @@ def _check(key: str, value, kind, interval: str = ""):
         if not (above and below):
             raise ConfigError(f"{key}: {value!r} outside {interval}")
     return value
+
+
+def check_horizons(cfg: dict[str, object], n_steps: float) -> None:
+    """Each metrics.horizons label must parse and cover 2 to n_steps steps."""
+    for label in cfg["metrics.horizons"]:
+        try:
+            check_horizon(horizon_steps(label, cfg["metrics.steps_per_day"]), n_steps)
+        except EngineError as exc:
+            raise ConfigError(f"metrics.horizons: {exc}") from exc
 
 
 def build_market(cfg: dict[str, object]) -> PriceSeries:
@@ -320,14 +334,13 @@ def prepare_agent(
     test_p: PriceSeries | None,
     seeds: tuple[int, int, int, int],
     params: PolicyParams | None = None,
-    fit: bool = True,
 ) -> tuple[PolicyParams, SignalSeries | None, SignalSeries | None]:
     """Labels and initial policy of one run; shared by backtest, train and sweep.
 
     seeds are the init, training, train-label and test-label seeds.  params
-    (from a checkpoint) stand in for a fresh init, fit=False skips the
-    training labels, and test_p=None skips the test labels.  Returns the
-    parameters and the train- and test-split signals.
+    (from a checkpoint) stand in for a fresh init, and test_p=None skips the
+    test labels.  Returns the parameters and the train- and test-split
+    signals.
     """
     init_seed, _, train_label_seed, test_label_seed = seeds
     label = _labeller(cfg, train_p)
@@ -335,14 +348,13 @@ def prepare_agent(
     if params is None:
         n, window = train_p.n_assets, cfg["window"]
         params = init_policy(
-            input_dim=n * window + n,
+            input_dim=state_dim(n, window),
             n_actions=n + 1,
             hidden=cfg["agent.hidden"],
             seed=init_seed,
             init_scale=cfg["agent.init_scale"],
         )
-    train_signals = label(train_p, train_label_seed) if fit else None
-    return params, train_signals, test_signals
+    return params, label(train_p, train_label_seed), test_signals
 
 
 def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict]:
@@ -354,7 +366,7 @@ def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict
         raise ConfigError(f"agent.checkpoint: no such file {path!r}")
     params, meta = load_checkpoint(path)
     window = cfg["window"]
-    got, want = (params.input_dim, params.n_actions), (n_assets * window + n_assets, n_assets + 1)
+    got, want = (params.input_dim, params.n_actions), (state_dim(n_assets, window), n_assets + 1)
     if got != want:
         raise ConfigError(
             f"agent.checkpoint: policy (inputs, outputs) {got}, but {n_assets} assets "
@@ -370,16 +382,13 @@ def setup_agent(
     seeds: tuple[int, int, int, int],
     cm: CostModel,
     params: PolicyParams | None = None,
-    fit: bool = True,
 ) -> tuple[PolicyParams, list[float], SignalSeries | None]:
     """One run of the agent: prepare_agent, then training under cm as a group of one.
 
     Returns the parameters, the per-epoch learning curve and the test-split
     signals, and raises the error that stops the training.
     """
-    params, train_signals, test_signals = prepare_agent(cfg, train_p, test_p, seeds, params, fit)
-    if not fit:
-        return params, [], test_signals
+    params, train_signals, test_signals = prepare_agent(cfg, train_p, test_p, seeds, params)
     [outcome] = train(
         [params], train_p, [train_signals], cm, build_train_config(cfg, train_p), [seeds[1]]
     )

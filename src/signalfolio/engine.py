@@ -127,12 +127,10 @@ def step_reward(
     return float(reward_chain(a[None], y[None], w_prev, y_prev, cm).rewards[0])
 
 
-def accumulate(rewards, p0: float = 1.0) -> np.ndarray:
-    """Portfolio value trajectory p_t = p0 * exp(cumulative reward)."""
+def accumulate(rewards) -> np.ndarray:
+    """Portfolio value trajectory p_t = exp(cumulative reward), from p_0 = 1."""
     rewards = np.asarray(rewards, dtype=float)
-    if p0 <= 0.0:
-        raise EngineError("initial portfolio value must be positive")
-    return np.concatenate([[p0], p0 * np.exp(np.cumsum(rewards))])
+    return np.concatenate([[1.0], np.exp(np.cumsum(rewards))])
 
 
 @dataclass(frozen=True)

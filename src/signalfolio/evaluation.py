@@ -21,27 +21,26 @@ from .market import write_json
 DEFAULT_RISK_FREE = 0.02
 
 
-class UndefinedSharpeError(ValueError):
-    """Zero return variance over the horizon; the ratio is undefined."""
+def portfolio_value(result: BacktestResult) -> float:
+    """Final portfolio value from 1, the exponential of the reward sum."""
+    return float(np.exp(np.sum(result.rewards)))
 
 
-def portfolio_value(result: BacktestResult, p0: float = 1.0) -> float:
-    """Final portfolio value, the exponential of the reward sum."""
-    return float(p0 * np.exp(np.sum(result.rewards)))
+def check_horizon(horizon: int, n_steps: int) -> None:
+    """Raise EngineError unless a Sharpe over horizon steps fits an n_steps backtest."""
+    if horizon < 2:
+        raise EngineError(f"horizon {horizon} too short (need >= 2 steps)")
+    if horizon > n_steps:
+        raise EngineError(f"horizon {horizon} exceeds backtest length {n_steps}")
 
 
 def sharpe_ratio(result: BacktestResult, horizon: int, r_free: float = DEFAULT_RISK_FREE) -> float:
-    """Sum-of-factors Sharpe over the first `horizon` steps."""
-    if horizon < 2:
-        raise EngineError(f"horizon {horizon} too short (need >= 2 steps)")
-    if horizon > result.n_steps:
-        raise EngineError(
-            f"horizon {horizon} exceeds backtest length {result.n_steps}"
-        )
+    """Sum-of-factors Sharpe over the first `horizon` steps; NaN for constant factors."""
+    check_horizon(horizon, result.n_steps)
     factors = result.factors[:horizon]
     sigma = float(np.std(factors))
     if sigma == 0.0:
-        raise UndefinedSharpeError(f"constant wealth factors over horizon {horizon}")
+        return float("nan")
     return (float(factors.sum()) - r_free) / sigma
 
 
@@ -82,7 +81,7 @@ def horizon_table(
 
     Each strategy maps to {"final_pv", "sharpe_by_horizon", "steps_per_day",
     "r_free"}.  A strategy with constant wealth factors (hold-cash, say)
-    gets NaN for that horizon rather than failing the whole table.
+    keeps sharpe_ratio's own NaN for that horizon.
     """
     if not results:
         raise EngineError("no results to evaluate")
@@ -91,13 +90,10 @@ def horizon_table(
     table = {}
     for name in results:
         result = results[name]
-        sharpes = {}
-        for label in horizons:
-            steps = horizon_steps(label, steps_per_day)
-            try:
-                sharpes[label] = sharpe_ratio(result, steps, r_free)
-            except UndefinedSharpeError:
-                sharpes[label] = float("nan")
+        sharpes = {
+            label: sharpe_ratio(result, horizon_steps(label, steps_per_day), r_free)
+            for label in horizons
+        }
         table[name] = {
             "final_pv": portfolio_value(result),
             "sharpe_by_horizon": sharpes,

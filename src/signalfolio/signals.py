@@ -102,12 +102,9 @@ def oracle_labels(truth: SignalSeries, cfg: SignalConfig) -> SignalSeries:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)
@@ -201,6 +198,11 @@ def decision_indices(n_steps: int, window: int) -> range:
     return range(window - 1, n_steps - 1)
 
 
+def state_dim(n_assets: int, window: int) -> int:
+    """Width of an observation row: each asset's close window, then one signal per asset."""
+    return n_assets * window + n_assets
+
+
 @dataclass(frozen=True)
 class Observations:
     """Observation matrix of one episode, one row per decision step.
@@ -234,12 +236,11 @@ def build_states(
     prices: PriceSeries,
     signals: SignalSeries | None = None,
     window: int = 30,
-    signal_dim: int | None = None,
     lookback: int = 1,
 ) -> Observations:
     """Assemble the observations of every decision step in one matrix.
 
-    An absent signal becomes signal_dim (default n_assets) zero columns.
+    An absent signal becomes n_assets zero columns.
     """
     if prices.n_steps < window + 2:
         raise MarketDataError(
@@ -251,14 +252,11 @@ def build_states(
             raise SignalError("signal assets do not match price series")
         if signals.n_steps != prices.n_steps:
             raise SignalError("signal steps do not match price series")
-        if signal_dim is not None and signal_dim != n:
-            raise SignalError(f"signal has dim {n}, expected {signal_dim}")
         if lookback < 1:
             raise SignalError("lookback must be >= 1")
     steps = decision_indices(prices.n_steps, window)
     t_total = len(steps)
-    s = n if signal_dim is None else signal_dim
-    matrix = np.zeros((t_total, n * window + s))
+    matrix = np.zeros((t_total, state_dim(n, window)))
     obs = Observations(matrix=matrix, n_assets=n, window=window, steps=steps)
     # raw[i, j] is the close window of asset i ending at step steps[j].
     raw = sliding_window_view(prices.close[1:], window, axis=1)[:, :t_total]

@@ -28,7 +28,7 @@ import numpy as np
 from . import config as cfgmod
 from .agent import TrainConfig, train
 from .engine import CostModel
-from .evaluation import UndefinedSharpeError, sharpe_ratio, write_table
+from .evaluation import sharpe_ratio, write_table
 from .market import PriceSeries, write_json
 
 CONTROL = "control"
@@ -88,16 +88,12 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
 
 def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals, cm) -> dict:
     result = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
-    try:
-        sharpe = sharpe_ratio(result, result.n_steps, cfg["rfree"])
-    except UndefinedSharpeError:
-        sharpe = float("nan")
     return {
         "accuracy": cell.accuracy,
         "density": cell.density,
         "seed": cell.seed,
         "final_pv": result.final_pv,
-        "sharpe": sharpe,
+        "sharpe": sharpe_ratio(result, result.n_steps, cfg["rfree"]),
     }
 
 

@@ -264,7 +264,7 @@ class TestTrain:
 
     def test_zero_learning_rate_freezes_params(self):
         prices = self._market()
-        params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
+        params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=9)
         snapshot = _copy(params)
         trained, curve = train_one(params, prices, None, CostModel(), self._cfg(learning_rate=0.0))
         for w0, w1 in zip(snapshot.weights, trained.weights):
@@ -274,7 +274,7 @@ class TestTrain:
 
     def test_zero_epochs_empty_curve(self):
         prices = self._market()
-        params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
+        params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=9)
         trained, curve = train_one(params, prices, None, CostModel(), self._cfg(epochs=0))
         assert curve == []
         for w0, w1 in zip(params.weights, trained.weights):
@@ -282,7 +282,7 @@ class TestTrain:
 
     def test_input_params_not_mutated(self):
         prices = self._market()
-        params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
+        params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=9)
         snapshot = _copy(params)
         train_one(params, prices, None, CostModel(), self._cfg())
         for w0, w1 in zip(snapshot.weights, params.weights):
@@ -292,7 +292,7 @@ class TestTrain:
         prices = self._market()
         runs = []
         for _ in range(2):
-            params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
+            params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=9)
             trained, curve = train_one(params, prices, None, CostModel(), self._cfg())
             runs.append((trained, curve))
         assert runs[0][1] == runs[1][1]
@@ -303,10 +303,10 @@ class TestTrain:
         # one asset compounds at a steady 1% against flat cash; the policy
         # should end up nearly all-in and close to the per-step log gain
         prices = _drift_prices(n_steps=160)
-        params = init_policy(1 * 8, 2, hidden=(8,), seed=0)
+        params = init_policy(1 * 8 + 1, 2, hidden=(8,), seed=0)
         cfg = TrainConfig(learning_rate=2.0, batch_window=40, epochs=120, window=8)
         trained, curve = train_one(params, prices, None, NO_COST, cfg)
-        episode = Episode.from_market(prices, window=8, signal_dim=0)
+        episode = Episode.from_market(prices, window=8)
         final_actions = np.stack(
             [policy_forward(trained, s) for s in episode.states]
         )
@@ -331,9 +331,15 @@ class TestTrain:
             scores[name] = curve[-1]
         assert scores["informed"] >= scores["blind"]
 
+    def test_policy_width_must_match_states(self):
+        # 2 assets at window 8 give states of 2 * 8 + 2 columns
+        params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
+        with pytest.raises(EngineError, match=r"policy input dim 16, .* need 18"):
+            train_one(params, self._market(), None, CostModel(), self._cfg())
+
     def test_non_finite_params_raise(self):
         prices = self._market()
-        params = init_policy(2 * 8, 3, hidden=(8,), seed=9)
+        params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=9)
         params.weights[0][0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
             train_one(params, prices, None, CostModel(), self._cfg())
@@ -468,7 +474,7 @@ class TestCheckpoint:
         # keep improving without error
         spec = SyntheticMarketSpec(n_assets=2, n_steps=120, drift=0.002, vol=0.01, seed=5)
         prices = generate_synthetic(spec)
-        params = init_policy(2 * 8, 3, hidden=(8,), seed=2)
+        params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=2)
         cfg = TrainConfig(learning_rate=1.0, batch_window=30, epochs=2, window=8)
         first, curve1 = train_one(params, prices, None, CostModel(), cfg)
         path = tmp_path / "ckpt.json"

@@ -112,6 +112,8 @@ BAD_VALUES = [
         ALL_COMMANDS,
         "metrics.horizons: duplicate values in ('1w', '1w')",
     ),
+    (["metrics.horizons=1x"], ALL_COMMANDS, "metrics.horizons: unparseable horizon label '1x'"),
+    (["metrics.horizons=1d"], ALL_COMMANDS, "metrics.horizons: horizon 1 too short"),
     (["market.synthetic.seed=-1"], ALL_COMMANDS, "market.synthetic.seed:"),
     (["window=0"], ALL_COMMANDS, "window:"),
     (["baselines=olmar", "baseline.epsilon=abc"], ALL_COMMANDS, "baseline.epsilon:"),
@@ -240,6 +242,19 @@ class TestBacktestCommand:
         assert code == 1
         assert "metrics.horizons" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "horizon,message",
+        [("1d", "horizon 1 too short"), ("5m", "horizon 105 exceeds backtest length 22")],
+        ids=["too-short", "too-long"],
+    )
+    def test_horizon_checked_before_any_strategy(self, tmp_path, capsys, horizon, message):
+        out = tmp_path / "x"
+        args = sets(FAST_MARKET + ["baselines=ew", f"metrics.horizons={horizon}"])
+        assert run("backtest", "--out", str(out), *args) == 1
+        assert capsys.readouterr().err.startswith(f"error: metrics.horizons: {message}")
+        assert not list(out.glob("result_*.json"))
+        assert not (out / "pv_curves.csv").exists()
+
     def test_crp_weights_length_checked(self, tmp_path, capsys):
         code = run(
             "backtest",
@@ -295,7 +310,7 @@ class TestConfigEcho:
         assert read_all(second) == read_all(first)
 
     def test_flags_are_checked(self, tmp_path, capsys):
-        assert run("backtest", "--out", str(tmp_path / "x"), "--rfree", "nan") == 1
+        assert run("backtest", "--out", str(tmp_path / "x"), "--set", "rfree=nan") == 1
         assert capsys.readouterr().err.startswith("error: rfree:")
 
 
@@ -459,7 +474,7 @@ class TestSweepCommand:
         assert run("sweep", "--out", str(second), *sets(self.ARGS)) == 0
         assert read_all(first) == read_all(second)
 
-    @pytest.mark.parametrize("how", [["--jobs", "0"], ["--set", "jobs=-2"]])
+    @pytest.mark.parametrize("how", [["--set", "jobs=0"], ["--set", "jobs=-2"]])
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, how):
         assert run("sweep", "--out", str(tmp_path / "x"), *sets(self.ARGS), *how) == 1
         assert "jobs" in capsys.readouterr().err
@@ -474,7 +489,7 @@ class TestSweepCommand:
     def test_seed_flag_changes_cells(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         assert run("sweep", "--out", str(first), *sets(self.ARGS)) == 0
-        assert run("sweep", "--out", str(second), *sets(self.ARGS), "--seed", "99") == 0
+        assert run("sweep", "--out", str(second), *sets(self.ARGS + ["seed=99"])) == 0
         assert (first / "sweep.csv").read_text() != (second / "sweep.csv").read_text()
         echo = (second / "config_echo.txt").read_text()
         assert "seed = 99" in echo.splitlines()

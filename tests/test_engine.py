@@ -289,7 +289,6 @@ class TestAccumulate:
 
     def test_empty_is_initial_value(self):
         assert list(accumulate([])) == [1.0]
-        assert list(accumulate([], p0=3.0)) == [3.0]
 
     def test_matches_wealth_recursion(self):
         rng = np.random.default_rng(9)
@@ -300,10 +299,6 @@ class TestAccumulate:
             for j, r in enumerate(rewards):
                 wealth *= np.exp(r)
                 assert abs(pv[j + 1] - wealth) <= 1e-10 * max(1.0, wealth)
-
-    def test_nonpositive_start_rejected(self):
-        with pytest.raises(EngineError):
-            accumulate([0.0], p0=0.0)
 
 
 class TestRewardChain:

@@ -1,5 +1,5 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
-and one writer of JSON artifacts.
+one writer of JSON artifacts, and one way into each setting.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -8,6 +8,7 @@ its source rather than trusted to fail at import time.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 import types
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import signalfolio
+from signalfolio.cli import _parser
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "signalfolio").glob("*.py"))
 ALLOWED = sys.stdlib_module_names | {"numpy"}
@@ -62,3 +64,18 @@ def test_only_write_json_encodes_or_replaces():
         outside += [(path.name, call) for call in ("json.dumps(", "os.replace(") if call in text]
     assert writers == ["market.py"]
     assert outside == []
+
+
+def test_each_subcommand_takes_only_config_set_and_out():
+    """Each value has one way in: a config file or --set; --out names the directory."""
+    [commands] = [
+        action.choices
+        for action in _parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        for name, sub in commands.items()
+    }
+    expected = {"-h", "--help", "--config", "--set", "--out"}
+    assert options == {name: expected for name in ("backtest", "train", "sweep", "metrics")}

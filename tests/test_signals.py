@@ -9,11 +9,13 @@ from signalfolio.signals import (
     SignalError,
     SignalSeries,
     _logits,
+    _sigmoid,
     build_states,
     decision_indices,
     fit_internal_predictor,
     oracle_labels,
     predictor_labels,
+    state_dim,
     true_movements,
 )
 
@@ -184,6 +186,22 @@ class TestInternalPredictor:
             expected = predict_internal(predictor, closes[:, t - 4 : t + 1])
             assert np.array_equal(series.values[:, t], expected)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_bitwise_equals_two_branch_form(self):
+        def two_branch(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308]
+        z = np.concatenate(
+            [np.random.default_rng(4).normal(0.0, 30.0, 200_000), edges, [np.inf, -np.inf]]
+        )
+        assert _sigmoid(z).tobytes() == two_branch(z).tobytes()
+
     def test_predictor_labels_absent_until_history(self, noisy_market):
         predictor = fit_internal_predictor(noisy_market, lags=6, epochs=10)
         series = predictor_labels(predictor, noisy_market)
@@ -203,24 +221,19 @@ class TestAugment:
 
     def test_absent_signal_zero_filled(self):
         prices = series_from_closes(*np.full((3, 6), 2.0))
-        obs = build_states(prices, None, window=4, signal_dim=3)
+        obs = build_states(prices, None, window=4)
         assert np.array_equal(obs.signals, np.zeros((len(obs), 3)))
 
     def test_standard_dimensions(self):
         closes = np.abs(np.random.default_rng(0).normal(10, 1, size=(9, 32)))
         prices = series_from_closes(*closes)
         obs = build_states(prices, SignalSeries(values=np.ones((9, 32))), window=30)
-        assert obs.matrix.shape == (len(obs), 279)
+        assert obs.matrix.shape == (len(obs), 279) == (len(obs), state_dim(9, 30))
 
     def test_rejects_nonpositive_window(self):
         # prices are validated where they enter, so no observation can see them
         with pytest.raises(MarketDataError):
             series_from_closes([1.0, -2.0, 1.0, 1.0])
-
-    def test_signal_dim_mismatch_rejected(self):
-        prices = series_from_closes([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 2.0, 2.0, 2.0, 2.0])
-        with pytest.raises(SignalError):
-            build_states(prices, SignalSeries(values=np.ones((2, 5))), window=3, signal_dim=5)
 
     @pytest.mark.parametrize("lookback", [1, 12])
     def test_rows_match_hand_built_state(self, noisy_market, lookback):
