@@ -300,18 +300,20 @@ def train(
     signals: list[SignalSeries | None],
     cm: CostModel,
     cfg: TrainConfig,
-    seeds: list[int],
+    rngs: list[np.random.Generator],
 ) -> list[tuple[PolicyParams, list[float]] | Exception]:
     """Train a group of cells in lockstep by ascent on mean log reward.
 
-    Cell c starts from params[c], sees signals[c] (None: zero signal
-    columns) and draws its window starts from default_rng(seeds[c]); the
-    cells share the prices, the architecture, whose input width must be
-    state_dim(n_assets, cfg.window), the cost model and cfg.  Each
-    gradient step draws a uniform window start per cell; the window enters
-    with the drifted weights the cell's current policy produced on the
-    preceding step, or all cash at the episode start.  All cells take the
-    step in one stacked forward and backward pass, and each cell's result is
+    Cell c starts from params[c], sees signals[c] (None: zero signal columns)
+    and draws its window starts from rngs[c], a generator the caller builds
+    (config.prepare_agent) and keeps: training on from the returned
+    parameters with it reproduces one longer run bit for bit.  The cells
+    share the prices, the architecture, whose input width must be
+    state_dim(n_assets, cfg.window), the cost model and cfg.  Each gradient
+    step draws a uniform window start per cell; the window enters with the
+    drifted weights the cell's current policy produced on the preceding
+    step, or all cash at the episode start.  All cells take the step in one
+    stacked forward and backward pass, and each cell's result is
     bit-identical to training it alone.  Returns per cell the trained
     parameters and the per-epoch objective on the full training episode, or
     the error that stopped it: non-finite parameters or objective, or an
@@ -319,8 +321,8 @@ def train(
     Parameters that turn non-finite stop their cell at the end of the epoch.
     """
     cells = len(params)
-    if not cells or len(signals) != cells or len(seeds) != cells:
-        raise EngineError("train needs one signal series and one seed per policy")
+    if not cells or len(signals) != cells or len(rngs) != cells:
+        raise EngineError("train needs one signal series and one generator per policy")
     if len({p.shapes for p in params}) != 1:
         raise EngineError("policies trained together must share one architecture")
     n, d = train_prices.n_assets, params[0].input_dim
@@ -350,7 +352,6 @@ def train(
     moves = np.vstack([np.ones(m), rel])
     offsets = np.arange(batch + 1)
     steps = cfg.steps_per_epoch or max(1, t_total // batch)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     curves: list[list[float]] = [[] for _ in range(cells)]
     outcomes: list = [None] * cells
     shapes = params[0].shapes

@@ -15,11 +15,12 @@ from .signals import Observations
 
 def _project(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a finite vector onto the simplex (sort-threshold)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u > css / idx)[0][-1])
-    theta = css[rho] / (rho + 1.0)
+    # Plain floats: on vectors this short numpy's per-call cost outweighs the sums.
+    total, theta = 0.0, 0.0
+    for k, u in enumerate(sorted(v.tolist(), reverse=True)):
+        total += u
+        if u > (total - 1.0) / (k + 1):
+            theta = (total - 1.0) / (k + 1.0)
     return np.maximum(v - theta, 0.0)
 
 

@@ -14,8 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .agent import save_checkpoint
 from .config import ConfigError
@@ -59,13 +57,6 @@ def _write_echo(cfg: dict[str, object], out: Path) -> None:
     (out / "config_echo.txt").write_text(cfgmod.echo_config(cfg))
 
 
-def _agent_seeds(cfg) -> tuple[int, int, int, int]:
-    """Init, training, train-label and test-label seeds of a CLI run."""
-    agent_seed = cfg["agent.seed"]
-    labels = np.random.SeedSequence(cfg["signal.seed"]).generate_state(2)
-    return (agent_seed, agent_seed, *(int(s) for s in labels))
-
-
 def cmd_backtest(cfg, out: Path) -> int:
     train_p, test_p = cfgmod.build_segments(cfg)
     baselines = cfgmod.build_baselines(cfg, test_p.n_assets + 1)
@@ -79,11 +70,11 @@ def cmd_backtest(cfg, out: Path) -> int:
     }
     if cfg["agent.enabled"]:
         loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
-        seeds = _agent_seeds(cfg)
+        seeds = cfgmod.run_seeds(cfg)
         if loaded is None:
             params, _, test_signals = cfgmod.setup_agent(cfg, train_p, test_p, seeds, cm)
         else:
-            params, _, test_signals = cfgmod.prepare_agent(cfg, train_p, test_p, seeds, loaded)
+            params, _, _, test_signals = cfgmod.prepare_agent(cfg, train_p, test_p, seeds, loaded)
         runs["agent"] = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
     for name, result in runs.items():
         result.save(out / f"result_{name}.json")
@@ -118,7 +109,7 @@ def cmd_train(cfg, out: Path) -> int:
     loaded, meta = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
     epochs_done = int(meta.get("epochs_trained", 0))
     params, curve, _ = cfgmod.setup_agent(
-        cfg, train_p, None, _agent_seeds(cfg), cfgmod.build_cost(cfg), loaded
+        cfg, train_p, None, cfgmod.run_seeds(cfg), cfgmod.build_cost(cfg), loaded
     )
     save_checkpoint(
         params,
@@ -136,7 +127,7 @@ def _append_curve(path: Path, curve, start_epoch: int, resumed: bool) -> None:
 
 
 def cmd_sweep(cfg, out: Path) -> int:
-    rows, failures = run_sweep(cfg, jobs=cfg["jobs"])
+    rows, failures = run_sweep(cfg)
     write_sweep_csv(rows, out / "sweep.csv")
     write_summary(rows, failures, out / "summary.json")
     _write_echo(cfg, out)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, policy_forward, train
 from .baselines import CRPPolicy, OLMARPolicy, WMAMRPolicy, ew_policy, hold_cash_policy
 from .engine import BacktestResult, CostModel, EngineError, run_backtest
@@ -328,21 +330,29 @@ def _labeller(cfg, train_p: PriceSeries):
     return lambda segment, seed: predictor_labels(predictor, segment)
 
 
+def run_seeds(cfg: dict[str, object]) -> tuple[int, int, int, int]:
+    """Init, sampler, train-label and test-label seeds of a CLI run, for prepare_agent."""
+    agent_seed = cfg["agent.seed"]
+    labels = np.random.SeedSequence(cfg["signal.seed"]).generate_state(2)
+    return (agent_seed, agent_seed, *(int(s) for s in labels))
+
+
 def prepare_agent(
     cfg: dict[str, object],
     train_p: PriceSeries,
     test_p: PriceSeries | None,
     seeds: tuple[int, int, int, int],
     params: PolicyParams | None = None,
-) -> tuple[PolicyParams, SignalSeries | None, SignalSeries | None]:
-    """Labels and initial policy of one run; shared by backtest, train and sweep.
+) -> tuple[PolicyParams, np.random.Generator, SignalSeries | None, SignalSeries | None]:
+    """Labels, initial policy and training sampler of one run; shared by every command.
 
-    seeds are the init, training, train-label and test-label seeds.  params
-    (from a checkpoint) stand in for a fresh init, and test_p=None skips the
-    test labels.  Returns the parameters and the train- and test-split
-    signals.
+    seeds are the init, training, train-label and test-label seeds; this is
+    where they become draws.  params (from a checkpoint) stand in for a fresh
+    init, and test_p=None skips the test labels.  Returns the parameters, the
+    sampler, which train draws from and which continues the same run when
+    passed to train again, and the train- and test-split signals.
     """
-    init_seed, _, train_label_seed, test_label_seed = seeds
+    init_seed, train_seed, train_label_seed, test_label_seed = seeds
     label = _labeller(cfg, train_p)
     test_signals = None if test_p is None else label(test_p, test_label_seed)
     if params is None:
@@ -354,7 +364,7 @@ def prepare_agent(
             seed=init_seed,
             init_scale=cfg["agent.init_scale"],
         )
-    return params, label(train_p, train_label_seed), test_signals
+    return params, np.random.default_rng(train_seed), label(train_p, train_label_seed), test_signals
 
 
 def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict]:
@@ -388,14 +398,13 @@ def setup_agent(
     Returns the parameters, the per-epoch learning curve and the test-split
     signals, and raises the error that stops the training.
     """
-    params, train_signals, test_signals = prepare_agent(cfg, train_p, test_p, seeds, params)
+    params, rng, train_signals, test_signals = prepare_agent(cfg, train_p, test_p, seeds, params)
     [outcome] = train(
-        [params], train_p, [train_signals], cm, build_train_config(cfg, train_p), [seeds[1]]
+        [params], train_p, [train_signals], cm, build_train_config(cfg, train_p), [rng]
     )
     if isinstance(outcome, Exception):
         raise outcome
-    params, curve = outcome
-    return params, curve, test_signals
+    return (*outcome, test_signals)
 
 
 def backtest_agent(

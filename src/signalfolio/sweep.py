@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -71,7 +70,7 @@ def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
 
 
 def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
-    """Seeds, initial policy and train/test labels of one cell."""
+    """Initial policy, training sampler and train/test labels of one cell."""
     if cell.is_control:
         cell_cfg = {**cfg, "signal.mode": "none"}
     else:
@@ -83,7 +82,7 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
         }
     root = cell_seed(cfg["seed"], cell)
     seeds = tuple(int(s) for s in np.random.SeedSequence(root).generate_state(4))
-    return seeds, *cfgmod.prepare_agent(cell_cfg, train_p, test_p, seeds)
+    return cfgmod.prepare_agent(cell_cfg, train_p, test_p, seeds)
 
 
 def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals, cm) -> dict:
@@ -127,10 +126,9 @@ def run_group(
         except Exception as exc:
             outcomes[index] = exc
     if ready:
-        indices, seeds, params, train_signals, test_signals = zip(*ready)
+        indices, params, rngs, train_signals, test_signals = zip(*ready)
         try:
-            train_seeds = [train_seed for _, train_seed, _, _ in seeds]
-            trained = train(params, train_prices, train_signals, cm, train_cfg, train_seeds)
+            trained = train(params, train_prices, train_signals, cm, train_cfg, rngs)
         except Exception as exc:
             trained = [exc] * len(ready)
         for index, outcome, signals in zip(indices, trained, test_signals):
@@ -159,26 +157,26 @@ def _row_order(row: dict):
     )
 
 
-def run_sweep(cfg: dict[str, object], jobs: int = 1) -> tuple[list[dict], list[dict]]:
+def run_sweep(cfg: dict[str, object]) -> tuple[list[dict], list[dict]]:
     """Run every cell, tolerating per-cell failures.  Rows come back sorted.
 
     The segments, cost model and training settings are built once, so a bad
     one raises ConfigError before any cell runs.  The cells are split into
-    min(jobs, cells) groups, and each group trains in lockstep (run_group)
-    in its own worker process, or in this process when there is one group.
-    Output does not depend on the grouping.
+    min(cfg["jobs"], cells) groups, and each group trains in lockstep
+    (run_group) in its own worker process, or in this process when there is
+    one group.  Output does not depend on the grouping.
     """
-    if jobs < 1:
-        raise cfgmod.ConfigError(f"jobs: need at least 1 worker, got {jobs}")
     cells = build_cells(cfg)
     train_prices, test_prices = cfgmod.build_segments(cfg)
     run = partial(
         run_group, cfg, train_prices, test_prices, cfgmod.build_cost(cfg),
         cfgmod.build_train_config(cfg, train_prices),
     )
-    n_groups = min(jobs, len(cells))
+    n_groups = min(cfg["jobs"], len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:
+        # imported here, so a run with one group never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_groups) as pool:
             done = list(pool.map(run, groups))
     else:

@@ -95,7 +95,7 @@ def accuracy_sweep():
         {**SWEEP_BASE, "sweep.accuracies": ACCURACY_LADDER, "sweep.densities": (1.0,)}
     )
     start = time.monotonic()
-    rows, failures = run_sweep(cfg, jobs=1)
+    rows, failures = run_sweep(cfg)
     assert failures == []
     return rows, time.monotonic() - start
 
@@ -106,7 +106,7 @@ def density_sweep():
         {**SWEEP_BASE, "sweep.accuracies": (0.7,), "sweep.densities": DENSITY_LADDER}
     )
     start = time.monotonic()
-    rows, failures = run_sweep(cfg, jobs=1)
+    rows, failures = run_sweep(cfg)
     assert failures == []
     return rows, time.monotonic() - start
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,14 @@ LN_1_01 = 0.009950330853168092
 NO_COST = CostModel(c_buy=0.0, c_sell=0.0)
 
 
-def train_one(params, prices, signals, cm, cfg, seed=0):
-    """Train a group of one cell; raise the error that stopped it."""
-    [outcome] = train([params], prices, [signals], cm, cfg, [seed])
+def rngs(seeds) -> list[np.random.Generator]:
+    """Fresh training samplers, one per seed."""
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+def train_one(params, prices, signals, cm, cfg, rng=None):
+    """Train a group of one cell on rng, or a fresh sampler; raise the error that stopped it."""
+    [outcome] = train([params], prices, [signals], cm, cfg, [rng or np.random.default_rng(0)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -380,7 +387,7 @@ class TestLockstep:
 
     def _solo(self, prices, params, signals, seeds, cm, cfg):
         return [
-            train([p], prices, [s], cm, cfg, [seed])[0]
+            train([p], prices, [s], cm, cfg, rngs([seed]))[0]
             for p, s, seed in zip(params, signals, seeds)
         ]
 
@@ -390,8 +397,8 @@ class TestLockstep:
         prices, params, signals, seeds = self._cells(hidden)
         cm, cfg = CostModel(mode=mode), self._cfg()
         solo = self._solo(prices, params, signals, seeds, cm, cfg)
-        group = train(params, prices, signals, cm, cfg, seeds)
-        prefix = train(params[:2], prices, signals[:2], cm, cfg, seeds[:2])
+        group = train(params, prices, signals, cm, cfg, rngs(seeds))
+        prefix = train(params[:2], prices, signals[:2], cm, cfg, rngs(seeds[:2]))
         for got, want in zip(group + prefix, solo + solo[:2]):
             _assert_same_outcome(got, want)
 
@@ -401,7 +408,7 @@ class TestLockstep:
         # weights from the current policy on row j - 1 (all cash at j = 0)
         prices, params, signals, seeds = self._cells((16,))
         cm, cfg = CostModel(mode=mode), self._cfg(epochs=2)
-        [(trained, curve)] = train(params[:1], prices, signals[:1], cm, cfg, seeds[:1])
+        [(trained, curve)] = train(params[:1], prices, signals[:1], cm, cfg, rngs(seeds[:1]))
         episode = Episode.from_market(prices, signals[0], window=self.WINDOW)
         t_total, batch = episode.states.shape[0], cfg.batch_window
         replay, rng, replay_curve = _copy(params[0]), np.random.default_rng(seeds[0]), []
@@ -418,6 +425,19 @@ class TestLockstep:
         _assert_same_outcome((trained, curve), (replay, replay_curve))
 
     @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_continued_samplers_equal_one_run(self, mode):
+        # three epochs, then three more from the returned parameters on the
+        # same samplers, give each cell its six-epoch run bit for bit
+        prices, params, signals, seeds = self._cells((16,))
+        params, signals, seeds = params[:3], signals[:3], seeds[:3]
+        cm, samplers = CostModel(mode=mode), rngs(seeds)
+        first = train(params, prices, signals, cm, self._cfg(), samplers)
+        second = train([p for p, _ in first], prices, signals, cm, self._cfg(), samplers)
+        whole = train(params, prices, signals, cm, self._cfg(epochs=6), rngs(seeds))
+        for (_, head), (trained, tail), want in zip(first, second, whole):
+            _assert_same_outcome((trained, head + tail), want)
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
     def test_diverging_cells_fail_alone(self, mode):
         prices, params, signals, seeds = self._cells((16,))
         cm, cfg = CostModel(mode=mode), self._cfg()
@@ -428,7 +448,8 @@ class TestLockstep:
         overflowing.weights[-1][:] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             group = train(
-                [params[0], nan_init, overflowing, params[3]], prices, signals, cm, cfg, seeds
+                [params[0], nan_init, overflowing, params[3]], prices, signals, cm, cfg,
+                rngs(seeds),
             )
         for pos in (1, 2):
             assert isinstance(group[pos], TrainingDivergedError)
@@ -448,7 +469,7 @@ class TestLockstep:
         flipper.weights[1][1, 0], flipper.weights[1][2, 0] = 40.0, -40.0
         params[2] = flipper
         solo = self._solo(prices, params, signals, seeds, cm, cfg)
-        group = train(params, prices, signals, cm, cfg, seeds)
+        group = train(params, prices, signals, cm, cfg, rngs(seeds))
         assert isinstance(solo[2], EngineError)
         assert isinstance(group[2], EngineError)
         for pos in (0, 1, 3):
@@ -469,21 +490,21 @@ class TestCheckpoint:
             assert np.array_equal(b0, b1)
 
     def test_resume_equals_continuous_run(self, tmp_path):
-        # training 2 then 2 more epochs with a reseeded second leg is the
-        # documented resume semantics; verify the halves at least load and
-        # keep improving without error
+        # 2 epochs, a checkpoint round trip, then 2 more on the same sampler
+        # give the 4-epoch run bit for bit
         spec = SyntheticMarketSpec(n_assets=2, n_steps=120, drift=0.002, vol=0.01, seed=5)
         prices = generate_synthetic(spec)
         params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=2)
         cfg = TrainConfig(learning_rate=1.0, batch_window=30, epochs=2, window=8)
-        first, curve1 = train_one(params, prices, None, CostModel(), cfg)
+        rng = np.random.default_rng(0)
+        first, curve1 = train_one(params, prices, None, CostModel(), cfg, rng)
         path = tmp_path / "ckpt.json"
         save_checkpoint(first, path, meta={"epochs_trained": 2})
         loaded, meta = load_checkpoint(path)
-        second, curve2 = train_one(loaded, prices, None, CostModel(), cfg)
+        second, curve2 = train_one(loaded, prices, None, CostModel(), cfg, rng)
         assert meta["epochs_trained"] == 2
-        assert len(curve1) == len(curve2) == 2
-        assert np.isfinite(curve2).all()
+        whole = train_one(params, prices, None, CostModel(), replace(cfg, epochs=4))
+        _assert_same_outcome((second, curve1 + curve2), whole)
 
     def test_corrupt_file_raises(self, tmp_path):
         path = tmp_path / "ckpt.json"

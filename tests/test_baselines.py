@@ -62,6 +62,22 @@ class TestSimplexProject:
             assert fast.min() >= 0
             assert abs(fast.sum() - 1.0) < 1e-9
 
+    def test_bitwise_equal_to_vectorised_threshold(self):
+        # the threshold in plain floats against the numpy sort-cumsum form,
+        # on vectors of 2 to 11 entries, every third rounded to make ties
+        def vectorised(v):
+            u = np.sort(v)[::-1]
+            css = np.cumsum(u) - 1.0
+            rho = int(np.nonzero(u > css / np.arange(1, v.size + 1))[0][-1])
+            return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+        rng = np.random.default_rng(21)
+        for i in range(10_000):
+            v = rng.normal(0.0, rng.choice([0.1, 1.0, 10.0]), int(rng.integers(2, 12)))
+            if i % 3 == 0:
+                v = np.round(v, 1)
+            assert vectorised(v).tobytes() == simplex_project(v).tobytes()
+
     def test_idempotent(self):
         rng = np.random.default_rng(12)
         for _ in range(50):

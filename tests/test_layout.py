@@ -1,5 +1,6 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
-one writer of JSON artifacts, and one way into each setting.
+one writer of JSON artifacts, one way into each setting, and no process pool
+loaded before a sweep needs one.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -19,7 +22,8 @@ import pytest
 import signalfolio
 from signalfolio.cli import _parser
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "signalfolio").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "signalfolio").glob("*.py"))
 ALLOWED = sys.stdlib_module_names | {"numpy"}
 
 
@@ -79,3 +83,17 @@ def test_each_subcommand_takes_only_config_set_and_out():
     }
     expected = {"-h", "--help", "--config", "--set", "--out"}
     assert options == {name: expected for name in ("backtest", "train", "sweep", "metrics")}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a sweep split over several workers imports concurrent.futures."""
+    code = (
+        "import sys, signalfolio.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 
 import pytest
@@ -133,32 +134,32 @@ class TestRunCell:
 
 class TestRunSweep:
     def test_rows_sorted_controls_last(self):
-        rows, failures = run_sweep(tiny_cfg(), jobs=1)
+        rows, failures = run_sweep(tiny_cfg())
         assert failures == []
         assert len(rows) == 2 + 1
         assert [r["accuracy"] for r in rows] == [0.6, 1.0, None]
 
     def test_rerun_identical(self):
-        first, _ = run_sweep(tiny_cfg(), jobs=1)
-        second, _ = run_sweep(tiny_cfg(), jobs=1)
+        first, _ = run_sweep(tiny_cfg())
+        second, _ = run_sweep(tiny_cfg())
         assert first == second
 
     def test_extending_grid_keeps_existing_cells(self):
-        small, _ = run_sweep(tiny_cfg(**{"sweep.accuracies": (0.6,)}), jobs=1)
-        large, _ = run_sweep(tiny_cfg(**{"sweep.accuracies": (0.6, 1.0)}), jobs=1)
+        small, _ = run_sweep(tiny_cfg(**{"sweep.accuracies": (0.6,)}))
+        large, _ = run_sweep(tiny_cfg(**{"sweep.accuracies": (0.6, 1.0)}))
         by_key = {(r["accuracy"], r["density"], r["seed"]): r for r in large}
         for row in small:
             assert by_key[(row["accuracy"], row["density"], row["seed"])] == row
 
     def test_parallel_matches_serial(self):
-        serial, _ = run_sweep(tiny_cfg(), jobs=1)
-        parallel, _ = run_sweep(tiny_cfg(), jobs=2)
+        serial, _ = run_sweep(tiny_cfg())
+        parallel, _ = run_sweep(tiny_cfg(jobs=2))
         assert serial == parallel
 
     def test_rows_identical_for_any_number_of_jobs(self):
-        serial, _ = run_sweep(tiny_cfg(), jobs=1)
+        serial, _ = run_sweep(tiny_cfg())
         for jobs in (2, 3):
-            assert run_sweep(tiny_cfg(), jobs=jobs)[0] == serial
+            assert run_sweep(tiny_cfg(jobs=jobs))[0] == serial
 
     @pytest.mark.parametrize(
         "jobs,group_sizes", [(1, [3]), (2, [2, 1]), (3, [1, 1, 1]), (5, [1, 1, 1])]
@@ -172,18 +173,13 @@ class TestRunSweep:
             return real_train(params, *args)
 
         monkeypatch.setattr(sweepmod, "train", counting_train)
-        monkeypatch.setattr(sweepmod, "ProcessPoolExecutor", InProcessPool)
-        rows, failures = run_sweep(tiny_cfg(), jobs=jobs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        rows, failures = run_sweep(tiny_cfg(jobs=jobs))
         assert failures == [] and len(rows) == 3
         assert calls == group_sizes
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ConfigError, match="jobs"):
-            run_sweep(tiny_cfg(), jobs=jobs)
-
     def test_setup_failure_fails_one_cell(self, monkeypatch):
-        expected, _ = run_sweep(tiny_cfg(), jobs=1)
+        expected, _ = run_sweep(tiny_cfg())
         real_prepare = cfgmod.prepare_agent
 
         def prepare(cfg, *args):
@@ -192,7 +188,7 @@ class TestRunSweep:
             return real_prepare(cfg, *args)
 
         monkeypatch.setattr(cfgmod, "prepare_agent", prepare)
-        rows, failures = run_sweep(tiny_cfg(), jobs=1)
+        rows, failures = run_sweep(tiny_cfg())
         assert rows == expected[:2]
         assert [f["accuracy"] for f in failures] == [None]
         assert "no labels for the control" in failures[0]["error"]
@@ -202,12 +198,12 @@ class TestRunSweep:
         # cell, so it fails the run before any cell is set up
         cfg = tiny_cfg(**{"market.synthetic.n_steps": 30, "split.fraction": 0.8})
         with pytest.raises(ConfigError, match=r"^split\.fraction: segment too short"):
-            run_sweep(cfg, jobs=1)
+            run_sweep(cfg)
 
 
 class TestSweepCsv:
     def test_round_trip_with_control_blanks(self, tmp_path):
-        rows, _ = run_sweep(tiny_cfg(), jobs=1)
+        rows, _ = run_sweep(tiny_cfg())
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
         text = path.read_text()
@@ -216,7 +212,7 @@ class TestSweepCsv:
         assert read_sweep_csv(path) == rows
 
     def test_summary_counts(self, tmp_path):
-        rows, failures = run_sweep(tiny_cfg(), jobs=1)
+        rows, failures = run_sweep(tiny_cfg())
         path = tmp_path / "summary.json"
         write_summary(rows, failures, path)
         payload = json.loads(path.read_text())
