@@ -22,7 +22,7 @@ from .engine import (
     CostModel,
     EngineError,
     _betas,
-    _drift,
+    _row_sum,
     all_cash,
     reward_chain,
 )
@@ -48,12 +48,11 @@ class PolicyParams:
     def __init__(self, theta: np.ndarray, shapes) -> None:
         """Views over an existing theta with layer weight shapes (out, in); no copy."""
         self.theta, self.shapes = theta, tuple(shapes)
-        sizes = [*self.shapes, *((out,) for out, _ in self.shapes)]
-        cuts = np.cumsum([math.prod(size) for size in sizes])[:-1]
-        views = [
-            part.reshape(*theta.shape[:-1], *size)
-            for part, size in zip(np.split(theta, cuts, axis=-1), sizes)
-        ]
+        views, start = [], 0
+        for size in [*self.shapes, *((out,) for out, _ in self.shapes)]:
+            stop = start + math.prod(size)
+            views.append(theta[..., start:stop].reshape(*theta.shape[:-1], *size))
+            start = stop
         self.weights, self.biases = views[: len(self.shapes)], views[len(self.shapes) :]
 
     @classmethod
@@ -106,25 +105,35 @@ def init_policy(
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, in place in z; a max is exact column by column."""
+    top = np.maximum(z[..., 0], z[..., -1])
+    for j in range(1, z.shape[-1] - 1):
+        np.maximum(top, z[..., j], out=top)
+    z -= top[..., None]
+    np.exp(z, out=z)
+    z /= _row_sum(z)[..., None]
+    return z
 
 
-def _forward_batch(params, x: np.ndarray):
+def _forward_batch(params, x: np.ndarray, lead: int = 0):
     """Softmax allocations and hidden activations for the rows of x.
 
     params is one policy, or a group of cells for x of shape (C, rows, in).
     A group takes one matmul per layer, and each cell's slice of it is
-    bit-identical to running that cell alone.
+    bit-identical to running that cell alone, as are the first lead rows
+    (a step window's entry row), which take matmuls of their own.
     """
-    hs = []
-    a_in = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a_in = np.tanh(a_in @ w.swapaxes(-1, -2) + b[..., None, :])
-        hs.append(a_in)
-    logits = a_in @ params.weights[-1].swapaxes(-1, -2) + params.biases[-1][..., None, :]
-    return _softmax_rows(logits), hs
+    parts = (slice(0, lead), slice(lead, None)) if lead else (slice(None),)
+    hs = [x]
+    for w, b in zip(params.weights, params.biases):
+        z = np.empty((*x.shape[:-1], w.shape[-2]))
+        for rows in parts:
+            np.matmul(hs[-1][..., rows, :], w.swapaxes(-1, -2), out=z[..., rows, :])
+        z += b[..., None, :]
+        hs.append(z)
+        if len(hs) <= len(params.weights):
+            np.tanh(z, out=z)
+    return _softmax_rows(hs.pop()), hs[1:]
 
 
 def policy_forward(params: PolicyParams, x) -> np.ndarray:
@@ -186,7 +195,7 @@ def objective(
     """
     actions, _ = _forward_batch(params, episode.states)
     if frozen_betas is not None:
-        gross = (actions * episode.rel).sum(axis=1)
+        gross = _row_sum(actions * episode.rel)
         return float(np.mean(np.log(frozen_betas * gross)))
     chain = reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm)
     return float(chain.rewards.mean())
@@ -200,38 +209,56 @@ def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.n
 
 
 def _grads(params: PolicyParams, x, rel, entry_w, entry_y, cm: CostModel, out: PolicyParams):
-    """Gradient of each cell's mean log reward over its window: the step kernel.
+    """Gradient of each cell's mean log reward over its window, into out (same layout).
 
     For a group of C cells: x (C, T, d) and rel (C, T, m) hold each cell's
     window, and entry_w and entry_y (C, 1, m) the weights it held and the
-    price move just before the window (read in simple cost mode only).
-    Writes the gradient into out, a group of the same layout.
+    move just before it (simple cost mode only).  Sums over the m columns are
+    _window_grads': exact column adds up to m = 7, numpy's pairwise from 8.
+    """
+    actions, hs = _forward_batch(params, x)
+    if cm.mode == "simple":
+        actions = np.concatenate([entry_w, actions], axis=1)
+        rel = np.concatenate([entry_y, rel], axis=1)
+    _window_grads(params, x, hs, actions, rel, cm, out)
+
+
+def _window_grads(params: PolicyParams, x, hs, probs, moves, cm: CostModel, out: PolicyParams):
+    """The step kernel: gradients, into out, from the forward over T-step windows.
+
+    x (C, T, d) and hs (spent here) are the inputs and hidden activations;
+    probs and moves (C, T, m) each step's action and move, after a row 0 of
+    entry weights and entry move in simple cost mode.  Every sum over the m
+    action columns is _row_sum's, column by column up to m = 7 and numpy's
+    pairwise reduction from 8, so it is bit-identical to .sum(axis=-1).
     """
     t_total = x.shape[1]
-    actions, hs = _forward_batch(params, x)
-    gross = (actions * rel).sum(axis=-1)
-    d_actions = rel / gross[..., None] / t_total
+    actions, rel = probs[:, -t_total:], moves[:, -t_total:]
+    held = probs * moves  # in simple mode row t, normalised, drifts into step t
+    sums = _row_sum(held)
+    ratio = rel / sums[:, -t_total:, None]
+    d_actions = ratio / t_total
     if cm.mode == "simple":
-        drifted = _drift(
-            np.concatenate([entry_w, actions[:, :-1]], axis=1),
-            np.concatenate([entry_y, rel[:, :-1]], axis=1),
-        )
-        sign = np.sign(actions - drifted)
-        sign[..., 0] = 0.0
-        scaled = (cm.blended_rate / t_total) * sign / _betas(drifted, actions, cm)[..., None]
+        drifted = held[:, :-1] / sums[:, :-1, None]
+        scaled = np.sign(actions - drifted)
+        scaled[..., 0] = 0.0
+        scaled *= cm.blended_rate / t_total
+        scaled /= _betas(drifted, actions, cm)[..., None]
         d_actions -= scaled
-        if t_total > 1:
-            g = scaled[:, 1:]
-            correction = g - (g * drifted[:, 1:]).sum(axis=-1, keepdims=True)
-            d_actions[:, :-1] += rel[:, :-1] / gross[:, :-1, None] * correction
-    d_out = actions * (d_actions - (d_actions * actions).sum(axis=-1, keepdims=True))
-    layer_inputs = [x, *hs]
+        g = scaled[:, 1:]
+        correction = g * drifted[:, 1:]
+        np.subtract(g, _row_sum(correction)[..., None], out=correction)
+        correction *= ratio[:, :-1]
+        d_actions[:, :-1] += correction
+    d_actions -= _row_sum(np.multiply(d_actions, actions, out=held[:, -t_total:]))[..., None]
+    d_out = np.multiply(d_actions, actions, out=d_actions)
     for layer in range(len(params.weights) - 1, -1, -1):
-        np.matmul(d_out.swapaxes(1, 2), layer_inputs[layer], out=out.weights[layer])
+        np.matmul(d_out.swapaxes(1, 2), hs[layer - 1] if layer else x, out=out.weights[layer])
         d_out.sum(axis=1, out=out.biases[layer])
         if layer > 0:
-            h = hs[layer - 1]
-            d_out = (d_out @ params.weights[layer]) * (1.0 - h * h)
+            h = hs[layer - 1]  # spent: 1 - h * h replaces it
+            d_out = np.matmul(d_out, params.weights[layer])
+            d_out *= np.subtract(1.0, np.multiply(h, h, out=h), out=h)
 
 
 def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
@@ -283,15 +310,15 @@ class TrainConfig:
 def _lockstep_grads(group: PolicyParams, x, rel, at_start, cm: CostModel, out: PolicyParams):
     """Step gradients, into out, from (C, B + 1, .) windows whose row 0 precedes the batch.
 
-    In simple cost mode the entry weights are each cell's policy on row 0, a
-    separate (1, d) forward so they match a call on that row alone, or all
-    cash for a window at the episode start; fixed-point mode never reads them.
+    In simple cost mode the entry weights are each cell's policy on row 0,
+    or all cash for a window at the episode start; fixed-point mode never
+    reads them and skips row 0.
     """
-    entry_w = None
-    if cm.mode == "simple":
-        entry_w, _ = _forward_batch(group, x[:, :1])
-        entry_w[at_start] = all_cash(rel.shape[-1])
-    _grads(group, x[:, 1:], rel[:, 1:], entry_w, rel[:, :1], cm, out)
+    lead = int(cm.mode == "simple")
+    probs, hs = _forward_batch(group, x[:, 1 - lead :], lead)
+    if lead:
+        probs[at_start, 0] = all_cash(rel.shape[-1])
+    _window_grads(group, x[:, 1:], [h[:, lead:] for h in hs], probs, rel[:, 1 - lead :], cm, out)
 
 
 def train(
@@ -380,10 +407,11 @@ def train(
         one = slice(row, row + 1)
         _lockstep_grads(group.cells(one), x[one], y[one], at_start[one], cm, grads.cells(one))
 
+    episodes = [Episode(obs[cell, 1:], rel, all_cash(m), np.ones(m)) for cell in range(cells)]
+
     def judge(row, cell) -> None:
         """The objective a cell scores at the end of an epoch, which must be finite."""
-        episode = Episode(obs[cell, 1:], rel, all_cash(m), np.ones(m))
-        score = objective(group.cells(row), episode, cm)
+        score = objective(group.cells(row), episodes[cell], cm)
         if not np.isfinite(score):
             raise TrainingDivergedError(f"objective became {score} during training")
         curves[cell].append(score)
@@ -392,19 +420,22 @@ def train(
     # cell before the end of the epoch stops it.  Finiteness is checked before
     # judge, whose fixed-point objective would raise ConvergenceError on NaN.
     stop_failed()
+    starts = np.zeros((cells, steps), dtype=np.int64)  # window starts, by cell
     for _ in range(cfg.epochs):
-        starts = np.array([rng.integers(0, t_total - batch + 1, size=steps) for rng in rngs])
+        for cell in live:  # a stopped cell's generator is left as it stopped
+            starts[cell] = rngs[cell].integers(0, t_total - batch + 1, size=steps)
         for step in range(steps):
             if not live.size:
                 break
-            at_start = starts[live, step] == 0
-            rows = starts[live, step, None] + offsets
+            first = starts[live, step]
+            at_start, rows = first == 0, first[:, None] + offsets
             x, y = obs[live[:, None], rows], moves[rows]
             try:
                 _lockstep_grads(group, x, y, at_start, cm, grads)
             except EngineError:  # an infeasible rebalance stops only the cells that hit it
                 stop_failed(retry)
-            group.theta += cfg.learning_rate * grads.theta
+            grads.theta *= cfg.learning_rate
+            group.theta += grads.theta
         stop_failed(judge)
     for row, cell in enumerate(live):
         outcomes[cell] = (group.cells(row), curves[cell])

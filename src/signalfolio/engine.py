@@ -143,10 +143,24 @@ class ChainResult:
     rewards: np.ndarray
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) bit for bit, without numpy's slow reduction over a short axis.
+
+    numpy adds up to 7 entries left to right, as the column-by-column adds
+    do; from 8 it sums pairwise and rounds differently, so there it stays.
+    """
+    if not 2 <= a.shape[-1] <= 7:
+        return a.sum(axis=-1)
+    total = a[..., 0] + a[..., 1]
+    for j in range(2, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
 def _drift(prev_a: np.ndarray, prev_y: np.ndarray) -> np.ndarray:
     """Drifted weights of every row; rows lie along the last axis, any leading axes."""
     num = prev_y * prev_a
-    return num / num.sum(axis=-1, keepdims=True)
+    return num / _row_sum(num)[..., None]
 
 
 def _fixed_point_batch(
@@ -163,11 +177,12 @@ def _fixed_point_batch(
     if cb == 0.0 and cs == 0.0:
         return np.ones(t_total), 0
     k = cs + cb - cs * cb
-    denom = 1.0 - cb * a[:, 0]
+    num0, denom = 1.0 - cb * w_drift[:, 0], 1.0 - cb * a[:, 0]
+    w_rest, a_rest = w_drift[:, 1:], a[:, 1:]
     mu = np.ones(t_total)
     for i in range(cm.max_iters):
-        sold = np.maximum(w_drift[:, 1:] - mu[:, None] * a[:, 1:], 0.0).sum(axis=1)
-        nxt = (1.0 - cb * w_drift[:, 0] - k * sold) / denom
+        sold = _row_sum(np.maximum(w_rest - mu[:, None] * a_rest, 0.0))
+        nxt = (num0 - k * sold) / denom
         done = np.all(np.abs(nxt - mu) < cm.tol)
         mu = nxt
         if done:
@@ -182,9 +197,9 @@ def _betas(drifted: np.ndarray, actions: np.ndarray, cm: CostModel) -> np.ndarra
     step; the fixed point takes (T, m).
     """
     if cm.mode == "simple":
-        turnover = np.abs(actions[..., 1:] - drifted[..., 1:]).sum(axis=-1)
-        betas = 1.0 - cm.blended_rate * turnover
-        if np.any(betas <= 0.0):
+        moved = actions[..., 1:] - drifted[..., 1:]
+        betas = 1.0 - cm.blended_rate * _row_sum(np.abs(moved, out=moved))
+        if (betas <= 0.0).any():
             raise EngineError("cost rate too large for turnover in simple mode")
         return betas
     return _fixed_point_batch(drifted, actions, cm)[0]
@@ -208,11 +223,10 @@ def reward_chain(
     rel = np.asarray(rel, dtype=float)
     if actions.ndim != 2 or actions.shape != rel.shape:
         raise EngineError("actions and relative prices must be matching (T, m) matrices")
-    prev_a = np.vstack([entry_weights, actions[:-1]])
-    prev_y = np.vstack([entry_rel, rel[:-1]])
-    drifted = _drift(prev_a, prev_y)
+    held = actions * rel  # rows 1... drift from the products that give gross
+    gross = _row_sum(held)
+    drifted = np.vstack([_drift(entry_weights, entry_rel), held[:-1] / gross[:-1, None]])
     betas = _betas(drifted, actions, cm)
-    gross = (actions * rel).sum(axis=1)
     factors = betas * gross
     return ChainResult(
         drifted=drifted,

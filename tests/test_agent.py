@@ -457,6 +457,72 @@ class TestLockstep:
         _assert_same_outcome(group[0], solo[0])
         _assert_same_outcome(group[3], solo[3])
 
+    def _stopped_group(self, mode):
+        """The group of test_diverging_cells_fail_alone, with its samplers after 3 epochs."""
+        prices, params, signals, seeds = self._cells((16,))
+        nan_init = _copy(params[1])
+        nan_init.weights[0][0, 0] = np.nan
+        overflowing = _copy(params[2])
+        overflowing.weights[-1][:] = 1e308
+        samplers = rngs(seeds)
+        with np.errstate(over="ignore", invalid="ignore"):
+            group = train(
+                [params[0], nan_init, overflowing, params[3]], prices, signals,
+                CostModel(mode=mode), self._cfg(), samplers,
+            )
+        assert isinstance(group[1], TrainingDivergedError)
+        assert isinstance(group[2], TrainingDivergedError)
+        return prices, seeds, samplers
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_cell_stopped_at_the_start_leaves_its_sampler_unused(self, mode):
+        _, seeds, samplers = self._stopped_group(mode)
+        fresh = np.random.default_rng(seeds[1])
+        assert samplers[1].bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_cell_stopped_after_epoch_one_drew_one_epoch(self, mode):
+        prices, seeds, samplers = self._stopped_group(mode)
+        t_total = Episode.from_market(prices, window=self.WINDOW).states.shape[0]
+        batch = self._cfg().batch_window
+        one_epoch = np.random.default_rng(seeds[2])
+        one_epoch.integers(0, t_total - batch + 1, size=t_total // batch)
+        assert samplers[2].bit_generator.state == one_epoch.bit_generator.state
+
+    def test_large_group_equals_solo_runs(self):
+        # 35 cells, as in the acceptance grid, on a tiny market: one cell
+        # starts non-finite and a flipper hits an infeasible rebalance, so
+        # the group shrinks twice and must still give every cell its solo run.
+        prices = generate_synthetic(
+            SyntheticMarketSpec(n_assets=3, n_steps=140, vol=0.02, seed=5)
+        )
+        moves = true_movements(prices)
+        signals = [
+            None if c % 7 == 0 else
+            oracle_labels(moves, SignalConfig(accuracy=0.5 + 0.1 * (c % 6), density=1.0, seed=c))
+            for c in range(35)
+        ]
+        d = 3 * self.WINDOW + 3
+        params = [init_policy(d, 4, hidden=(8,), seed=100 + c) for c in range(35)]
+        params[4].weights[0][0, 0] = np.nan
+        flipper = _zero_params(d, 4, hidden=(8,))
+        flipper.weights[0][0, 3 * self.WINDOW] = 5.0
+        flipper.weights[1][1, 0], flipper.weights[1][2, 0] = 40.0, -40.0
+        params[20] = flipper
+        seeds = [3 * c + 1 for c in range(35)]
+        cm = CostModel(c_buy=0.9, c_sell=0.9, mode="simple")
+        cfg = self._cfg(learning_rate=0.1, epochs=2, batch_window=16)
+        solo = self._solo(prices, params, signals, seeds, cm, cfg)
+        group = train(params, prices, signals, cm, cfg, rngs(seeds))
+        assert isinstance(solo[4], TrainingDivergedError)
+        assert isinstance(solo[20], EngineError)
+        assert sum(isinstance(outcome, Exception) for outcome in solo) == 2
+        for got, want in zip(group, solo):
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                _assert_same_outcome(got, want)
+
     def test_infeasible_rebalance_fails_alone(self):
         # At a 0.9 blended rate, beta = 1 - 0.9 * turnover <= 0 once a policy
         # swaps one asset for another.  The flipper goes all in on asset 1 or

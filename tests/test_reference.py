@@ -10,13 +10,16 @@ the digests, since other floating-point libraries may round differently.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import signalfolio
 from signalfolio.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,3 +49,15 @@ def test_seed_zero_operation_writes_the_reference_bytes(bench, tmp_path, name):
         assert main([command, "--config", str(config), "--out", str(out)]) == 0
     digests = bench.workloads.hash_artifacts(out, workload.artifacts)
     assert digests == REFERENCE["digests"][name]
+
+
+def test_every_traced_layer_exists(monkeypatch):
+    # A traced function that is renamed or removed shows in a hand-run
+    # benchmark only as "missing"; here it fails Tier-1 instead.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    for module in pkgutil.iter_modules(signalfolio.__path__):
+        importlib.import_module(f"signalfolio.{module.name}")
+    assert tracer.Tracer().missing() == []
