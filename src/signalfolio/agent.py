@@ -208,59 +208,6 @@ def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.n
     return chain.betas
 
 
-def _grads(params: PolicyParams, x, rel, entry_w, entry_y, cm: CostModel, out: PolicyParams):
-    """Gradient of each cell's mean log reward over its window, into out (same layout).
-
-    For a group of C cells: x (C, T, d) and rel (C, T, m) hold each cell's
-    window, and entry_w and entry_y (C, 1, m) the weights it held and the
-    move just before it (simple cost mode only).  Sums over the m columns are
-    _window_grads': exact column adds up to m = 7, numpy's pairwise from 8.
-    """
-    actions, hs = _forward_batch(params, x)
-    if cm.mode == "simple":
-        actions = np.concatenate([entry_w, actions], axis=1)
-        rel = np.concatenate([entry_y, rel], axis=1)
-    _window_grads(params, x, hs, actions, rel, cm, out)
-
-
-def _window_grads(params: PolicyParams, x, hs, probs, moves, cm: CostModel, out: PolicyParams):
-    """The step kernel: gradients, into out, from the forward over T-step windows.
-
-    x (C, T, d) and hs (spent here) are the inputs and hidden activations;
-    probs and moves (C, T, m) each step's action and move, after a row 0 of
-    entry weights and entry move in simple cost mode.  Every sum over the m
-    action columns is _row_sum's, column by column up to m = 7 and numpy's
-    pairwise reduction from 8, so it is bit-identical to .sum(axis=-1).
-    """
-    t_total = x.shape[1]
-    actions, rel = probs[:, -t_total:], moves[:, -t_total:]
-    held = probs * moves  # in simple mode row t, normalised, drifts into step t
-    sums = _row_sum(held)
-    ratio = rel / sums[:, -t_total:, None]
-    d_actions = ratio / t_total
-    if cm.mode == "simple":
-        drifted = held[:, :-1] / sums[:, :-1, None]
-        scaled = np.sign(actions - drifted)
-        scaled[..., 0] = 0.0
-        scaled *= cm.blended_rate / t_total
-        scaled /= _betas(drifted, actions, cm)[..., None]
-        d_actions -= scaled
-        g = scaled[:, 1:]
-        correction = g * drifted[:, 1:]
-        np.subtract(g, _row_sum(correction)[..., None], out=correction)
-        correction *= ratio[:, :-1]
-        d_actions[:, :-1] += correction
-    d_actions -= _row_sum(np.multiply(d_actions, actions, out=held[:, -t_total:]))[..., None]
-    d_out = np.multiply(d_actions, actions, out=d_actions)
-    for layer in range(len(params.weights) - 1, -1, -1):
-        np.matmul(d_out.swapaxes(1, 2), hs[layer - 1] if layer else x, out=out.weights[layer])
-        d_out.sum(axis=1, out=out.biases[layer])
-        if layer > 0:
-            h = hs[layer - 1]  # spent: 1 - h * h replaces it
-            d_out = np.matmul(d_out, params.weights[layer])
-            d_out *= np.subtract(1.0, np.multiply(h, h, out=h), out=h)
-
-
 def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
     """Exact reverse-mode gradient of the episode objective.
 
@@ -268,19 +215,15 @@ def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
     fixed-point cost mode the betas are stop-gradiented, so only the gross
     return term contributes; with the simple mode the turnover penalty is
     differentiated through both the current action and, via weight drift,
-    the action of the step before.  This is a one-cell call of the kernel
-    that every training step runs.
+    the action of the step before.  This is a one-cell call of the training
+    step kernel, whose row 0 is a zero state with episode.entry_weights as
+    its action and episode.entry_rel as its move.
     """
     grads = PolicyParams(np.empty((1, params.theta.size)), params.shapes)
-    _grads(
-        PolicyParams(params.theta[None], params.shapes),
-        episode.states[None],
-        episode.rel[None],
-        episode.entry_weights[None, None],
-        episode.entry_rel[None, None],
-        cm,
-        grads,
-    )
+    x = np.vstack([np.zeros(params.input_dim), episode.states])[None]
+    rel = np.vstack([episode.entry_rel, episode.rel])[None]
+    one = PolicyParams(params.theta[None], params.shapes)
+    _lockstep_grads(one, x, rel, np.array([True]), episode.entry_weights, cm, grads)
     return [g[0] for g in grads.weights], [g[0] for g in grads.biases]
 
 
@@ -307,18 +250,47 @@ class TrainConfig:
             raise EngineError(f"steps_per_epoch must be at least 1, got {self.steps_per_epoch}")
 
 
-def _lockstep_grads(group: PolicyParams, x, rel, at_start, cm: CostModel, out: PolicyParams):
-    """Step gradients, into out, from (C, B + 1, .) windows whose row 0 precedes the batch.
+def _lockstep_grads(group: PolicyParams, x, rel, at_start, entry, cm: CostModel, out):
+    """The step kernel: each cell's gradient of its mean log reward over its window, into out.
 
-    In simple cost mode the entry weights are each cell's policy on row 0,
-    or all cash for a window at the episode start; fixed-point mode never
-    reads them and skips row 0.
+    x (C, B + 1, d) and rel (C, B + 1, m) hold each cell's B-step window
+    after a row 0 that precedes it: the state and the move of the step before.
+    In simple cost mode the window enters with the cell's action on row 0,
+    drifted by row 0's move; where at_start (C,) is true, that action is
+    entry, (m,) or one row per such cell.  Fixed-point mode skips row 0.
+    Every sum over the action columns is _row_sum's: the bytes of .sum(axis=-1).
     """
     lead = int(cm.mode == "simple")
     probs, hs = _forward_batch(group, x[:, 1 - lead :], lead)
     if lead:
-        probs[at_start, 0] = all_cash(rel.shape[-1])
-    _window_grads(group, x[:, 1:], [h[:, lead:] for h in hs], probs, rel[:, 1 - lead :], cm, out)
+        probs[at_start, 0] = entry
+    x, moves, hs = x[:, 1:], rel[:, 1 - lead :], [h[:, lead:] for h in hs]
+    actions, rel, t_total = probs[:, lead:], rel[:, 1:], x.shape[1]
+    held = probs * moves  # in simple mode row t, normalised, drifts into step t
+    sums = _row_sum(held)
+    ratio = rel / sums[:, lead:, None]
+    d_actions = ratio / t_total
+    if lead:
+        drifted = held[:, :-1] / sums[:, :-1, None]
+        scaled = np.sign(actions - drifted)
+        scaled[..., 0] = 0.0
+        scaled *= cm.blended_rate / t_total
+        scaled /= _betas(drifted, actions, cm)[..., None]
+        d_actions -= scaled
+        g = scaled[:, 1:]
+        correction = g * drifted[:, 1:]
+        np.subtract(g, _row_sum(correction)[..., None], out=correction)
+        correction *= ratio[:, :-1]
+        d_actions[:, :-1] += correction
+    d_actions -= _row_sum(np.multiply(d_actions, actions, out=held[:, lead:]))[..., None]
+    d_out = np.multiply(d_actions, actions, out=d_actions)
+    for layer in range(len(group.weights) - 1, -1, -1):
+        np.matmul(d_out.swapaxes(1, 2), hs[layer - 1] if layer else x, out=out.weights[layer])
+        d_out.sum(axis=1, out=out.biases[layer])
+        if layer > 0:
+            h = hs[layer - 1]  # spent: 1 - h * h replaces it
+            d_out = np.matmul(d_out, group.weights[layer])
+            d_out *= np.subtract(1.0, np.multiply(h, h, out=h), out=h)
 
 
 def train(
@@ -376,6 +348,7 @@ def train(
             f"training episode of {t_total} steps shorter than batch window {batch}"
         )
     m = n + 1
+    entry = all_cash(m)  # the weights a window at the episode start enters with
     moves = np.vstack([np.ones(m), rel])
     offsets = np.arange(batch + 1)
     steps = cfg.steps_per_epoch or max(1, t_total // batch)
@@ -405,9 +378,11 @@ def train(
     def retry(row, cell) -> None:
         """One row's step alone; a row that passes keeps the gradient it wrote."""
         one = slice(row, row + 1)
-        _lockstep_grads(group.cells(one), x[one], y[one], at_start[one], cm, grads.cells(one))
+        _lockstep_grads(
+            group.cells(one), x[one], y[one], at_start[one], entry, cm, grads.cells(one)
+        )
 
-    episodes = [Episode(obs[cell, 1:], rel, all_cash(m), np.ones(m)) for cell in range(cells)]
+    episodes = [Episode(obs[cell, 1:], rel, entry, np.ones(m)) for cell in range(cells)]
 
     def judge(row, cell) -> None:
         """The objective a cell scores at the end of an epoch, which must be finite."""
@@ -431,7 +406,7 @@ def train(
             at_start, rows = first == 0, first[:, None] + offsets
             x, y = obs[live[:, None], rows], moves[rows]
             try:
-                _lockstep_grads(group, x, y, at_start, cm, grads)
+                _lockstep_grads(group, x, y, at_start, entry, cm, grads)
             except EngineError:  # an infeasible rebalance stops only the cells that hit it
                 stop_failed(retry)
             grads.theta *= cfg.learning_rate

@@ -3,8 +3,8 @@
 Config files are plain text: one `key = value` per line, `#` comments and
 blank lines allowed.  Values parse as bool, int, float, comma-separated
 lists of those, or bare strings; a string key's value is taken as text,
-whole, and only none or an empty value leaves it unset.  Command-line
-`--set key=value` overrides win over the file.
+whole, and only none or an empty value leaves it unset.  A key set twice in
+a file is an error; the last `--set key=value` of a key wins over the file.
 
 KEYS holds every key's default next to its check: type, range, choices,
 and distinct values in a grid.  resolve checks the merged config once, when
@@ -27,7 +27,7 @@ import numpy as np
 from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, policy_forward, train
 from .baselines import CRPPolicy, OLMARPolicy, WMAMRPolicy, ew_policy, hold_cash_policy
 from .engine import BacktestResult, CostModel, EngineError, run_backtest
-from .evaluation import check_horizon, horizon_steps
+from .evaluation import DEFAULT_RISK_FREE, check_horizon, horizon_steps
 from .market import (
     MarketDataError,
     PriceSeries,
@@ -104,7 +104,7 @@ KEYS: dict[str, tuple] = {
     "sweep.densities": ((1.0,), "number+", "[0, 1]"),
     "seeds": ((0,), "int+"),
     "seed": (0, "int"),
-    "rfree": (0.02, "number"),
+    "rfree": (DEFAULT_RISK_FREE, "number"),
     "jobs": (1, "int", "[1, inf)"),
     "metrics.horizons": (("1w", "2w", "1m", "2m"), "str+"),
     "metrics.steps_per_day": (1, "int", "[1, inf)"),
@@ -150,6 +150,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     out: dict[str, object] = {}
+    lines: dict[str, int] = {}  # the line that set each key
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -160,6 +161,9 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in lines:
+            raise ConfigError(f"{key}: set twice in {path}, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         out[key] = parse_value(value, key)
     return out
 

@@ -10,7 +10,7 @@ from signalfolio.agent import (
     PolicyParams,
     TrainConfig,
     TrainingDivergedError,
-    _grads,
+    _lockstep_grads,
     gradient,
     init_policy,
     load_checkpoint,
@@ -214,31 +214,31 @@ class TestGradient:
     @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
     @pytest.mark.parametrize("hidden", [(32,), (16, 8)])
     def test_group_rows_equal_one_cell_gradients(self, mode, hidden):
+        # each cell's window is rows j - 1 ... j + 31, the group computes its
+        # own entry row j - 1, and that must be policy_forward's bytes there
         spec = SyntheticMarketSpec(n_assets=3, n_steps=120, vol=0.02, seed=13)
         episode = Episode.from_market(generate_synthetic(spec), window=8)
         cells = [init_policy(episode.states.shape[1], 4, hidden=hidden, seed=s) for s in (1, 2, 3)]
-        windows = [
-            Episode(
-                episode.states[j : j + 32],
-                episode.rel[j : j + 32],
-                policy_forward(p, episode.states[j - 1]),
-                episode.rel[j - 1],
-            )
-            for p, j in zip(cells, (5, 40, 71))
-        ]
+        starts = (5, 40, 71)
         group = PolicyParams(np.stack([p.theta for p in cells]), cells[0].shapes)
         grads = PolicyParams(np.empty_like(group.theta), group.shapes)
         cm = CostModel(mode=mode)
-        _grads(
+        _lockstep_grads(
             group,
-            np.stack([w.states for w in windows]),
-            np.stack([w.rel for w in windows]),
-            np.stack([w.entry_weights for w in windows])[:, None],
-            np.stack([w.entry_rel for w in windows])[:, None],
+            np.stack([episode.states[j - 1 : j + 32] for j in starts]),
+            np.stack([episode.rel[j - 1 : j + 32] for j in starts]),
+            np.zeros(3, dtype=bool),
+            all_cash(4),
             cm,
             grads,
         )
-        for c, (params, window) in enumerate(zip(cells, windows)):
+        for c, (params, j) in enumerate(zip(cells, starts)):
+            window = Episode(
+                episode.states[j : j + 32],
+                episode.rel[j : j + 32],
+                policy_forward(params, episode.states[j - 1]),
+                episode.rel[j - 1],
+            )
             gw, gb = gradient(params, window, cm)
             row = grads.cells(c)
             for got, want in zip(row.weights + row.biases, gw + gb):

@@ -309,6 +309,12 @@ class TestConfigEcho:
         assert run(command, "--out", str(second), "--config", str(echo)) == 0
         assert read_all(second) == read_all(first)
 
+    def test_key_set_twice_in_the_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("window = 8\nwindow = 12\n")
+        assert run("backtest", "--config", str(path), "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err.startswith("error: window: set twice")
+
     def test_flags_are_checked(self, tmp_path, capsys):
         assert run("backtest", "--out", str(tmp_path / "x"), "--set", "rfree=nan") == 1
         assert capsys.readouterr().err.startswith("error: rfree:")

@@ -84,6 +84,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "absent.cfg")
 
+    def test_key_set_twice_names_it_and_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("window = 8\ncost.buy = 0.001\n\nwindow = 12\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(path)
+        assert str(err.value) == f"window: set twice in {path}, on lines 1 and 4"
+
 
 class TestResolve:
     def test_defaults_all_present(self):
@@ -102,7 +109,7 @@ class TestResolve:
         assert "windw" in str(err.value)
 
     def test_overrides_after_file(self):
-        cfg = apply_overrides({"window": 12}, ["window=9", "seed=4"])
+        cfg = apply_overrides({"window": 12}, ["window=7", "window=9", "seed=4"])
         assert cfg["window"] == 9
         assert cfg["seed"] == 4
 

@@ -16,7 +16,6 @@ import pytest
 from signalfolio.agent import (
     Episode,
     PolicyParams,
-    _grads,
     _lockstep_grads,
     init_policy,
     objective,
@@ -121,11 +120,11 @@ def oracle_grads(params, x, rel, entry_w, entry_y, cm, out):
             d_out = (d_out @ params.weights[layer]) * (1.0 - h * h)
 
 
-def oracle_lockstep_grads(group, x, rel, at_start, cm, out):
+def oracle_lockstep_grads(group, x, rel, at_start, entry, cm, out):
     entry_w = None
     if cm.mode == "simple":
         entry_w, _ = oracle_forward_batch(group, x[:, :1])
-        entry_w[at_start] = all_cash(rel.shape[-1])
+        entry_w[at_start, 0] = entry
     oracle_grads(group, x[:, 1:], rel[:, 1:], entry_w, rel[:, :1], cm, out)
 
 
@@ -193,8 +192,9 @@ class TestStepKernel:
         cm = CostModel(mode=mode)
         got = PolicyParams(np.empty_like(group.theta), group.shapes)
         want = PolicyParams(np.empty_like(group.theta), group.shapes)
-        _lockstep_grads(group, x, y, at_start, cm, got)
-        oracle_lockstep_grads(group, x, y, at_start, cm, want)
+        entry = all_cash(m)
+        _lockstep_grads(group, x, y, at_start, entry, cm, got)
+        oracle_lockstep_grads(group, x, y, at_start, entry, cm, want)
         assert_same_bytes(got.theta, want.theta)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -210,7 +210,16 @@ class TestStepKernel:
         cm = CostModel(mode=mode)
         got = PolicyParams(np.empty_like(group.theta), group.shapes)
         want = PolicyParams(np.empty_like(group.theta), group.shapes)
-        _grads(group, x, rel, entry_w, entry_y, cm, got)
+        # a zero row 0 carries the entry move, and every window is at the start
+        _lockstep_grads(
+            group,
+            np.concatenate([np.zeros((3, 1, D)), x], axis=1),
+            np.concatenate([entry_y, rel], axis=1),
+            np.ones(3, dtype=bool),
+            entry_w[:, 0],
+            cm,
+            got,
+        )
         oracle_grads(group, x, rel, entry_w, entry_y, cm, want)
         assert_same_bytes(got.theta, want.theta)
 
