@@ -89,7 +89,6 @@ def init_policy(
     n_actions: int,
     hidden: tuple[int, ...] = (64,),
     seed: int = 0,
-    init_scale: float = 1.0,
 ) -> PolicyParams:
     """Zero-mean uniform weights scaled by 1/sqrt(fan-in), zero biases."""
     if input_dim < 1 or n_actions < 2:
@@ -98,7 +97,7 @@ def init_policy(
     sizes = [input_dim, *hidden, n_actions]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        bound = init_scale / np.sqrt(fan_in)
+        bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return PolicyParams.from_layers(weights, biases)
@@ -170,9 +169,8 @@ class Episode:
         prices: PriceSeries,
         signals: SignalSeries | None = None,
         window: int = 30,
-        lookback: int = 1,
     ) -> "Episode":
-        obs = build_states(prices, signals, window=window, lookback=lookback)
+        obs = build_states(prices, signals, window=window)
         m = prices.n_assets + 1
         return cls(
             states=obs.matrix,
@@ -239,12 +237,9 @@ class TrainConfig:
     epochs: int = 100
     window: int = 30
     steps_per_epoch: int | None = None
-    lookback: int = 1
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0.0 or self.batch_window < 1 or self.epochs < 0:
-            raise EngineError("bad training settings")
-        if self.window < 1 or self.lookback < 1:
+        if self.learning_rate < 0.0 or self.batch_window < 1 or self.epochs < 0 or self.window < 1:
             raise EngineError("bad training settings")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
             raise EngineError(f"steps_per_epoch must be at least 1, got {self.steps_per_epoch}")
@@ -335,9 +330,7 @@ def train(
     # gathers its entry row too; a window at the start enters all cash.
     obs = None
     for c, cell_signals in enumerate(signals):
-        cell_obs = build_states(
-            train_prices, cell_signals, window=cfg.window, lookback=cfg.lookback
-        )
+        cell_obs = build_states(train_prices, cell_signals, window=cfg.window)
         if obs is None:
             obs = np.zeros((cells, len(cell_obs) + 1, d))
             rel = relative_prices(train_prices)[:, cell_obs.steps].T

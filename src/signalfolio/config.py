@@ -77,16 +77,11 @@ KEYS: dict[str, tuple] = {
     "cost.buy": (0.0025, "number", "[0, 1)"),
     "cost.sell": (0.0025, "number", "[0, 1)"),
     "cost.mode": ("fixed_point", ("fixed_point", "simple")),
-    "cost.max_iters": (100, "int", "[1, inf)"),
-    "cost.tol": (1e-10, "number", "(0, inf)"),
     "signal.mode": ("none", ("oracle", "internal", "none")),
     "signal.accuracy": (1.0, "number", "[0, 1]"),
     "signal.density": (1.0, "number", "[0, 1]"),
     "signal.seed": (0, "int", "[0, inf)"),
-    "signal.lookback": (1, "int", "[1, inf)"),
-    "signal.lags": (5, "int", "[1, inf)"),
     "signal.fit_epochs": (200, "int", "[1, inf)"),
-    "signal.fit_lr": (0.5, "number", "[0, inf)"),
     "agent.enabled": (False, "bool"),
     "agent.hidden": ((64,), "int*", "[1, inf)"),
     "agent.learning_rate": (3.0, "number", "[0, inf)"),
@@ -94,11 +89,8 @@ KEYS: dict[str, tuple] = {
     "agent.epochs": (100, "int", "[0, inf)"),
     "agent.steps_per_epoch": (None, "int?", "[1, inf)"),
     "agent.seed": (0, "int", "[0, inf)"),
-    "agent.init_scale": (1.0, "number", "[0, inf)"),
     "agent.checkpoint": ("", "str"),
     "baselines": ((), "str*"),
-    "baseline.epsilon": (None, "number?"),
-    "baseline.window": (5, "int", "[1, inf)"),
     "baseline.target_weights": ((), "number*"),
     "sweep.accuracies": ((1.0,), "number+", "[0, 1]"),
     "sweep.densities": ((1.0,), "number+", "[0, 1]"),
@@ -286,13 +278,7 @@ def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
 
 
 def build_cost(cfg: dict[str, object]) -> CostModel:
-    return CostModel(
-        c_buy=cfg["cost.buy"],
-        c_sell=cfg["cost.sell"],
-        max_iters=cfg["cost.max_iters"],
-        tol=cfg["cost.tol"],
-        mode=cfg["cost.mode"],
-    )
+    return CostModel(c_buy=cfg["cost.buy"], c_sell=cfg["cost.sell"], mode=cfg["cost.mode"])
 
 
 def build_train_config(cfg: dict[str, object], train_p: PriceSeries) -> TrainConfig:
@@ -303,7 +289,6 @@ def build_train_config(cfg: dict[str, object], train_p: PriceSeries) -> TrainCon
         epochs=cfg["agent.epochs"],
         window=cfg["window"],
         steps_per_epoch=cfg["agent.steps_per_epoch"],
-        lookback=cfg["signal.lookback"],
     )
     episode = len(decision_indices(train_p.n_steps, tc.window))
     if episode < tc.batch_window:
@@ -325,11 +310,7 @@ def _labeller(cfg, train_p: PriceSeries):
             SignalConfig(accuracy=accuracy, density=density, seed=seed),
         )
     predictor = fit_internal_predictor(
-        train_p,
-        lags=cfg["signal.lags"],
-        epochs=cfg["signal.fit_epochs"],
-        lr=cfg["signal.fit_lr"],
-        seed=cfg["signal.seed"],
+        train_p, epochs=cfg["signal.fit_epochs"], seed=cfg["signal.seed"]
     )
     return lambda segment, seed: predictor_labels(predictor, segment)
 
@@ -366,7 +347,6 @@ def prepare_agent(
             n_actions=n + 1,
             hidden=cfg["agent.hidden"],
             seed=init_seed,
-            init_scale=cfg["agent.init_scale"],
         )
     return params, np.random.default_rng(train_seed), label(train_p, train_label_seed), test_signals
 
@@ -425,20 +405,16 @@ def backtest_agent(
         signals,
         cm,
         window=cfg["window"],
-        lookback=cfg["signal.lookback"],
     )
 
 
 def build_baselines(cfg: dict[str, object], m: int) -> dict:
     """Baseline policies over m components, by the names in `baselines`."""
-    reversion = {"window": cfg["baseline.window"]}
-    if cfg["baseline.epsilon"] is not None:  # else the policy's own default
-        reversion["epsilon"] = cfg["baseline.epsilon"]
     builders = {
         "ew": lambda: ew_policy(m),
         "crp": lambda: _crp_baseline(cfg, m),
-        "olmar": lambda: OLMARPolicy(**reversion),
-        "wmamr": lambda: WMAMRPolicy(**reversion),
+        "olmar": OLMARPolicy,
+        "wmamr": WMAMRPolicy,
         "hold_cash": lambda: hold_cash_policy(m),
     }
     for name in cfg["baselines"]:

@@ -283,7 +283,6 @@ def run_backtest(
     signals: SignalSeries | None = None,
     cm: CostModel | None = None,
     window: int = 30,
-    lookback: int = 1,
 ) -> BacktestResult:
     """Run a policy over a price series, starting from all cash.
 
@@ -294,7 +293,7 @@ def run_backtest(
     decisions.
     """
     cm = cm or CostModel()
-    obs = build_states(prices, signals, window=window, lookback=lookback)
+    obs = build_states(prices, signals, window=window)
     m = prices.n_assets + 1
     actions = np.asarray(policy(obs), dtype=float)
     if actions.shape != (len(obs), m):

@@ -236,11 +236,11 @@ def build_states(
     prices: PriceSeries,
     signals: SignalSeries | None = None,
     window: int = 30,
-    lookback: int = 1,
 ) -> Observations:
     """Assemble the observations of every decision step in one matrix.
 
-    An absent signal becomes n_assets zero columns.
+    The signal columns hold each asset's label at the decision step; an
+    absent signal becomes n_assets zero columns.
     """
     if prices.n_steps < window + 2:
         raise MarketDataError(
@@ -252,8 +252,6 @@ def build_states(
             raise SignalError("signal assets do not match price series")
         if signals.n_steps != prices.n_steps:
             raise SignalError("signal steps do not match price series")
-        if lookback < 1:
-            raise SignalError("lookback must be >= 1")
     steps = decision_indices(prices.n_steps, window)
     t_total = len(steps)
     matrix = np.zeros((t_total, state_dim(n, window)))
@@ -262,11 +260,7 @@ def build_states(
     raw = sliding_window_view(prices.close[1:], window, axis=1)[:, :t_total]
     np.divide(raw, raw[:, :, -1:], out=obs.windows.transpose(1, 0, 2))
     if signals is not None:
-        # Averages over the last `lookback` steps, truncated at the series start.
-        padded = np.pad(signals.values, ((0, 0), (lookback - 1, 0)))
-        sums = sliding_window_view(padded, lookback, axis=1)[:, steps.start : steps.stop]
-        counts = np.minimum(np.arange(steps.start, steps.stop) + 1, lookback)
-        obs.signals[:] = (sums.sum(axis=2) / counts).T
+        obs.signals[:] = signals.values[:, steps.start : steps.stop].T
     matrix.setflags(write=False)
     return obs
 

@@ -6,8 +6,8 @@ identical architecture with a zero signal.  The cells of one worker train
 in lockstep, one stacked gradient step for all of them, and each cell's
 numbers are bit-identical to training it alone.  Cell seeds are derived by
 hashing the master seed with the cell's values (not grid positions), so
-extending a grid never changes existing cells, and rows merge in sorted
-order so results are identical however the cells were grouped.  The
+extending a grid never changes existing cells, and rows keep the sorted
+cell order so results are identical however the cells were grouped.  The
 segments, the cost model and the training settings are built once, before
 any cell runs, so a bad market, split or window fails the whole run with a
 ConfigError.
@@ -57,12 +57,12 @@ def cell_seed(master_seed: int, cell: CellSpec) -> int:
 
 
 def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
-    """The grid's cells, then one control per seed."""
-    seeds = cfg["seeds"]
+    """The grid's cells in sorted order, then one control per seed."""
+    seeds = sorted(cfg["seeds"])
     cells = [
         CellSpec(a, d, s)
-        for a in cfg["sweep.accuracies"]
-        for d in cfg["sweep.densities"]
+        for a in sorted(cfg["sweep.accuracies"])
+        for d in sorted(cfg["sweep.densities"])
         for s in seeds
     ]
     cells += [CellSpec(None, None, s) for s in seeds]
@@ -147,18 +147,8 @@ def run_group(
     ]
 
 
-def _row_order(row: dict):
-    control = row["accuracy"] is None
-    return (
-        control,
-        -1.0 if control else row["accuracy"],
-        -1.0 if control else row["density"],
-        row["seed"],
-    )
-
-
 def run_sweep(cfg: dict[str, object]) -> tuple[list[dict], list[dict]]:
-    """Run every cell, tolerating per-cell failures.  Rows come back sorted.
+    """Run every cell, tolerating per-cell failures.  Rows come back in cell order.
 
     The segments, cost model and training settings are built once, so a bad
     one raises ConfigError before any cell runs.  The cells are split into
@@ -181,10 +171,10 @@ def run_sweep(cfg: dict[str, object]) -> tuple[list[dict], list[dict]]:
             done = list(pool.map(run, groups))
     else:
         done = [run(cells)]
-    outcomes = [outcome for group in done for outcome in group]
-    rows = sorted((r for r in outcomes if "error" not in r), key=_row_order)
-    failures = sorted((r for r in outcomes if "error" in r), key=_row_order)
-    return rows, failures
+    outcomes: list = [None] * len(cells)
+    for i, group in enumerate(done):
+        outcomes[i::n_groups] = group
+    return [r for r in outcomes if "error" not in r], [r for r in outcomes if "error" in r]
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:

@@ -100,8 +100,6 @@ BAD_VALUES = [
     (["split.boundary=0"], ALL_COMMANDS, "split.boundary:"),
     (["cost.buy=1.0"], ALL_COMMANDS, "cost.buy: 1.0 outside [0, 1)"),
     (["cost.sell=-0.001"], ALL_COMMANDS, "cost.sell:"),
-    (["cost.max_iters=0"], ALL_COMMANDS, "cost.max_iters:"),
-    (["cost.tol=0"], ALL_COMMANDS, "cost.tol: 0.0 outside (0, inf)"),
     (["agent.learning_rate=-1"], ALL_COMMANDS, "agent.learning_rate:"),
     (["agent.batch_window=0"], ALL_COMMANDS, "agent.batch_window:"),
     (["agent.epochs=-1"], ALL_COMMANDS, "agent.epochs:"),
@@ -116,37 +114,57 @@ BAD_VALUES = [
     (["metrics.horizons=1d"], ALL_COMMANDS, "metrics.horizons: horizon 1 too short"),
     (["market.synthetic.seed=-1"], ALL_COMMANDS, "market.synthetic.seed:"),
     (["window=0"], ALL_COMMANDS, "window:"),
-    (["baselines=olmar", "baseline.epsilon=abc"], ALL_COMMANDS, "baseline.epsilon:"),
     (
         ["baselines=crp", "baseline.target_weights=0.5,0.5,0.5"],
         ["backtest"],
         "baseline.target_weights:",
     ),
-    (["baselines=wmamr", "baseline.window=0"], ALL_COMMANDS, "baseline.window:"),
-    (["baselines=olmar", "baseline.window=-2"], ALL_COMMANDS, "baseline.window:"),
     (["signal.mode=oracle", "signal.accuracy=1.5"], ALL_COMMANDS, "signal.accuracy:"),
     (["signal.mode=oracle", "signal.density=-0.1"], ALL_COMMANDS, "signal.density:"),
-    (["signal.mode=internal", "signal.lags=0"], ALL_COMMANDS, "signal.lags:"),
-    (["signal.lookback=0"], ALL_COMMANDS, "signal.lookback:"),
     (["rfree=abc"], ALL_COMMANDS, "rfree:"),
     (["metrics.steps_per_day=0"], ALL_COMMANDS, "metrics.steps_per_day:"),
     (["agent.seed=-1"], ALL_COMMANDS, "agent.seed:"),
     (["signal.mode=oracle", "signal.seed=-1"], ALL_COMMANDS, "signal.seed:"),
-    (["agent.init_scale=-1"], ALL_COMMANDS, "agent.init_scale:"),
     (["signal.mode=internal", "signal.fit_epochs=-1"], ALL_COMMANDS, "signal.fit_epochs:"),
-    (["signal.mode=internal", "signal.fit_lr=-1"], ALL_COMMANDS, "signal.fit_lr:"),
-    (["cost.tol=abc"], ALL_COMMANDS, "cost.tol: expected a number"),
     (["rfree=inf"], ALL_COMMANDS, "rfree: expected a finite number, got inf"),
     (["agent.learning_rate=inf"], ALL_COMMANDS, "agent.learning_rate: expected a finite number"),
     (["seeds=0,0"], ["sweep"], "seeds: duplicate values in (0, 0)"),
     (["sweep.accuracies=1.0,1.0"], ["sweep"], "sweep.accuracies: duplicate values in (1.0, 1.0)"),
     (["sweep.densities=0.5,0.5"], ["sweep"], "sweep.densities: duplicate values in (0.5, 0.5)"),
+    # keys that are no longer settings: any value of one is an unknown key
+    *(
+        (pairs, ALL_COMMANDS, f"unknown config key {pairs[-1].partition('=')[0]!r}")
+        for pairs in (
+            ["cost.max_iters=0"],
+            ["cost.tol=0"],
+            ["baselines=olmar", "baseline.epsilon=abc"],
+            ["baselines=wmamr", "baseline.window=0"],
+            ["baselines=olmar", "baseline.window=-2"],
+            ["signal.mode=internal", "signal.lags=0"],
+            ["signal.lookback=0"],
+            ["agent.init_scale=-1"],
+            ["signal.mode=internal", "signal.fit_lr=-1"],
+            ["cost.tol=abc"],
+        )
+    ),
     # FAST_MARKET's 120 training steps leave 112 decisions at window 8
     (
         ["agent.batch_window=500"],
         ["backtest", "train", "sweep"],
         "agent.batch_window: 500 longer than the 112-step training episode",
     ),
+]
+
+# Each key that became a fixed value, set to the default it had as a key.
+REMOVED_KEYS = [
+    "signal.lookback=1",
+    "agent.init_scale=1.0",
+    "baseline.epsilon=none",
+    "baseline.window=5",
+    "cost.max_iters=100",
+    "cost.tol=1e-10",
+    "signal.lags=5",
+    "signal.fit_lr=0.5",
 ]
 
 
@@ -297,6 +315,14 @@ class TestBadValues:
         args = FAST_MARKET + COMMAND_ARGS[command] + pairs
         assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}")
+
+    @pytest.mark.parametrize("command", [*ALL_COMMANDS, "metrics"])
+    @pytest.mark.parametrize("pair", REMOVED_KEYS)
+    def test_removed_key_at_its_old_default_is_unknown(self, tmp_path, capsys, command, pair):
+        out = tmp_path / "x"
+        assert run(command, "--out", str(out), "--set", pair) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {pair.partition('=')[0]!r}\n"
+        assert not out.exists()
 
 
 class TestConfigEcho:

@@ -240,8 +240,6 @@ SHARED_BOUNDS = [
     ("cost.buy", _BELOW_1, 1.0, build_cost),
     ("cost.sell", 0.0, _BELOW_0, build_cost),
     ("cost.sell", _BELOW_1, 1.0, build_cost),
-    ("cost.max_iters", 1, 0, build_cost),
-    ("cost.tol", _ABOVE_0, 0.0, build_cost),
     ("cost.mode", "simple", "bogus", build_cost),
     ("split.fraction", _ABOVE_0, 0.0, build_split),
     ("split.fraction", _BELOW_1, 1.0, build_split),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,14 @@ class TestCostFactor:
             CostModel(c_buy=1.0)
         with pytest.raises(EngineError):
             CostModel(mode="other")
+
+    def test_solver_settings_validated(self):
+        # no config key sets them, so CostModel's own check is the only one
+        CostModel(max_iters=1, tol=math.nextafter(0.0, 1.0))
+        with pytest.raises(EngineError, match="bad solver settings"):
+            CostModel(max_iters=0)
+        with pytest.raises(EngineError, match="bad solver settings"):
+            CostModel(tol=0.0)
 
 
 class TestStepReward:

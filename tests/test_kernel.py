@@ -153,8 +153,8 @@ def moves(rng, shape):
 
 def group_of(cells, m, hidden):
     """Distinct cells whose allocations are far from uniform, so costs bite."""
-    policies = [init_policy(D, m, hidden=hidden, seed=c, init_scale=3.0) for c in range(cells)]
-    return PolicyParams(np.stack([p.theta for p in policies]), policies[0].shapes)
+    policies = [init_policy(D, m, hidden=hidden, seed=c) for c in range(cells)]
+    return PolicyParams(3.0 * np.stack([p.theta for p in policies]), policies[0].shapes)
 
 
 def assert_same_bytes(got, want):

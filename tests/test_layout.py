@@ -1,6 +1,6 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
-one writer of JSON artifacts, one way into each setting, and no process pool
-loaded before a sweep needs one.
+one writer of JSON artifacts, one way into each setting, a reader for every
+config key, and no process pool loaded before a sweep needs one.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -21,6 +21,7 @@ import pytest
 
 import signalfolio
 from signalfolio.cli import _parser
+from signalfolio.config import KEYS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "signalfolio").glob("*.py"))
@@ -83,6 +84,17 @@ def test_each_subcommand_takes_only_config_set_and_out():
     }
     expected = {"-h", "--help", "--config", "--set", "--out"}
     assert options == {name: expected for name in ("backtest", "train", "sweep", "metrics")}
+
+
+def test_every_config_key_is_read():
+    """Each KEYS key is read as cfg["key"] somewhere in src/: a key that nothing reads goes."""
+    read = {
+        node.slice.value
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+    }
+    assert sorted(set(KEYS) - read) == []
 
 
 def test_importing_the_cli_loads_no_process_pool():

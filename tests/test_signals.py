@@ -30,11 +30,9 @@ def series_from_closes(*rows):
     )
 
 
-def signal_at(series, t, lookback=1):
-    """Oracle of one row's signal columns in build_states: labels averaged
-    over the last `lookback` steps up to t, truncated at the series start."""
-    start = max(0, t - lookback + 1)
-    return series.values[:, start : t + 1].mean(axis=1)
+def signal_at(series, t):
+    """Oracle of one row's signal columns in build_states: the labels at step t."""
+    return series.values[:, t]
 
 
 def predict_internal(predictor, window):
@@ -149,6 +147,10 @@ class TestInternalPredictor:
         with pytest.raises(MarketDataError):
             fit_internal_predictor(tiny_market, lags=5)
 
+    def test_lags_below_one_rejected(self, noisy_market):
+        with pytest.raises(SignalError, match="lags must be >= 1"):
+            fit_internal_predictor(noisy_market, lags=0)
+
     def test_predict_labels_binary(self, noisy_market):
         predictor = fit_internal_predictor(noisy_market, lags=4, epochs=20)
         labels = predictor_labels(predictor, noisy_market).values[:, 4:-1]
@@ -235,19 +237,17 @@ class TestAugment:
         with pytest.raises(MarketDataError):
             series_from_closes([1.0, -2.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("lookback", [1, 12])
-    def test_rows_match_hand_built_state(self, noisy_market, lookback):
-        # window 8 and lookback 12 truncate the signal average at the start
+    def test_rows_match_hand_built_state(self, noisy_market):
         labels = oracle_labels(
             true_movements(noisy_market), SignalConfig(accuracy=0.7, density=0.6, seed=3)
         )
         w = 8
-        obs = build_states(noisy_market, labels, window=w, lookback=lookback)
+        obs = build_states(noisy_market, labels, window=w)
         closes = noisy_market.close[1:]
         assert len(obs) == len(decision_indices(noisy_market.n_steps, w))
         for row, t in zip(obs.matrix, obs.steps):
             window = closes[:, t - w + 1 : t + 1] / closes[:, t : t + 1]
-            expected = np.concatenate([window.ravel(), signal_at(labels, t, lookback)])
+            expected = np.concatenate([window.ravel(), signal_at(labels, t)])
             assert np.array_equal(row, expected)
 
 
@@ -261,14 +261,6 @@ class TestStateAssembly:
         assert obs.steps[0] == 7
         assert obs.steps[-1] == noisy_market.n_steps - 2
         assert np.array_equal(obs.signals[:5], truth.values[:, 7:12].T)
-
-    def test_lookback_averages_recent_labels(self):
-        # window 3 makes step 2 the first decision row
-        prices = series_from_closes([1.0, 2.0, 3.0, 4.0, 5.0])
-        series = SignalSeries(values=np.array([[1.0, -1.0, 1.0, 0.0, 0.0]]))
-        assert build_states(prices, series, window=3, lookback=1).signals[0, 0] == 1.0
-        third = build_states(prices, series, window=3, lookback=3).signals[0, 0]
-        assert third == pytest.approx(1.0 / 3.0)
 
     def test_too_short_series_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):

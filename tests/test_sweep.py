@@ -156,6 +156,12 @@ class TestRunSweep:
         parallel, _ = run_sweep(tiny_cfg(jobs=2))
         assert serial == parallel
 
+    def test_unsorted_grid_gives_the_sorted_rows(self):
+        # cells run in sorted order, and each group's rows go back to their places
+        serial, _ = run_sweep(tiny_cfg())
+        unsorted = tiny_cfg(jobs=2, **{"sweep.accuracies": (1.0, 0.6)})
+        assert run_sweep(unsorted)[0] == serial
+
     def test_rows_identical_for_any_number_of_jobs(self):
         serial, _ = run_sweep(tiny_cfg())
         for jobs in (2, 3):
