@@ -27,7 +27,7 @@ from .engine import (
     reward_chain,
 )
 from .market import PriceSeries, relative_prices, write_json
-from .signals import SignalSeries, build_states, state_dim
+from .signals import SignalSeries, build_states, signal_columns, state_dim
 
 
 class TrainingDivergedError(RuntimeError):
@@ -191,7 +191,7 @@ def objective(
     frozen_betas substitutes precomputed shrink factors; the finite-
     difference oracle uses this to respect the stop-gradient convention.
     """
-    actions, _ = _forward_batch(params, episode.states)
+    actions = _forward_batch(params, episode.states)[0]
     if frozen_betas is not None:
         gross = _row_sum(actions * episode.rel)
         return float(np.mean(np.log(frozen_betas * gross)))
@@ -201,7 +201,7 @@ def objective(
 
 def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.ndarray:
     """Shrink factors the policy realizes on the episode (for freezing)."""
-    actions, _ = _forward_batch(params, episode.states)
+    actions = _forward_batch(params, episode.states)[0]
     chain = reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm)
     return chain.betas
 
@@ -308,10 +308,12 @@ def train(
     drifted weights the cell's current policy produced on the preceding
     step, or all cash at the episode start.  All cells take the step in one
     stacked forward and backward pass, and each cell's result is
-    bit-identical to training it alone.  Returns per cell the trained
-    parameters and the per-epoch objective on the full training episode, or
-    the error that stopped it: non-finite parameters or objective, or an
-    infeasible rebalance.  A stopped cell leaves the group; the rest go on.
+    bit-identical to training it alone.  The group holds the price windows
+    once; each cell keeps only its signal columns.  Returns per cell the
+    trained parameters and the per-epoch objective on the full training
+    episode, or the error that stopped it: non-finite parameters or
+    objective, or an infeasible rebalance.  A stopped cell leaves the group;
+    the rest go on.
     Parameters that turn non-finite stop their cell at the end of the epoch.
     """
     cells = len(params)
@@ -325,24 +327,27 @@ def train(
             f"policy input dim {d}, but {n} assets at window {cfg.window} "
             f"need {state_dim(n, cfg.window)}"
         )
-    # One stacked observation array.  Row 0 of each cell, like row 0 of
-    # moves below, stands before the episode's first step, so every window
-    # gathers its entry row too; a window at the start enters all cash.
-    obs = None
-    for c, cell_signals in enumerate(signals):
-        cell_obs = build_states(train_prices, cell_signals, window=cfg.window)
-        if obs is None:
-            obs = np.zeros((cells, len(cell_obs) + 1, d))
-            rel = relative_prices(train_prices)[:, cell_obs.steps].T
-        obs[c, 1:] = cell_obs.matrix
-    t_total, batch = rel.shape[0], cfg.batch_window
+    # The price windows are held once, in obs, and each cell's signal
+    # columns in labels.  Row 0 of both, like row 0 of moves, stands before
+    # the episode's first step, so every window gathers its entry row too; a
+    # window at the start enters with the episode's entry weights.
+    episode = Episode.from_market(train_prices, None, cfg.window)
+    obs = np.vstack([np.zeros(d), episode.states])
+    # One Episode judges every cell: its states are obs[1:], whose signal
+    # columns judge rewrites per cell.
+    episode = Episode(obs[1:], episode.rel, episode.entry_weights, episode.entry_rel)
+    t_total, batch = len(obs) - 1, cfg.batch_window
+    labels = np.zeros((cells, t_total + 1, n))
+    for cell, cell_signals in enumerate(signals):
+        if cell_signals is not None:
+            labels[cell, 1:] = signal_columns(train_prices, cell_signals, cfg.window)
     if t_total < batch:
         raise EngineError(
             f"training episode of {t_total} steps shorter than batch window {batch}"
         )
-    m = n + 1
-    entry = all_cash(m)  # the weights a window at the episode start enters with
-    moves = np.vstack([np.ones(m), rel])
+    flat_labels, columns = labels.reshape(-1, n), slice(d - n, d)
+    entry = episode.entry_weights
+    moves = np.vstack([episode.entry_rel, episode.rel])
     offsets = np.arange(batch + 1)
     steps = cfg.steps_per_epoch or max(1, t_total // batch)
     curves: list[list[float]] = [[] for _ in range(cells)]
@@ -375,11 +380,10 @@ def train(
             group.cells(one), x[one], y[one], at_start[one], entry, cm, grads.cells(one)
         )
 
-    episodes = [Episode(obs[cell, 1:], rel, entry, np.ones(m)) for cell in range(cells)]
-
     def judge(row, cell) -> None:
         """The objective a cell scores at the end of an epoch, which must be finite."""
-        score = objective(group.cells(row), episodes[cell], cm)
+        obs[:, columns] = labels[cell]
+        score = objective(group.cells(row), episode, cm)
         if not np.isfinite(score):
             raise TrainingDivergedError(f"objective became {score} during training")
         curves[cell].append(score)
@@ -397,7 +401,8 @@ def train(
                 break
             first = starts[live, step]
             at_start, rows = first == 0, first[:, None] + offsets
-            x, y = obs[live[:, None], rows], moves[rows]
+            x, y = obs.take(rows, axis=0), moves.take(rows, axis=0)
+            x[..., columns] = flat_labels.take(live[:, None] * (t_total + 1) + rows, axis=0)
             try:
                 _lockstep_grads(group, x, y, at_start, entry, cm, grads)
             except EngineError:  # an infeasible rebalance stops only the cells that hit it

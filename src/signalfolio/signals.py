@@ -209,7 +209,8 @@ class Observations:
 
     Row j is the state at step steps[j]: each asset's close window divided
     by its last close, asset by asset (n_assets * window columns), followed
-    by the signal columns.  This is the only place that knows the layout.
+    by the signal columns.  This module is the only place that knows the
+    layout, save that agent.train takes the signal columns to come last.
     """
 
     matrix: np.ndarray
@@ -232,6 +233,16 @@ class Observations:
         return self.matrix[:, self.n_assets * self.window :]
 
 
+def signal_columns(prices: PriceSeries, signals: SignalSeries, window: int = 30) -> np.ndarray:
+    """The signal columns of every decision step's state, (T, n_assets): its labels."""
+    if signals.n_assets != prices.n_assets:
+        raise SignalError("signal assets do not match price series")
+    if signals.n_steps != prices.n_steps:
+        raise SignalError("signal steps do not match price series")
+    steps = decision_indices(prices.n_steps, window)
+    return signals.values[:, steps.start : steps.stop].T
+
+
 def build_states(
     prices: PriceSeries,
     signals: SignalSeries | None = None,
@@ -247,11 +258,6 @@ def build_states(
             f"series of {prices.n_steps} steps too short for window {window}"
         )
     n = prices.n_assets
-    if signals is not None:
-        if signals.n_assets != n:
-            raise SignalError("signal assets do not match price series")
-        if signals.n_steps != prices.n_steps:
-            raise SignalError("signal steps do not match price series")
     steps = decision_indices(prices.n_steps, window)
     t_total = len(steps)
     matrix = np.zeros((t_total, state_dim(n, window)))
@@ -260,7 +266,7 @@ def build_states(
     raw = sliding_window_view(prices.close[1:], window, axis=1)[:, :t_total]
     np.divide(raw, raw[:, :, -1:], out=obs.windows.transpose(1, 0, 2))
     if signals is not None:
-        obs.signals[:] = signals.values[:, steps.start : steps.stop].T
+        obs.signals[:] = signal_columns(prices, signals, window)
     matrix.setflags(write=False)
     return obs
 

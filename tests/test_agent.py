@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +21,21 @@ from signalfolio.agent import (
     train,
 )
 from signalfolio.engine import CostModel, EngineError, all_cash, run_backtest
-from signalfolio.market import PriceSeries, SyntheticMarketSpec, generate_synthetic
-from signalfolio.signals import SignalConfig, oracle_labels, true_movements
+from signalfolio.market import (
+    PriceSeries,
+    SplitSpec,
+    SyntheticMarketSpec,
+    chronological_split,
+    generate_synthetic,
+)
+from signalfolio.signals import (
+    SignalConfig,
+    SignalError,
+    SignalSeries,
+    oracle_labels,
+    state_dim,
+    true_movements,
+)
 
 LN_1_01 = 0.009950330853168092
 
@@ -350,6 +364,52 @@ class TestTrain:
         params.weights[0][0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
             train_one(params, prices, None, CostModel(), self._cfg())
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((3, 140), "signal assets do not match"), ((2, 139), "signal steps do not match")],
+    )
+    def test_mismatched_signals_raise_before_any_step(self, shape, message):
+        # the second cell's series is bad; the first cell's sampler stays unused
+        prices = self._market()
+        params = [init_policy(2 * 8 + 2, 3, hidden=(8,), seed=s) for s in (1, 2)]
+        samplers = rngs([0, 1])
+        bad = SignalSeries(values=np.ones(shape))
+        with pytest.raises(SignalError, match=message):
+            train(params, prices, [None, bad], CostModel(), self._cfg(), samplers)
+        assert samplers[0].bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_memory_per_cell_is_its_signal_columns(self):
+        # The sweep shape: 3 assets, window 10, 2,400 steps split at 2,000.
+        # The group holds the price windows once, so each added cell costs
+        # its signal columns and parameters, not a (T, d) observation copy.
+        prices = generate_synthetic(
+            SyntheticMarketSpec(n_assets=3, n_steps=2400, vol=0.02, seed=5)
+        )
+        prices = chronological_split(prices, SplitSpec(boundary=2000))[0]
+        moves, d = true_movements(prices), state_dim(3, 10)
+        cfg = TrainConfig(
+            learning_rate=3.0, batch_window=64, epochs=1, window=10, steps_per_epoch=1
+        )
+
+        def peak(cells):
+            signals = [
+                oracle_labels(moves, SignalConfig(accuracy=0.5 + c / 100, seed=c)) if c else None
+                for c in range(cells)
+            ]
+            params = [init_policy(d, 4, hidden=(32,), seed=c) for c in range(cells)]
+            tracemalloc.start()
+            try:
+                outcomes = train(params, prices, signals, CostModel(), cfg, rngs(range(cells)))
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not any(isinstance(o, Exception) for o in outcomes)
+            return top
+
+        t_total = Episode.from_market(prices, window=10).states.shape[0]
+        per_cell = (peak(35) - peak(1)) / 34
+        assert per_cell < 0.5 * t_total * d * 8
 
 
 def _assert_same_outcome(got, want):
