@@ -195,15 +195,14 @@ def objective(
     if frozen_betas is not None:
         gross = _row_sum(actions * episode.rel)
         return float(np.mean(np.log(frozen_betas * gross)))
-    chain = reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm)
-    return float(chain.rewards.mean())
+    result = reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm)
+    return float(result.rewards.mean())
 
 
 def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.ndarray:
     """Shrink factors the policy realizes on the episode (for freezing)."""
     actions = _forward_batch(params, episode.states)[0]
-    chain = reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm)
-    return chain.betas
+    return reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm).betas
 
 
 def gradient(params: PolicyParams, episode: Episode, cm: CostModel):

@@ -136,7 +136,12 @@ def cmd_metrics(cfg, out: Path) -> int:
     result_files = sorted(out.glob("result_*.json"))
     if not result_files:
         raise ConfigError(f"out: no result_*.json files in {out}")
-    runs = {p.stem.removeprefix("result_"): BacktestResult.load(p) for p in result_files}
+    runs = {}
+    for path in result_files:
+        try:
+            runs[path.stem.removeprefix("result_")] = BacktestResult.load(path)
+        except (ValueError, TypeError) as exc:  # bad JSON, a missing or altered field
+            raise ConfigError(f"out: {path.name}: {exc}") from exc
     _write_metric_tables(cfg, runs, out)
     return 0
 

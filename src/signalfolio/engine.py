@@ -11,7 +11,8 @@ of the reward sum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -133,16 +134,6 @@ def accumulate(rewards) -> np.ndarray:
     return np.concatenate([[1.0], np.exp(np.cumsum(rewards))])
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    """Vectorized per-step quantities of one reward chain."""
-
-    drifted: np.ndarray
-    betas: np.ndarray
-    factors: np.ndarray
-    rewards: np.ndarray
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=-1) bit for bit, without numpy's slow reduction over a short axis.
 
@@ -211,13 +202,14 @@ def reward_chain(
     entry_weights: np.ndarray,
     entry_rel: np.ndarray,
     cm: CostModel,
-) -> ChainResult:
+) -> BacktestResult:
     """Thread the weight/cost recursion over a whole action sequence.
 
     actions and rel are (T, m) row-per-step matrices; entry_weights and
     entry_rel describe the holdings and price move immediately before the
-    first step.  Returns drifted pre-trade weights, shrink factors, wealth
-    factors beta * (a . y) and log rewards.
+    first step.  Returns the chain as a result starting at index 0: the
+    drifted pre-trade weights, shrink factors and wealth factors
+    beta * (a . y), from which the log rewards derive.
     """
     actions = np.asarray(actions, dtype=float)
     rel = np.asarray(rel, dtype=float)
@@ -227,54 +219,66 @@ def reward_chain(
     gross = _row_sum(held)
     drifted = np.vstack([_drift(entry_weights, entry_rel), held[:-1] / gross[:-1, None]])
     betas = _betas(drifted, actions, cm)
-    factors = betas * gross
-    return ChainResult(
-        drifted=drifted,
-        betas=betas,
-        factors=factors,
-        rewards=np.log(factors),
-    )
+    return BacktestResult(0, actions, drifted, betas, betas * gross)
 
 
-_RESULT_ARRAYS = ("actions", "weights", "betas", "factors", "rewards", "pv")
+_STORED = ("actions", "weights", "betas", "factors")
+_DERIVED = ("rewards", "pv", "final_pv")
+_FIELDS = ("start_index", *_STORED, *_DERIVED)  # the keys of a saved result
 
 
 @dataclass(frozen=True)
 class BacktestResult:
-    """Everything recorded over one backtest run."""
+    """One reward chain: per step, the action, the drifted pre-trade weights, beta and factor.
+
+    These cannot be rebuilt; rewards = ln(factors), pv = accumulate(rewards)
+    and final_pv = pv[-1] derive from them once, on first read.
+    """
 
     start_index: int
     actions: np.ndarray
     weights: np.ndarray
     betas: np.ndarray
     factors: np.ndarray
-    rewards: np.ndarray
-    pv: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in _RESULT_ARRAYS:
+        for name in _STORED:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        t_total = self.rewards.size
-        if self.pv.size != t_total + 1 or self.actions.shape[0] != t_total:
+        if len({getattr(self, name).shape[:1] for name in _STORED}) != 1:
             raise EngineError("inconsistent backtest arrays")
 
     @property
     def n_steps(self) -> int:
-        return self.rewards.size
+        return self.factors.size
 
-    @property
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        return _frozen(np.log(self.factors))
+
+    @cached_property
+    def pv(self) -> np.ndarray:
+        return _frozen(accumulate(self.rewards))
+
+    @cached_property
     def final_pv(self) -> float:
         return float(self.pv[-1])
 
     def save(self, path: str | Path) -> None:
-        fields = {name: getattr(self, name) for name in _RESULT_ARRAYS}
-        write_json(path, {**fields, "start_index": self.start_index, "final_pv": self.final_pv})
+        write_json(path, {name: getattr(self, name) for name in _FIELDS})
 
     @classmethod
-    def load(cls, path: str | Path) -> "BacktestResult":
+    def load(cls, path: str | Path) -> BacktestResult:
+        """Read a saved result; rewards, pv and final_pv must equal their rebuilt values."""
         data = json.loads(Path(path).read_text())
-        arrays = {name: np.asarray(data[name], dtype=float) for name in _RESULT_ARRAYS}
-        return cls(start_index=int(data["start_index"]), **arrays)
+        for name in _FIELDS:
+            if not isinstance(data, dict) or name not in data:
+                raise EngineError(f"field {name!r} is missing")
+        arrays = (np.asarray(data[name], dtype=float) for name in _STORED)
+        result = cls(int(data["start_index"]), *arrays)
+        for name in _DERIVED:
+            if not np.array_equal(data[name], getattr(result, name)):
+                raise EngineError(f"field {name!r} differs from its value rebuilt from the factors")
+        return result
 
 
 def run_backtest(
@@ -301,12 +305,4 @@ def run_backtest(
     as_simplex(actions, "actions")
     rel_rows = relative_prices(prices)[:, obs.steps].T
     chain = reward_chain(actions, rel_rows, all_cash(m), np.ones(m), cm)
-    return BacktestResult(
-        start_index=obs.steps.start,
-        actions=actions,
-        weights=chain.drifted,
-        betas=chain.betas,
-        factors=chain.factors,
-        rewards=chain.rewards,
-        pv=accumulate(chain.rewards),
-    )
+    return replace(chain, start_index=obs.steps.start)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -87,22 +88,19 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
 
 def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals, cm) -> dict:
     result = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
-    return {
-        "accuracy": cell.accuracy,
-        "density": cell.density,
-        "seed": cell.seed,
-        "final_pv": result.final_pv,
-        "sharpe": sharpe_ratio(result, result.n_steps, cfg["rfree"]),
-    }
+    sharpe = sharpe_ratio(result, result.n_steps, cfg["rfree"])
+    return {**asdict(cell), "final_pv": result.final_pv, "sharpe": sharpe}
 
 
 def _failure_row(cell: CellSpec, exc: Exception) -> dict:
-    return {
-        "accuracy": cell.accuracy,
-        "density": cell.density,
-        "seed": cell.seed,
-        "error": "".join(traceback.format_exception(exc, limit=3)),
-    }
+    """The cell's row; its "error" holds "Type: message" of the exception and each cause."""
+    print(f"sweep: {cell} failed", file=sys.stderr)
+    traceback.print_exception(exc)  # paths and line numbers go here, not into the row
+    causes = []
+    while exc is not None:
+        causes.append(f"{type(exc).__name__}: {exc}")
+        exc = exc.__cause__
+    return {**asdict(cell), "error": "\n".join(causes)}
 
 
 def run_group(
@@ -116,7 +114,7 @@ def run_group(
     """Set up every cell, train them in lockstep on train_prices, backtest each.
 
     Returns one row dict per cell; a cell that fails in setup, training or
-    its backtest fails alone, as a row whose "error" holds the traceback.
+    its backtest fails alone, as a row whose "error" names the exception.
     """
     outcomes: list = [None] * len(cells)
     ready = []

@@ -369,7 +369,6 @@ def test_criterion_8_metric_oracles():
     for _ in range(50):
         t_total = int(rng.integers(3, 40))
         factors = np.exp(rng.normal(0, 0.04, t_total))
-        rewards = np.log(factors)
         uniform = np.full((t_total, 2), 0.5)
         result = BacktestResult(
             start_index=0,
@@ -377,8 +376,6 @@ def test_criterion_8_metric_oracles():
             weights=uniform,
             betas=np.ones(t_total),
             factors=factors,
-            rewards=rewards,
-            pv=accumulate(rewards),
         )
         direct_pv = float(np.prod(factors))
         worst_pv = max(
@@ -393,8 +390,6 @@ def test_criterion_8_metric_oracles():
         weights=np.full((2, 2), 0.5),
         betas=np.ones(2),
         factors=np.array([1.1, 0.9]),
-        rewards=np.log([1.1, 0.9]),
-        pv=accumulate(np.log([1.1, 0.9])),
     )
     spot = abs(sharpe_ratio(two_point, 2) - 19.8)
     ok = worst_pv <= 1e-10 and worst_sr <= 1e-10 and spot <= 1e-10

@@ -527,6 +527,22 @@ class TestSweepCommand:
         assert "seed = 99" in echo.splitlines()
 
 
+def _truncated(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _without_pv(text: str) -> str:
+    payload = json.loads(text)
+    del payload["pv"]
+    return json.dumps(payload)
+
+
+def _with_one_reward_off(text: str) -> str:
+    payload = json.loads(text)
+    payload["rewards"][3] = float(np.nextafter(payload["rewards"][3], 1.0))
+    return json.dumps(payload)
+
+
 class TestMetricsCommand:
     def test_recomputes_tables_from_results(self, tmp_path):
         out = tmp_path / "run"
@@ -544,3 +560,25 @@ class TestMetricsCommand:
         code = run("metrics", "--out", str(tmp_path / "empty"))
         assert code == 1
         assert "result_" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (_truncated, "delimiter"),
+            (_without_pv, "'pv'"),
+            (_with_one_reward_off, "'rewards'"),
+        ],
+        ids=["truncated", "missing-field", "tampered-rewards"],
+    )
+    def test_bad_result_file_exits_one_naming_it(self, tmp_path, capsys, damage, named):
+        out = tmp_path / "run"
+        horizons = sets(["metrics.horizons=1w,2w"])
+        market = sets([*FAST_MARKET, "baselines=ew"])
+        assert run("backtest", "--out", str(out), *market, *horizons) == 0
+        path = out / "result_ew.json"
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert run("metrics", "--out", str(out), *horizons) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: result_ew.json: ")
+        assert named in err

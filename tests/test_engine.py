@@ -264,7 +264,7 @@ class TestScalarApiIsOneRowChain:
                 np.concatenate([[1.0], np.exp(rng.normal(0, 0.05, m - 1))]) for _ in range(2)
             )
             chain = reward_chain(a[None], y[None], w, y_prev, cm)
-            assert np.array_equal(drift_weights(w, y_prev), chain.drifted[0])
+            assert np.array_equal(drift_weights(w, y_prev), chain.weights[0])
             assert cost_factor(w, a, y_prev, cm) == chain.betas[0]
             assert step_reward(w, a, y, y_prev, cm) == chain.rewards[0]
 
@@ -334,8 +334,8 @@ class TestRewardChain:
         actions = np.stack([random_simplex(rng, 4) for _ in range(30)])
         rel = np.hstack([np.ones((30, 1)), np.exp(rng.normal(0, 0.1, (30, 3)))])
         chain = reward_chain(actions, rel, all_cash(4), np.ones(4), CostModel())
-        assert np.all(chain.drifted >= 0)
-        assert np.allclose(chain.drifted.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(chain.weights >= 0)
+        assert np.allclose(chain.weights.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestRunBacktest:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from signalfolio.baselines import ew_policy
-from signalfolio.engine import BacktestResult, CostModel, EngineError, accumulate, run_backtest
+from signalfolio.engine import BacktestResult, CostModel, EngineError, run_backtest
 from signalfolio.evaluation import (
     horizon_steps,
     horizon_table,
@@ -22,18 +22,8 @@ SHARPE_TWO_POINT = 19.799999999999994
 
 def fake_result(factors) -> BacktestResult:
     factors = np.asarray(factors, dtype=float)
-    t_total = factors.size
-    rewards = np.log(factors)
-    uniform = np.full((t_total, 2), 0.5)
-    return BacktestResult(
-        start_index=0,
-        actions=uniform,
-        weights=uniform,
-        betas=np.ones(t_total),
-        factors=factors,
-        rewards=rewards,
-        pv=accumulate(rewards),
-    )
+    uniform = np.full((factors.size, 2), 0.5)
+    return BacktestResult(0, uniform, uniform, np.ones(factors.size), factors)
 
 
 class TestPortfolioValue:

@@ -21,7 +21,7 @@ from signalfolio.agent import (
     objective,
 )
 from signalfolio.engine import (
-    ChainResult,
+    BacktestResult,
     ConvergenceError,
     CostModel,
     EngineError,
@@ -89,7 +89,7 @@ def oracle_reward_chain(actions, rel, entry_weights, entry_rel, cm):
     betas = oracle_betas(drifted, actions, cm)
     gross = (actions * rel).sum(axis=1)
     factors = betas * gross
-    return ChainResult(drifted=drifted, betas=betas, factors=factors, rewards=np.log(factors))
+    return BacktestResult(0, actions, drifted, betas, factors)
 
 
 def oracle_grads(params, x, rel, entry_w, entry_y, cm, out):
@@ -247,5 +247,5 @@ class TestObjectiveAndChain:
         cm = CostModel(c_buy=0.003, c_sell=0.002, mode=mode)
         got = reward_chain(actions, rel, entry_w, entry_y, cm)
         want = oracle_reward_chain(actions, rel, entry_w, entry_y, cm)
-        for field in ("drifted", "betas", "factors", "rewards"):
+        for field in ("actions", "weights", "betas", "factors", "rewards", "pv"):
             assert_same_bytes(getattr(got, field), getattr(want, field))

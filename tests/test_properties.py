@@ -1,0 +1,119 @@
+"""Invariants of the reward chain and its stored result, over generated inputs.
+
+Runs only where hypothesis is importable; the package never needs it.
+Examples are derived from the test's name, not drawn afresh, so every run
+checks the same cases, and no example database is written.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from signalfolio.engine import (  # noqa: E402
+    BacktestResult,
+    CostModel,
+    cost_factor,
+    drift_weights,
+    reward_chain,
+)
+
+SETTINGS = hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+MODES = st.sampled_from(["fixed_point", "simple"])
+
+
+@st.composite
+def simplex(draw, m: int) -> np.ndarray:
+    v = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    hypothesis.assume(v.sum() > 1e-6)
+    return v / v.sum()
+
+
+@st.composite
+def moves(draw, shape: tuple[int, ...]) -> np.ndarray:
+    """Relative prices: 1 for cash, a positive move for each asset."""
+    size = int(np.prod(shape))
+    y = np.exp(draw(st.lists(st.floats(-0.3, 0.3), min_size=size, max_size=size))).reshape(shape)
+    y[..., 0] = 1.0
+    return y
+
+
+def costs(draw, top: float) -> CostModel:
+    rates = st.floats(0.0, top)
+    return CostModel(c_buy=draw(rates), c_sell=draw(rates), mode=draw(MODES))
+
+
+@st.composite
+def rebalances(draw):
+    """Holdings, a price move and a target; rates low enough that simple mode stays positive."""
+    m = draw(st.integers(2, 6))
+    cm = costs(draw, 0.4)
+    return draw(simplex(m)), draw(moves((m,))), draw(simplex(m)), cm
+
+
+@SETTINGS
+@hypothesis.given(rebalances())
+def test_beta_lies_in_zero_one(case):
+    w_prev, y_prev, a, cm = case
+    assert 0.0 < cost_factor(w_prev, a, y_prev, cm) <= 1.0
+
+
+@SETTINGS
+@hypothesis.given(rebalances())
+def test_beta_is_one_at_zero_turnover(case):
+    w_prev, y_prev, _, cm = case
+    assert cost_factor(w_prev, drift_weights(w_prev, y_prev), y_prev, cm) == 1.0
+
+
+@st.composite
+def chains(draw):
+    m, steps = draw(st.integers(2, 5)), draw(st.integers(1, 12))
+    actions = np.stack([draw(simplex(m)) for _ in range(steps)])
+    cm = costs(draw, 0.05)
+    return actions, draw(moves((steps, m))), draw(simplex(m)), draw(moves((m,))), cm
+
+
+@SETTINGS
+@hypothesis.given(chains())
+def test_reward_sum_is_the_log_of_the_factor_product(case):
+    result = reward_chain(*case)
+    want = np.log(np.prod(result.factors))
+    assert np.sum(result.rewards) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def results(draw):
+    steps, m = draw(st.integers(1, 20)), draw(st.integers(2, 4))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, max_value=1e15, exclude_min=True)  # pv stays finite
+
+    def array(elements, shape):
+        size = int(np.prod(shape))
+        return np.reshape(draw(st.lists(elements, min_size=size, max_size=size)), shape)
+
+    return BacktestResult(
+        start_index=draw(st.integers(0, 10_000)),
+        actions=array(floats, (steps, m)),
+        weights=array(floats, (steps, m)),
+        betas=array(floats, (steps,)),
+        factors=array(positive, (steps,)),
+    )
+
+
+@SETTINGS
+@hypothesis.given(results())
+def test_save_and_load_rebuild_the_derived_fields_bit_for_bit(result):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.json"
+        result.save(path)
+        loaded = BacktestResult.load(path)
+    for name in ("actions", "weights", "betas", "factors", "rewards", "pv"):
+        assert getattr(loaded, name).tobytes() == getattr(result, name).tobytes()
+    assert np.float64(loaded.final_pv).tobytes() == np.float64(result.final_pv).tobytes()
+    assert loaded.start_index == result.start_index
