@@ -27,7 +27,7 @@ from .engine import (
     reward_chain,
 )
 from .market import PriceSeries, relative_prices, write_json
-from .signals import SignalSeries, build_states, signal_columns, state_dim
+from .signals import SignalSeries, build_states, decision_indices, signal_columns, state_dim
 
 
 class TrainingDivergedError(RuntimeError):
@@ -170,11 +170,10 @@ class Episode:
         signals: SignalSeries | None = None,
         window: int = 30,
     ) -> "Episode":
-        obs = build_states(prices, signals, window=window)
         m = prices.n_assets + 1
         return cls(
-            states=obs.matrix,
-            rel=relative_prices(prices)[:, obs.steps].T,
+            states=build_states(prices, signals, window=window),
+            rel=relative_prices(prices)[:, decision_indices(prices.n_steps, window)].T,
             entry_weights=all_cash(m),
             entry_rel=np.ones(m),
         )

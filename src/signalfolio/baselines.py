@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import EngineError, as_simplex
-from .signals import Observations
+from .engine import EngineError, all_cash, as_simplex
+from .signals import close_windows
 
 
 def _project(v: np.ndarray) -> np.ndarray:
@@ -53,10 +53,7 @@ def _reversion_path(b, predicted: np.ndarray, epsilon: float, sign: float) -> np
 
 
 def olmar_action(
-    b: np.ndarray,
-    y_history: np.ndarray,
-    epsilon: float = 10.0,
-    window: int = 5,
+    b: np.ndarray, y_history: np.ndarray, epsilon: float = 10.0, window: int = 5
 ) -> np.ndarray:
     """Moving-average reversion step.
 
@@ -66,14 +63,11 @@ def olmar_action(
     too little history, a satisfied constraint or a flat prediction the
     weights pass through unchanged.
     """
-    return OLMARPolicy(epsilon, window)._step(b, y_history)
+    return OLMARPolicy(np.size(b), epsilon, window)._step(b, y_history)
 
 
 def wmamr_action(
-    b: np.ndarray,
-    y_history: np.ndarray,
-    epsilon: float = 1.0,
-    window: int = 5,
+    b: np.ndarray, y_history: np.ndarray, epsilon: float = 1.0, window: int = 5
 ) -> np.ndarray:
     """Passive-aggressive mean reversion on the windowed average move.
 
@@ -81,7 +75,7 @@ def wmamr_action(
     step against it (recent winners get trimmed) and reproject; otherwise
     they pass through unchanged.
     """
-    return WMAMRPolicy(epsilon, window)._step(b, y_history)
+    return WMAMRPolicy(np.size(b), epsilon, window)._step(b, y_history)
 
 
 class CRPPolicy:
@@ -90,8 +84,8 @@ class CRPPolicy:
     def __init__(self, target) -> None:
         self.target = as_simplex(target, "target")
 
-    def __call__(self, obs: Observations) -> np.ndarray:
-        return np.tile(self.target, (len(obs), 1))
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        return np.tile(self.target, (len(states), 1))
 
 
 def ew_policy(n_components: int) -> CRPPolicy:
@@ -99,30 +93,30 @@ def ew_policy(n_components: int) -> CRPPolicy:
 
 
 def hold_cash_policy(n_components: int) -> CRPPolicy:
-    target = np.zeros(n_components)
-    target[0] = 1.0
-    return CRPPolicy(target)
+    return CRPPolicy(all_cash(n_components))
 
 
 class _ReversionPolicy:
-    def __init__(self, epsilon: float, window: int) -> None:
+    def __init__(self, m: int, epsilon: float, window: int) -> None:
         if window < 1:
             raise EngineError(f"window must be >= 1, got {window}")
+        self.m = m
         self.epsilon = epsilon
         self.window = window
 
-    def __call__(self, obs: Observations) -> np.ndarray:
+    def __call__(self, states: np.ndarray) -> np.ndarray:
         """Update from a uniform start through every decision step in turn.
 
         The history of a step is the ratio of consecutive normalized closes
         in its window (cash relative 1).  Only the last `window` ratios are
         formed; a shorter history makes every update pass through.
         """
-        t_total, m = len(obs), obs.n_assets + 1
+        t_total, m = len(states), self.m
+        windows = close_windows(states, m - 1)
         uniform = np.full(m, 1.0 / m)
-        if obs.window - 1 < self.window:
+        if windows.shape[2] - 1 < self.window:
             return np.tile(uniform, (t_total, 1))
-        w = obs.windows[:, :, obs.window - self.window - 1 :]
+        w = windows[:, :, -self.window - 1 :]
         hist = np.ones((t_total, self.window, m))
         hist[:, :, 1:] = (w[:, :, 1:] / w[:, :, :-1]).transpose(0, 2, 1)
         return _reversion_path(uniform, self.predict(hist, self.window), self.epsilon, self.sign)
@@ -141,8 +135,8 @@ class _ReversionPolicy:
 class OLMARPolicy(_ReversionPolicy):
     sign = 1.0
 
-    def __init__(self, epsilon: float = 10.0, window: int = 5) -> None:
-        super().__init__(epsilon, window)
+    def __init__(self, m: int, epsilon: float = 10.0, window: int = 5) -> None:
+        super().__init__(m, epsilon, window)
 
     @staticmethod
     def predict(hist: np.ndarray, window: int) -> np.ndarray:
@@ -153,8 +147,8 @@ class OLMARPolicy(_ReversionPolicy):
 class WMAMRPolicy(_ReversionPolicy):
     sign = -1.0
 
-    def __init__(self, epsilon: float = 1.0, window: int = 5) -> None:
-        super().__init__(epsilon, window)
+    def __init__(self, m: int, epsilon: float = 1.0, window: int = 5) -> None:
+        super().__init__(m, epsilon, window)
 
     @staticmethod
     def predict(hist: np.ndarray, window: int) -> np.ndarray:

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import config as cfgmod
-from .agent import save_checkpoint
+from .agent import policy_forward, save_checkpoint
 from .config import ConfigError
 from .engine import BacktestResult, run_backtest
 from .evaluation import horizon_table, write_metrics_csv, write_metrics_json, write_table
-from .signals import decision_indices
+from .market import open_whole
+from .signals import build_states, decision_indices
 from .sweep import run_sweep, write_summary, write_sweep_csv
 
 
@@ -54,7 +56,8 @@ def _load_config(args) -> dict[str, object]:
 
 
 def _write_echo(cfg: dict[str, object], out: Path) -> None:
-    (out / "config_echo.txt").write_text(cfgmod.echo_config(cfg))
+    with open_whole(out / "config_echo.txt") as fh:
+        fh.write(cfgmod.echo_config(cfg))
 
 
 def cmd_backtest(cfg, out: Path) -> int:
@@ -62,12 +65,12 @@ def cmd_backtest(cfg, out: Path) -> int:
     baselines = cfgmod.build_baselines(cfg, test_p.n_assets + 1)
     if not baselines and not cfg["agent.enabled"]:
         raise ConfigError("baselines: nothing to run (no baselines, agent disabled)")
-    cfgmod.check_horizons(cfg, len(decision_indices(test_p.n_steps, cfg["window"])))
+    window = cfg["window"]
+    cfgmod.check_horizons(cfg, len(decision_indices(test_p.n_steps, window)))
     cm = cfgmod.build_cost(cfg)
-    runs: dict[str, BacktestResult] = {
-        name: run_backtest(test_p, policy, None, cm, window=cfg["window"])
-        for name, policy in baselines.items()
-    }
+    states = build_states(test_p, None, window) if baselines else None
+    runs = {name: run_backtest(test_p, states, p, cm) for name, p in baselines.items()}
+    del states  # one state matrix alive at a time: the baselines' go before the agent's
     if cfg["agent.enabled"]:
         loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
         seeds = cfgmod.run_seeds(cfg)
@@ -75,7 +78,8 @@ def cmd_backtest(cfg, out: Path) -> int:
             params, _, test_signals = cfgmod.setup_agent(cfg, train_p, test_p, seeds, cm)
         else:
             params, _, _, test_signals = cfgmod.prepare_agent(cfg, train_p, test_p, seeds, loaded)
-        runs["agent"] = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
+        states = build_states(test_p, test_signals, window)
+        runs["agent"] = run_backtest(test_p, states, partial(policy_forward, params), cm)
     for name, result in runs.items():
         result.save(out / f"result_{name}.json")
     _write_pv_curves(runs, out / "pv_curves.csv")
@@ -109,19 +113,21 @@ def cmd_train(cfg, out: Path) -> int:
     params, curve, _ = cfgmod.setup_agent(
         cfg, train_p, None, cfgmod.run_seeds(cfg), cfgmod.build_cost(cfg), loaded
     )
+    _write_curve(out / "learning_curve.csv", curve, epochs_done, resumed=loaded is not None)
     save_checkpoint(
         params,
         out / "checkpoint.json",
         meta={"epochs_trained": epochs_done + len(curve)},
     )
-    _append_curve(out / "learning_curve.csv", curve, start_epoch=epochs_done, resumed=loaded is not None)
     _write_echo(cfg, out)
     return 0
 
 
-def _append_curve(path: Path, curve, start_epoch: int, resumed: bool) -> None:
-    rows = enumerate(curve, start=start_epoch + 1)
-    write_table(path, ["epoch", "J_T"], rows, append=resumed and path.exists())
+def _write_curve(path: Path, curve, start_epoch: int, resumed: bool) -> None:
+    """The learning curve, whole: a resumed run's rows follow the file's old ones."""
+    old = path.read_text().splitlines()[1:] if resumed and path.exists() else []
+    rows = [*(line.split(",") for line in old), *enumerate(curve, start=start_epoch + 1)]
+    write_table(path, ["epoch", "J_T"], rows)
 
 
 def cmd_sweep(cfg, out: Path) -> int:

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, policy_forward, train
+from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, train
 from .baselines import CRPPolicy, OLMARPolicy, WMAMRPolicy, ew_policy, hold_cash_policy
-from .engine import BacktestResult, CostModel, EngineError, run_backtest
+from .engine import CostModel, EngineError
 from .evaluation import DEFAULT_RISK_FREE, check_horizon, horizon_steps
 from .market import (
     MarketDataError,
@@ -358,7 +358,11 @@ def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict
         return None, {}
     if not Path(path).exists():
         raise ConfigError(f"agent.checkpoint: no such file {path!r}")
-    params, meta = load_checkpoint(path)
+    try:
+        params, meta = load_checkpoint(path)
+    except (ValueError, KeyError, TypeError) as exc:  # bad JSON or layers, a missing key
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"agent.checkpoint: {path}: {reason}") from exc
     window = cfg["window"]
     got, want = (params.input_dim, params.n_actions), (state_dim(n_assets, window), n_assets + 1)
     if got != want:
@@ -391,30 +395,13 @@ def setup_agent(
     return (*outcome, test_signals)
 
 
-def backtest_agent(
-    cfg: dict[str, object],
-    test_p: PriceSeries,
-    params: PolicyParams,
-    signals: SignalSeries | None,
-    cm: CostModel,
-) -> BacktestResult:
-    """Backtest the agent's policy on the test split; shared by backtest and sweep."""
-    return run_backtest(
-        test_p,
-        lambda obs: policy_forward(params, obs.matrix),
-        signals,
-        cm,
-        window=cfg["window"],
-    )
-
-
 def build_baselines(cfg: dict[str, object], m: int) -> dict:
     """Baseline policies over m components, by the names in `baselines`."""
     builders = {
         "ew": lambda: ew_policy(m),
         "crp": lambda: _crp_baseline(cfg, m),
-        "olmar": OLMARPolicy,
-        "wmamr": WMAMRPolicy,
+        "olmar": lambda: OLMARPolicy(m),
+        "wmamr": lambda: WMAMRPolicy(m),
         "hold_cash": lambda: hold_cash_policy(m),
     }
     for name in cfg["baselines"]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .market import PriceSeries, _frozen, relative_prices, write_json
-from .signals import SignalSeries, build_states
+from .signals import decision_indices, state_dim
 
 SIMPLEX_TOL = 1e-12
 
@@ -281,28 +281,25 @@ class BacktestResult:
         return result
 
 
-def run_backtest(
-    prices: PriceSeries,
-    policy,
-    signals: SignalSeries | None = None,
-    cm: CostModel | None = None,
-    window: int = 30,
-) -> BacktestResult:
+def run_backtest(prices: PriceSeries, states: np.ndarray, policy, cm: CostModel) -> BacktestResult:
     """Run a policy over a price series, starting from all cash.
 
-    The policy is called once with the episode's Observations and must
-    return a (T, n + 1) matrix whose rows are simplex allocations, one per
-    decision step.  The first window - 1 steps only feed history; the final
-    step has no observable move, so a series of n steps yields n - window
-    decisions.
+    states is the series' state matrix, build_states(prices, signals,
+    window), one row per decision step; its length fixes the window.  The
+    policy is called once with it and must return a (T, n + 1) matrix whose
+    rows are simplex allocations, one per decision step.  The first
+    window - 1 steps only feed history; the final step has no observable
+    move, so a series of n steps yields n - window decisions.
     """
-    cm = cm or CostModel()
-    obs = build_states(prices, signals, window=window)
-    m = prices.n_assets + 1
-    actions = np.asarray(policy(obs), dtype=float)
-    if actions.shape != (len(obs), m):
-        raise EngineError(f"actions have shape {actions.shape}, want {(len(obs), m)}")
+    n, states = prices.n_assets, np.asarray(states)
+    window = prices.n_steps - len(states) if states.ndim == 2 else 0
+    if window < 1 or states.shape[1] != state_dim(n, window):
+        raise EngineError(f"states of shape {states.shape} do not fit {n} assets' prices")
+    steps, m = decision_indices(prices.n_steps, window), n + 1
+    actions = np.asarray(policy(states), dtype=float)
+    if actions.shape != (len(states), m):
+        raise EngineError(f"actions have shape {actions.shape}, want {(len(states), m)}")
     as_simplex(actions, "actions")
-    rel_rows = relative_prices(prices)[:, obs.steps].T
+    rel_rows = relative_prices(prices)[:, steps].T
     chain = reward_chain(actions, rel_rows, all_cash(m), np.ones(m), cm)
-    return replace(chain, start_index=obs.steps.start)
+    return replace(chain, start_index=steps.start)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import BacktestResult, EngineError
-from .market import write_json
+from .market import open_whole, write_json
 
 DEFAULT_RISK_FREE = 0.02
 
@@ -103,16 +103,15 @@ def horizon_table(
     return table
 
 
-def write_table(path: str | Path, header: Sequence[str], rows, append: bool = False) -> None:
-    """Write a CSV artifact: floats as their repr, None as empty, anything else as str.
+def write_table(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write a CSV artifact whole or not at all: floats as repr, None as empty, the rest as str.
 
-    append=True adds the rows under the header already in the file.  Floats go
-    through float() first, since numpy 2 reprs np.float64(1.0) as "np.float64(1.0)".
+    Floats go through float() first, since numpy 2 reprs np.float64(1.0) as
+    "np.float64(1.0)".
     """
-    with Path(path).open("a" if append else "w", newline="") as fh:
+    with open_whole(path, newline="") as fh:
         writer = csv.writer(fh)
-        if not append:
-            writer.writerow(header)
+        writer.writerow(header)
         for row in rows:
             writer.writerow(
                 "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)

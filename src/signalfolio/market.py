@@ -4,8 +4,8 @@ Every series carries a synthetic cash row at index 0 with constant price 1,
 so a market of n risky assets has n+1 rows.  Timestamps are integers or
 ISO-8601 datetimes, strictly increasing, and shared by all assets; ragged
 input is rejected unless forward-filling is requested explicitly.  The
-module also holds write_json, the writer of every JSON artifact, here at
-the bottom of the import graph so that every module can use it.
+module also holds open_whole and write_json, the writers of every artifact,
+at the bottom of the import graph so that every module can use them.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -30,30 +31,40 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def write_json(path: str | Path, fields: dict) -> None:
-    """Write the bytes of json.dumps(fields, sort_keys=True), whole or not at all.
+@contextmanager
+def open_whole(path: str | Path, newline: str | None = None):
+    """A text file to write path through, whole or not at all.
 
-    Each top-level value is encoded on its own, a numpy array as its
-    .tolist(), so the largest text held at once is one value's.  The text
-    goes to a sibling "<name>.tmp" that replaces path only once complete;
-    on any error the temp file is removed and the error re-raised.
+    The text goes to a sibling "<name>.tmp" that replaces path only once the
+    block completes; on any error the temp file is removed and the error
+    re-raised, so path keeps its previous contents.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w") as fh:
-            fh.write("{")
-            for i, key in enumerate(sorted(fields)):
-                value = fields[key]
-                if isinstance(value, np.ndarray):
-                    value = value.tolist()
-                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-                fh.write(json.dumps(value, sort_keys=True))
-            fh.write("}")
+        with tmp.open("w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, fields: dict) -> None:
+    """Write the bytes of json.dumps(fields, sort_keys=True), whole or not at all.
+
+    Each top-level value is encoded on its own, a numpy array as its
+    .tolist(), so the largest text held at once is one value's.
+    """
+    with open_whole(path) as fh:
+        fh.write("{")
+        for i, key in enumerate(sorted(fields)):
+            value = fields[key]
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            fh.write(json.dumps(value, sort_keys=True))
+        fh.write("}")
 
 
 @dataclass(frozen=True)

@@ -203,34 +203,19 @@ def state_dim(n_assets: int, window: int) -> int:
     return n_assets * window + n_assets
 
 
-@dataclass(frozen=True)
-class Observations:
-    """Observation matrix of one episode, one row per decision step.
+def close_windows(states: np.ndarray, n_assets: int) -> np.ndarray:
+    """(T, n_assets, window) view of the normalized close windows of a state matrix.
 
-    Row j is the state at step steps[j]: each asset's close window divided
-    by its last close, asset by asset (n_assets * window columns), followed
-    by the signal columns.  This module is the only place that knows the
-    layout, save that agent.train takes the signal columns to come last.
+    A state row is each asset's close window divided by its last close,
+    asset by asset (n_assets * window columns), then one signal column per
+    asset; this module is the only place that knows the layout, save that
+    agent.train takes the signal columns to come last.  The window is read
+    off the width, state_dim(n_assets, window).
     """
-
-    matrix: np.ndarray
-    n_assets: int
-    window: int
-    steps: range
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def windows(self) -> np.ndarray:
-        """(T, n_assets, window) view of the normalized close windows."""
-        return self.matrix[:, : self.n_assets * self.window].reshape(
-            len(self), self.n_assets, self.window
-        )
-
-    @property
-    def signals(self) -> np.ndarray:
-        return self.matrix[:, self.n_assets * self.window :]
+    window = states.shape[1] // n_assets - 1 if states.ndim == 2 else 0
+    if window < 1 or states.shape[1] != state_dim(n_assets, window):
+        raise SignalError(f"states of shape {states.shape} are not {n_assets} assets' states")
+    return states[:, : n_assets * window].reshape(len(states), n_assets, window)
 
 
 def signal_columns(prices: PriceSeries, signals: SignalSeries, window: int = 30) -> np.ndarray:
@@ -244,29 +229,22 @@ def signal_columns(prices: PriceSeries, signals: SignalSeries, window: int = 30)
 
 
 def build_states(
-    prices: PriceSeries,
-    signals: SignalSeries | None = None,
-    window: int = 30,
-) -> Observations:
-    """Assemble the observations of every decision step in one matrix.
+    prices: PriceSeries, signals: SignalSeries | None = None, window: int = 30
+) -> np.ndarray:
+    """The read-only (T, state_dim) matrix of every decision step's state, one row per step.
 
     The signal columns hold each asset's label at the decision step; an
-    absent signal becomes n_assets zero columns.
+    absent signal leaves them zero.
     """
     if prices.n_steps < window + 2:
-        raise MarketDataError(
-            f"series of {prices.n_steps} steps too short for window {window}"
-        )
+        raise MarketDataError(f"series of {prices.n_steps} steps too short for window {window}")
     n = prices.n_assets
-    steps = decision_indices(prices.n_steps, window)
-    t_total = len(steps)
-    matrix = np.zeros((t_total, state_dim(n, window)))
-    obs = Observations(matrix=matrix, n_assets=n, window=window, steps=steps)
-    # raw[i, j] is the close window of asset i ending at step steps[j].
+    t_total = len(decision_indices(prices.n_steps, window))
+    states = np.zeros((t_total, state_dim(n, window)))
+    # raw[i, j] is the close window of asset i ending at decision step j.
     raw = sliding_window_view(prices.close[1:], window, axis=1)[:, :t_total]
-    np.divide(raw, raw[:, :, -1:], out=obs.windows.transpose(1, 0, 2))
+    np.divide(raw, raw[:, :, -1:], out=close_windows(states, n).transpose(1, 0, 2))
     if signals is not None:
-        obs.signals[:] = signal_columns(prices, signals, window)
-    matrix.setflags(write=False)
-    return obs
-
+        states[:, n * window :] = signal_columns(prices, signals, window)
+    states.setflags(write=False)
+    return states

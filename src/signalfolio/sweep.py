@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .agent import TrainConfig, train
-from .engine import CostModel
+from .agent import TrainConfig, policy_forward, train
+from .engine import CostModel, run_backtest
 from .evaluation import sharpe_ratio, write_table
 from .market import PriceSeries, write_json
+from .signals import build_states
 
 CONTROL = "control"
 
@@ -87,7 +88,8 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
 
 
 def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals, cm) -> dict:
-    result = cfgmod.backtest_agent(cfg, test_p, params, test_signals, cm)
+    states = build_states(test_p, test_signals, cfg["window"])
+    result = run_backtest(test_p, states, partial(policy_forward, params), cm)
     sharpe = sharpe_ratio(result, result.n_steps, cfg["rfree"])
     return {**asdict(cell), "final_pv": result.final_pv, "sharpe": sharpe}
 

@@ -42,6 +42,7 @@ from signalfolio.engine import (
 )
 from signalfolio.evaluation import portfolio_value, sharpe_ratio
 from signalfolio.market import SyntheticMarketSpec, generate_synthetic
+from signalfolio.signals import build_states
 from signalfolio.sweep import run_sweep
 
 SWEEP_BASE = {
@@ -323,12 +324,12 @@ def test_criterion_7_baselines_agree_with_closed_forms():
     spec = SyntheticMarketSpec(n_assets=3, n_steps=120, vol=0.03, seed=40)
     prices = generate_synthetic(spec)
     cm = CostModel(c_buy=0.004, c_sell=0.006)
-    held = run_backtest(prices, hold_cash_policy(4), None, cm, window=10)
+    held = run_backtest(prices, build_states(prices, None, 10), hold_cash_policy(4), cm)
     if not np.all(np.abs(held.pv - 1.0) <= 1e-12):
         problems.append("hold-cash pv drifted")
 
-    ew = run_backtest(prices, ew_policy(4), None, cm, window=10)
-    crp = run_backtest(prices, CRPPolicy(np.full(4, 0.25)), None, cm, window=10)
+    ew = run_backtest(prices, build_states(prices, None, 10), ew_policy(4), cm)
+    crp = run_backtest(prices, build_states(prices, None, 10), CRPPolicy(np.full(4, 0.25)), cm)
     if not (
         np.array_equal(ew.actions, crp.actions) and np.array_equal(ew.pv, crp.pv)
     ):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from signalfolio.signals import (
     SignalConfig,
     SignalError,
     SignalSeries,
+    build_states,
     oracle_labels,
     state_dim,
     true_movements,
@@ -176,7 +178,7 @@ class TestObjective:
         cm = CostModel()
         j = objective(params, episode, cm)
         result = run_backtest(
-            prices, lambda obs: policy_forward(params, obs.matrix), None, cm, window=10
+            prices, build_states(prices, None, 10), partial(policy_forward, params), cm
         )
         assert j == pytest.approx(result.rewards.mean(), abs=1e-10)
 

@@ -2,7 +2,8 @@
 
 Each reference payload below is built the way its artifact's writer built
 it before the writers shared market.write_json, and the file written today
-must equal json.dumps of that payload, byte for byte.
+must equal json.dumps of that payload, byte for byte.  The CSV tables go
+through the same whole-or-nothing writer.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import pytest
 from signalfolio.agent import init_policy, save_checkpoint
 from signalfolio.baselines import ew_policy, hold_cash_policy
 from signalfolio.engine import BacktestResult, CostModel, run_backtest
-from signalfolio.evaluation import horizon_table, write_metrics_json
+from signalfolio.evaluation import horizon_table, write_metrics_json, write_table
 from signalfolio.market import write_json
+from signalfolio.signals import build_states
 from signalfolio.sweep import write_summary
 
 SWEEP_ROW = {"accuracy": 0.6, "density": 1.0, "seed": 0, "final_pv": 1.0123, "sharpe": 0.5}
@@ -31,7 +33,9 @@ FAILURE_ROW = {
 
 @pytest.fixture
 def result(noisy_market) -> BacktestResult:
-    return run_backtest(noisy_market, ew_policy(3), None, CostModel(), window=10)
+    return run_backtest(
+        noisy_market, build_states(noisy_market, None, 10), ew_policy(3), CostModel()
+    )
 
 
 class TestSameBytesAsBefore:
@@ -58,9 +62,16 @@ class TestSameBytesAsBefore:
         }
         assert path.read_text() == json.dumps(payload, sort_keys=True)
 
+    def test_table_keeps_csv_line_ends(self, tmp_path):
+        path = tmp_path / "learning_curve.csv"
+        write_table(path, ["epoch", "J_T"], [(1, np.float64(-0.5)), (2, None)])
+        assert path.read_bytes() == b"epoch,J_T\r\n1,-0.5\r\n2,\r\n"
+
     def test_metrics_with_undefined_sharpe(self, tmp_path, result, noisy_market):
         # holding cash keeps every wealth factor at 1, so its Sharpe is undefined
-        flat = run_backtest(noisy_market, hold_cash_policy(3), None, CostModel(), window=10)
+        flat = run_backtest(
+            noisy_market, build_states(noisy_market, None, 10), hold_cash_policy(3), CostModel()
+        )
         table = horizon_table({"live": result, "flat": flat}, ["1w", "2w"])
         assert np.isnan(table["flat"]["sharpe_by_horizon"]["1w"])
         path = tmp_path / "metrics.json"
@@ -118,10 +129,15 @@ def _bad_summary(path, result):
     write_summary([SWEEP_ROW], [{**FAILURE_ROW, "seed": np.int64(7)}], path)
 
 
+def _bad_table(path, result):
+    # write_table writes sweep.csv, pv_curves.csv, metrics.csv and learning_curve.csv
+    write_table(path, ["epoch", "J_T"], [(1, -0.5), np.int64(2)])  # a row that is no row
+
+
 @pytest.mark.parametrize(
     "write_bad",
-    [_bad_result, _bad_checkpoint, _bad_metrics, _bad_summary],
-    ids=["result", "checkpoint", "metrics", "summary"],
+    [_bad_result, _bad_checkpoint, _bad_metrics, _bad_summary, _bad_table],
+    ids=["result", "checkpoint", "metrics", "summary", "table"],
 )
 def test_failed_write_leaves_file_untouched(tmp_path, result, write_bad):
     path = tmp_path / "artifact.json"

@@ -18,7 +18,7 @@ from signalfolio.baselines import (
 )
 from signalfolio.engine import CostModel, EngineError, run_backtest
 from signalfolio.market import PriceSeries, SyntheticMarketSpec, generate_synthetic, relative_prices
-from signalfolio.signals import build_states
+from signalfolio.signals import build_states, close_windows
 
 
 def project_by_support_search(v: np.ndarray) -> np.ndarray:
@@ -112,13 +112,17 @@ class TestFixedMixPolicies:
 
     def test_hold_cash_backtest_flat(self, noisy_market):
         cm = CostModel(c_buy=0.005, c_sell=0.005)
-        result = run_backtest(noisy_market, hold_cash_policy(3), None, cm, window=10)
+        result = run_backtest(
+            noisy_market, build_states(noisy_market, None, 10), hold_cash_policy(3), cm
+        )
         assert np.all(np.abs(result.pv - 1.0) <= 1e-12)
 
     def test_crp_matches_wealth_product(self, noisy_market):
         target = np.array([0.2, 0.5, 0.3])
         cm = CostModel(c_buy=0.0, c_sell=0.0)
-        result = run_backtest(noisy_market, CRPPolicy(target), None, cm, window=10)
+        result = run_backtest(
+            noisy_market, build_states(noisy_market, None, 10), CRPPolicy(target), cm
+        )
         rel = relative_prices(noisy_market)
         wealth = 1.0
         for t in range(9, noisy_market.n_steps - 1):
@@ -290,11 +294,11 @@ class TestReversionPolicies:
         obs = self._obs([1.0, 2.0, 4.0, 3.0, 5.0], [3.0, 3.0, 1.5, 2.0, 2.0], window=3)
         hist = np.array([[1.0, 2.0, 1.0], [1.0, 2.0, 0.5]])
         uniform = np.full(3, 1.0 / 3.0)
-        out = WMAMRPolicy(epsilon=1.0, window=2)(obs)
+        out = WMAMRPolicy(3, epsilon=1.0, window=2)(obs)
         assert np.allclose(out[0], wmamr_action(uniform, hist, 1.0, 2), atol=1e-12)
 
     def test_first_call_from_uniform(self):
-        policy = OLMARPolicy(window=50)
+        policy = OLMARPolicy(3, window=50)
         out = policy(self._obs(np.arange(1.0, 9.0), np.arange(8.0, 0.0, -1.0), window=6))
         # too little history for the window, so the uniform start passes
         # straight through
@@ -304,7 +308,7 @@ class TestReversionPolicies:
         rng = np.random.default_rng(4)
         prices = np.cumprod(1 + rng.normal(0, 0.05, (2, 20)), axis=1)
         obs = self._obs(*prices, window=12)
-        policy = WMAMRPolicy(window=3)
+        policy = WMAMRPolicy(3, window=3)
         first = policy(obs)
         policy(self._obs(*prices[:, ::-1], window=12))
         assert np.array_equal(first, policy(obs))
@@ -327,10 +331,10 @@ class TestReversionPolicies:
         # boundary; a policy window of 15 is longer than the 11 ratios.
         spec = SyntheticMarketSpec(n_assets=n_assets, n_steps=80, vol=0.03, seed=6)
         obs = build_states(generate_synthetic(spec), window=12)
-        policy = cls(window=window)
+        policy = cls(n_assets + 1, window=window)
         b = looped = np.full(n_assets + 1, 1.0 / (n_assets + 1))
         expected, loop_expected = [], []
-        for w in obs.windows:
+        for w in close_windows(obs, n_assets):
             hist = np.hstack([np.ones((11, 1)), (w[:, 1:] / w[:, :-1]).T])
             b = action(b, hist, policy.epsilon, policy.window)
             looped = reversion_loop_reference(
@@ -355,13 +359,13 @@ class TestReversionPolicies:
     @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
     def test_window_below_one_rejected_at_construction(self, cls):
         with pytest.raises(EngineError):
-            cls(window=0)
+            cls(3, window=0)
 
     @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
     def test_backtest_outputs_valid(self, cls):
         spec = SyntheticMarketSpec(n_assets=3, n_steps=80, vol=0.03, seed=6)
         prices = generate_synthetic(spec)
-        result = run_backtest(prices, cls(), None, CostModel(), window=12)
+        result = run_backtest(prices, build_states(prices, None, 12), cls(4), CostModel())
         assert np.all(result.actions >= 0)
         assert np.allclose(result.actions.sum(axis=1), 1.0, atol=1e-9)
         assert np.isfinite(result.final_pv)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from signalfolio import cli
 from signalfolio.agent import init_policy, load_checkpoint, save_checkpoint
 from signalfolio.cli import main
 from signalfolio.market import SyntheticMarketSpec, generate_synthetic
@@ -283,9 +284,27 @@ class TestBacktestCommand:
         assert code == 1
         assert "target_weights" in capsys.readouterr().err
 
-    def test_corrupt_checkpoint_exits_two(self, tmp_path, capsys):
+    def test_states_built_once_for_the_baselines_and_once_for_the_agent(
+        self, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def counted(prices, signals, window):
+            built.append("agent" if signals is not None else "baselines")
+            return real(prices, signals, window)
+
+        real = cli.build_states
+        monkeypatch.setattr(cli, "build_states", counted)
+        args = FAST_MARKET + FAST_AGENT + ["agent.enabled=true", "signal.mode=oracle"]
+        args += ["baselines=ew,crp,olmar,wmamr,hold_cash", "metrics.horizons=1w"]
+        assert run("backtest", "--out", str(tmp_path / "run"), *sets(args)) == 0
+        assert built == ["baselines", "agent"]
+
+    def test_corrupt_checkpoint_exits_one(self, tmp_path, capsys):
+        # a checkpoint cut off after its first 12 characters, '{"layers": ['
         bad = tmp_path / "bad.json"
-        bad.write_text("{broken")
+        save_checkpoint(init_policy(2 * 8 + 2, 3, hidden=(8,), seed=0), bad)
+        bad.write_text(bad.read_text()[:12])
         code = run(
             "backtest",
             "--out",
@@ -296,8 +315,9 @@ class TestBacktestCommand:
                 + ["agent.enabled=true", f"agent.checkpoint={bad}", "metrics.horizons=1w"]
             ),
         )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("runtime error")
+        assert code == 1
+        message = "Expecting value: line 1 column 13 (char 12)"
+        assert capsys.readouterr().err == f"error: agent.checkpoint: {bad}: {message}\n"
 
 
 class TestBadValues:
@@ -365,6 +385,15 @@ class TestCheckpointAndSplitErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: agent.checkpoint:")
         assert f"({input_dim}, {n_actions})" in err and f"({2 * window + 2}, 3)" in err
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    def test_checkpoint_without_layers_exits_one(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text('{"meta": {}}')
+        args = FAST_MARKET + CHECKPOINT_COMMANDS[command] + [f"agent.checkpoint={ckpt}"]
+        assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: agent.checkpoint: {ckpt}: missing key 'layers'\n"
 
     @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys, command):

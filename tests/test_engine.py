@@ -24,6 +24,7 @@ from signalfolio.engine import (
     step_reward,
 )
 from signalfolio.market import MarketDataError, SyntheticMarketSpec, generate_synthetic
+from signalfolio.signals import build_states
 
 LN_1_1 = 0.09531017980432493
 LN_FIRST_BUY = -0.002503130218118477
@@ -341,7 +342,9 @@ class TestRewardChain:
 class TestRunBacktest:
     def test_hold_cash_pv_exactly_one(self, noisy_market):
         cm = CostModel(c_buy=0.01, c_sell=0.02)
-        result = run_backtest(noisy_market, hold_cash_policy(3), None, cm, window=10)
+        result = run_backtest(
+            noisy_market, build_states(noisy_market, None, 10), hold_cash_policy(3), cm
+        )
         assert np.all(np.abs(result.pv - 1.0) <= 1e-12)
         assert np.all(result.betas == 1.0)
 
@@ -350,7 +353,7 @@ class TestRunBacktest:
             return np.tile([0.0, 1.0], (len(obs), 1))
 
         cm = CostModel(c_buy=0.0, c_sell=0.0)
-        result = run_backtest(drift_market, all_in, None, cm, window=10)
+        result = run_backtest(drift_market, build_states(drift_market, None, 10), all_in, cm)
         steps = drift_market.n_steps - 10
         assert result.n_steps == steps
         assert result.final_pv == pytest.approx(1.01**steps, rel=1e-10)
@@ -363,13 +366,15 @@ class TestRunBacktest:
 
         p = PriceSeries(close=close, timestamps=tuple(range(20)), assets=("A", "B"))
         cm = CostModel(c_buy=0.0, c_sell=0.0)
-        result = run_backtest(p, ew_policy(3), None, cm, window=4)
+        result = run_backtest(p, build_states(p, None, 4), ew_policy(3), cm)
         assert np.allclose(result.pv, 1.0, atol=1e-12)
 
     def test_internal_consistency(self, noisy_market):
         from signalfolio.market import relative_prices
 
-        result = run_backtest(noisy_market, ew_policy(3), None, CostModel(), window=12)
+        result = run_backtest(
+            noisy_market, build_states(noisy_market, None, 12), ew_policy(3), CostModel()
+        )
         assert result.final_pv == pytest.approx(np.exp(result.rewards.sum()), rel=1e-12)
         rel = relative_prices(noisy_market)
         decided = np.arange(result.start_index, result.start_index + result.n_steps)
@@ -382,7 +387,7 @@ class TestRunBacktest:
 
     def test_too_short_series_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):
-            run_backtest(tiny_market, ew_policy(3), None, CostModel(), window=4)
+            run_backtest(tiny_market, build_states(tiny_market, None, 4), ew_policy(3), CostModel())
 
     @pytest.mark.parametrize(
         "bad_row",
@@ -401,7 +406,7 @@ class TestRunBacktest:
             return actions
 
         with pytest.raises(EngineError):
-            run_backtest(noisy_market, policy, None, CostModel(), window=10)
+            run_backtest(noisy_market, build_states(noisy_market, None, 10), policy, CostModel())
 
     @pytest.mark.parametrize("shape", [lambda t: (t, 2), lambda t: (t - 1, 3), lambda t: (3,)])
     def test_wrong_action_shape_rejected(self, noisy_market, shape):
@@ -411,10 +416,30 @@ class TestRunBacktest:
             return out
 
         with pytest.raises(EngineError, match="shape"):
-            run_backtest(noisy_market, policy, None, CostModel(), window=10)
+            run_backtest(noisy_market, build_states(noisy_market, None, 10), policy, CostModel())
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            # states built at window 10 on a series two steps longer: the row
+            # count says window 8, whose rows are 6 columns narrower
+            lambda p: build_states(
+                generate_synthetic(SyntheticMarketSpec(n_assets=2, n_steps=p.n_steps + 2)), None, 10
+            ),
+            lambda p: build_states(p, None, 10)[2:],
+            lambda p: build_states(p, None, 10)[0],
+            lambda p: build_states(p, None, 10)[None],
+        ],
+        ids=["other-window", "rows-dropped", "one-row", "3-d"],
+    )
+    def test_states_of_another_shape_rejected(self, noisy_market, states):
+        with pytest.raises(EngineError, match="states of shape"):
+            run_backtest(noisy_market, states(noisy_market), ew_policy(3), CostModel())
 
     def test_json_round_trip(self, tmp_path, noisy_market):
-        result = run_backtest(noisy_market, ew_policy(3), None, CostModel(), window=10)
+        result = run_backtest(
+            noisy_market, build_states(noisy_market, None, 10), ew_policy(3), CostModel()
+        )
         path = tmp_path / "result.json"
         result.save(path)
         loaded = BacktestResult.load(path)

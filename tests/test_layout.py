@@ -1,6 +1,7 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
-one writer of JSON artifacts, one way into each setting, a reader for every
-config key, and no process pool loaded before a sweep needs one.
+one writer through which every artifact is written and one encoder of JSON
+artifacts, one way into each setting, a reader for every config key, and no
+process pool loaded before a sweep needs one.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -53,22 +54,30 @@ def test_package_top_level_binds_only_submodules():
     assert public == set()
 
 
-def test_only_write_json_encodes_or_replaces():
-    """json.dumps( and os.replace( appear in src/ only inside market.write_json."""
-    writers, outside = [], []
-    for path in SOURCES:
-        text = path.read_text()
-        bodies = [
-            ast.get_source_segment(text, node)
-            for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.FunctionDef) and node.name == "write_json"
-        ]
-        writers += [path.name] * len(bodies)
-        for body in bodies:
-            text = text.replace(body, "")
-        outside += [(path.name, call) for call in ("json.dumps(", "os.replace(") if call in text]
-    assert writers == ["market.py"]
-    assert outside == []
+def test_one_writer_replaces_and_only_write_json_encodes():
+    """os.replace( appears in src/ only inside market.open_whole, the one writer every
+    artifact goes through, and json.dumps( only inside market.write_json."""
+    for writer, call in (("open_whole", "os.replace("), ("write_json", "json.dumps(")):
+        writers, outside = [], []
+        for path in SOURCES:
+            text = path.read_text()
+            bodies = [
+                ast.get_source_segment(text, node)
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.FunctionDef) and node.name == writer
+            ]
+            writers += [path.name] * len(bodies)
+            for body in bodies:
+                text = text.replace(body, "")
+            outside += [path.name] * (call in text)
+        assert (writer, writers, outside) == (writer, ["market.py"], [])
+
+
+def test_only_open_whole_opens_a_file_to_write():
+    """Every artifact, tables and config echo too, is written through market.open_whole."""
+    calls = (".write_text(", ".write_bytes(", '.open("w', '.open("a')
+    found = [(path.name, call) for path in SOURCES for call in calls if call in path.read_text()]
+    assert found == [("market.py", '.open("w')]
 
 
 def test_each_subcommand_takes_only_config_set_and_out():

@@ -1,4 +1,5 @@
-"""Invariants of the reward chain and its stored result, over generated inputs.
+"""Invariants of the reward chain, its stored result and the simplex projection,
+over generated inputs.
 
 Runs only where hypothesis is importable; the package never needs it.
 Examples are derived from the test's name, not drawn afresh, so every run
@@ -16,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from signalfolio.baselines import simplex_project  # noqa: E402
 from signalfolio.engine import (  # noqa: E402
     BacktestResult,
     CostModel,
@@ -117,3 +119,30 @@ def test_save_and_load_rebuild_the_derived_fields_bit_for_bit(result):
         assert getattr(loaded, name).tobytes() == getattr(result, name).tobytes()
     assert np.float64(loaded.final_pv).tobytes() == np.float64(result.final_pv).tobytes()
     assert loaded.start_index == result.start_index
+
+
+@st.composite
+def projections(draw):
+    """A finite vector and three points of the simplex of its size."""
+    m = draw(st.integers(1, 8))
+    v = np.asarray(draw(st.lists(st.floats(-100.0, 100.0), min_size=m, max_size=m)))
+    return v, [draw(simplex(m)) for _ in range(3)]
+
+
+def sort_threshold(v: np.ndarray) -> float:
+    """θ of the sort-threshold rule (Duchi et al., ICML 2008): with u sorted descending,
+    the last k with u_k > (u_1 + ... + u_k - 1) / k sets θ to that ratio."""
+    u = np.sort(v)[::-1]
+    ratios = (np.cumsum(u) - 1.0) / np.arange(1, v.size + 1)
+    return float(ratios[np.nonzero(u > ratios)[0][-1]])
+
+
+@SETTINGS
+@hypothesis.given(projections())
+def test_simplex_projection_is_the_nearest_simplex_point(case):
+    v, others = case
+    p = simplex_project(v)
+    assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-9
+    np.testing.assert_allclose(p, np.maximum(v - sort_threshold(v), 0.0), rtol=0.0, atol=1e-9)
+    for q in others:
+        assert np.linalg.norm(p - v) <= np.linalg.norm(q - v) + 1e-9

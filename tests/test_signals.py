@@ -11,6 +11,7 @@ from signalfolio.signals import (
     _logits,
     _sigmoid,
     build_states,
+    close_windows,
     decision_indices,
     fit_internal_predictor,
     oracle_labels,
@@ -218,19 +219,19 @@ class TestAugment:
     def test_last_column_normalized_to_one(self):
         prices = series_from_closes([10.0, 12.0, 8.0, 9.0, 9.5], [5.0, 5.5, 5.0, 6.0, 6.1])
         obs = build_states(prices, window=3)
-        assert np.all(obs.windows[:, :, -1] == 1.0)
-        assert np.allclose(obs.windows[0, 0], [1.25, 1.5, 1.0])
+        assert np.all(close_windows(obs, 2)[:, :, -1] == 1.0)
+        assert np.allclose(close_windows(obs, 2)[0, 0], [1.25, 1.5, 1.0])
 
     def test_absent_signal_zero_filled(self):
         prices = series_from_closes(*np.full((3, 6), 2.0))
         obs = build_states(prices, None, window=4)
-        assert np.array_equal(obs.signals, np.zeros((len(obs), 3)))
+        assert np.array_equal(obs[:, -3:], np.zeros((len(obs), 3)))
 
     def test_standard_dimensions(self):
         closes = np.abs(np.random.default_rng(0).normal(10, 1, size=(9, 32)))
         prices = series_from_closes(*closes)
         obs = build_states(prices, SignalSeries(values=np.ones((9, 32))), window=30)
-        assert obs.matrix.shape == (len(obs), 279) == (len(obs), state_dim(9, 30))
+        assert obs.shape == (len(obs), 279) == (len(obs), state_dim(9, 30))
 
     def test_rejects_nonpositive_window(self):
         # prices are validated where they enter, so no observation can see them
@@ -245,10 +246,26 @@ class TestAugment:
         obs = build_states(noisy_market, labels, window=w)
         closes = noisy_market.close[1:]
         assert len(obs) == len(decision_indices(noisy_market.n_steps, w))
-        for row, t in zip(obs.matrix, obs.steps):
+        for row, t in zip(obs, decision_indices(noisy_market.n_steps, w)):
             window = closes[:, t - w + 1 : t + 1] / closes[:, t : t + 1]
             expected = np.concatenate([window.ravel(), signal_at(labels, t)])
             assert np.array_equal(row, expected)
+
+    def test_close_windows_match_hand_built_windows(self, noisy_market):
+        w = 8
+        windows = close_windows(build_states(noisy_market, None, window=w), 2)
+        closes = noisy_market.close[1:]
+        assert windows.shape == (noisy_market.n_steps - w, 2, w)
+        for got, t in zip(windows, decision_indices(noisy_market.n_steps, w)):
+            assert np.array_equal(got, closes[:, t - w + 1 : t + 1] / closes[:, t : t + 1])
+
+    @pytest.mark.parametrize(
+        "shape", [(10, 17), (10, 2), (18,), (2, 9, 2)], ids=["odd-width", "no-window", "1-d", "3-d"]
+    )
+    def test_close_windows_rejects_other_widths(self, shape):
+        # 2 assets at window w take 2w + 2 columns: 17 is odd and 2 leaves no window
+        with pytest.raises(SignalError):
+            close_windows(np.zeros(shape), 2)
 
 
 class TestStateAssembly:
@@ -258,9 +275,11 @@ class TestStateAssembly:
     def test_states_align_with_signals(self, noisy_market):
         truth = true_movements(noisy_market)
         obs = build_states(noisy_market, truth, window=8)
-        assert obs.steps[0] == 7
-        assert obs.steps[-1] == noisy_market.n_steps - 2
-        assert np.array_equal(obs.signals[:5], truth.values[:, 7:12].T)
+        steps = decision_indices(noisy_market.n_steps, 8)
+        assert len(obs) == len(steps)
+        assert steps[0] == 7
+        assert steps[-1] == noisy_market.n_steps - 2
+        assert np.array_equal(obs[:5, -2:], truth.values[:, 7:12].T)
 
     def test_too_short_series_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):
