@@ -70,7 +70,7 @@ def cmd_backtest(cfg, out: Path) -> int:
     cm = cfgmod.build_cost(cfg)
     states = build_states(test_p, None, window) if baselines else None
     runs = {name: run_backtest(test_p, states, p, cm) for name, p in baselines.items()}
-    del states  # one state matrix alive at a time: the baselines' go before the agent's
+    del states  # one state matrix alive at a time, and none while results are written
     if cfg["agent.enabled"]:
         loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
         seeds = cfgmod.run_seeds(cfg)
@@ -78,8 +78,8 @@ def cmd_backtest(cfg, out: Path) -> int:
             params, _, test_signals = cfgmod.setup_agent(cfg, train_p, test_p, seeds, cm)
         else:
             params, _, _, test_signals = cfgmod.prepare_agent(cfg, train_p, test_p, seeds, loaded)
-        states = build_states(test_p, test_signals, window)
-        runs["agent"] = run_backtest(test_p, states, partial(policy_forward, params), cm)
+        policy = partial(policy_forward, params)
+        runs["agent"] = run_backtest(test_p, build_states(test_p, test_signals, window), policy, cm)
     for name, result in runs.items():
         result.save(out / f"result_{name}.json")
     _write_pv_curves(runs, out / "pv_curves.csv")
@@ -108,8 +108,7 @@ def _write_metric_tables(cfg, runs, out: Path) -> None:
 
 def cmd_train(cfg, out: Path) -> int:
     train_p, _ = cfgmod.build_segments(cfg)
-    loaded, meta = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
-    epochs_done = int(meta.get("epochs_trained", 0))
+    loaded, epochs_done = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
     params, curve, _ = cfgmod.setup_agent(
         cfg, train_p, None, cfgmod.run_seeds(cfg), cfgmod.build_cost(cfg), loaded
     )

@@ -31,14 +31,11 @@ from .evaluation import DEFAULT_RISK_FREE, check_horizon, horizon_steps
 from .market import (
     MarketDataError,
     PriceSeries,
-    SplitSpec,
-    SyntheticMarketSpec,
     chronological_split,
     generate_synthetic,
     load_csv,
 )
 from .signals import (
-    SignalConfig,
     SignalSeries,
     decision_indices,
     fit_internal_predictor,
@@ -250,30 +247,24 @@ def build_market(cfg: dict[str, object]) -> PriceSeries:
         if isinstance(cfg[key], tuple) and len(cfg[key]) != n_assets:
             raise ConfigError(f"{key}: {len(cfg[key])} values for {n_assets} assets")
     return generate_synthetic(
-        SyntheticMarketSpec(
-            n_assets=n_assets,
-            n_steps=cfg["market.synthetic.n_steps"],
-            drift=cfg["market.synthetic.drift"],
-            vol=cfg["market.synthetic.vol"],
-            regime_switch_prob=cfg["market.synthetic.regime_prob"],
-            seed=cfg["market.synthetic.seed"],
-        )
+        n_assets,
+        cfg["market.synthetic.n_steps"],
+        drift=cfg["market.synthetic.drift"],
+        vol=cfg["market.synthetic.vol"],
+        regime_switch_prob=cfg["market.synthetic.regime_prob"],
+        seed=cfg["market.synthetic.seed"],
     )
 
 
-def build_split(cfg: dict[str, object]) -> SplitSpec:
-    if cfg["split.boundary"] is not None:
-        return SplitSpec(boundary=cfg["split.boundary"])
-    return SplitSpec(fraction=cfg["split.fraction"])
-
-
 def build_segments(cfg: dict[str, object]) -> tuple[PriceSeries, PriceSeries]:
-    """The configured market, split into train and test segments."""
-    market, spec, window = build_market(cfg), build_split(cfg), cfg["window"]
+    """The configured market, split at split.boundary or else at split.fraction of its steps."""
+    market, boundary, window = build_market(cfg), cfg["split.boundary"], cfg["window"]
+    key = "split.fraction" if boundary is None else "split.boundary"
+    if boundary is None:
+        boundary = int(round(cfg["split.fraction"] * market.n_steps))
     try:
-        return chronological_split(market, spec, min_steps=window + 2)
+        return chronological_split(market, boundary, min_steps=window + 2)
     except MarketDataError as exc:
-        key = "split.fraction" if spec.boundary is None else "split.boundary"
         raise ConfigError(f"{key}: {exc} at window {window}") from exc
 
 
@@ -305,10 +296,7 @@ def _labeller(cfg, train_p: PriceSeries):
         return lambda segment, seed: None
     if mode == "oracle":
         accuracy, density = cfg["signal.accuracy"], cfg["signal.density"]
-        return lambda segment, seed: oracle_labels(
-            true_movements(segment),
-            SignalConfig(accuracy=accuracy, density=density, seed=seed),
-        )
+        return lambda segment, seed: oracle_labels(true_movements(segment), accuracy, density, seed)
     predictor = fit_internal_predictor(
         train_p, epochs=cfg["signal.fit_epochs"], seed=cfg["signal.seed"]
     )
@@ -351,11 +339,11 @@ def prepare_agent(
     return params, np.random.default_rng(train_seed), label(train_p, train_label_seed), test_signals
 
 
-def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict]:
-    """agent.checkpoint's parameters and meta, or (None, {}) when it is unset."""
+def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, int]:
+    """agent.checkpoint's parameters and epochs trained, or (None, 0) when it is unset."""
     path = cfg["agent.checkpoint"]
     if not path:
-        return None, {}
+        return None, 0
     if not Path(path).exists():
         raise ConfigError(f"agent.checkpoint: no such file {path!r}")
     try:
@@ -363,6 +351,11 @@ def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict
     except (ValueError, KeyError, TypeError) as exc:  # bad JSON or layers, a missing key
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"agent.checkpoint: {path}: {reason}") from exc
+    epochs = meta.get("epochs_trained", 0) if isinstance(meta, dict) else None
+    if type(epochs) is not int or epochs < 0:  # a bool is no epoch count
+        raise ConfigError(
+            f"agent.checkpoint: {path}: meta {meta!r} needs an integer epochs_trained >= 0"
+        )
     window = cfg["window"]
     got, want = (params.input_dim, params.n_actions), (state_dim(n_assets, window), n_assets + 1)
     if got != want:
@@ -370,7 +363,7 @@ def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, dict
             f"agent.checkpoint: policy (inputs, outputs) {got}, but {n_assets} assets "
             f"at window {window} need {want}"
         )
-    return params, meta
+    return params, epochs
 
 
 def setup_agent(

@@ -138,94 +138,69 @@ def relative_prices(prices: PriceSeries) -> np.ndarray:
     return _frozen(y)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological train/test boundary, as a fraction or an explicit index."""
-
-    fraction: float | None = None
-    boundary: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.fraction is None) == (self.boundary is None):
-            raise MarketDataError("give exactly one of fraction or boundary")
-        if self.fraction is not None and not 0.0 < self.fraction < 1.0:
-            raise MarketDataError(f"split fraction {self.fraction} outside (0, 1)")
-        if self.boundary is not None and self.boundary < 1:
-            raise MarketDataError(f"split boundary {self.boundary} must be >= 1")
-
-
 def chronological_split(
-    prices: PriceSeries, spec: SplitSpec, min_steps: int = 2
+    prices: PriceSeries, boundary: int, min_steps: int = 2
 ) -> tuple[PriceSeries, PriceSeries]:
-    """Split into (train, test) at the boundary; order is preserved.
+    """Split into (train, test) at step index boundary; order is preserved.
 
     Each segment must keep at least min_steps steps; callers that feed a
     windowed policy should pass window + 2.
     """
-    if spec.boundary is not None:
-        k = spec.boundary
-    else:
-        k = int(round(spec.fraction * prices.n_steps))
-    if k < min_steps or prices.n_steps - k < min_steps:
+    if boundary < min_steps or prices.n_steps - boundary < min_steps:
         raise MarketDataError(
-            f"segment too short: boundary {k} of {prices.n_steps} steps "
+            f"segment too short: boundary {boundary} of {prices.n_steps} steps "
             f"(need >= {min_steps} on each side)"
         )
-    return prices.slice(0, k), prices.slice(k, prices.n_steps)
+    if boundary < 1:
+        raise MarketDataError(f"split boundary {boundary} must be >= 1")
+    return prices.slice(0, boundary), prices.slice(boundary, prices.n_steps)
 
 
-@dataclass(frozen=True)
-class SyntheticMarketSpec:
-    """Seeded log-space Gaussian walk with optional drift-sign regime switching."""
-
-    n_assets: int
-    n_steps: int
-    drift: float | tuple[float, ...] = 0.0
-    vol: float | tuple[float, ...] = 0.01
-    regime_switch_prob: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_assets < 1:
-            raise MarketDataError("need at least one risky asset")
-        if self.n_steps < 2:
-            raise MarketDataError("need at least two steps")
-        if not 0.0 <= self.regime_switch_prob <= 1.0:
-            raise MarketDataError("regime switch probability outside [0, 1]")
-        self._per_asset("drift")
-        if np.any(self._per_asset("vol") < 0.0):
-            raise MarketDataError("volatility must be non-negative")
-
-    def _per_asset(self, name: str) -> np.ndarray:
-        arr = np.asarray(getattr(self, name), dtype=float)
-        if arr.ndim == 0:
-            return np.full(self.n_assets, float(arr))
-        if arr.shape != (self.n_assets,):
-            raise MarketDataError(f"{name} has shape {arr.shape}, want ({self.n_assets},)")
-        return arr
+def _per_asset(value, n_assets: int, name: str) -> np.ndarray:
+    """value as one float per asset: a scalar repeated, or a sequence of n_assets."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return np.full(n_assets, float(arr))
+    if arr.shape != (n_assets,):
+        raise MarketDataError(f"{name} has shape {arr.shape}, want ({n_assets},)")
+    return arr
 
 
-def generate_synthetic(spec: SyntheticMarketSpec) -> PriceSeries:
+def generate_synthetic(
+    n_assets: int,
+    n_steps: int,
+    drift: float | tuple[float, ...] = 0.0,
+    vol: float | tuple[float, ...] = 0.01,
+    regime_switch_prob: float = 0.0,
+    seed: int = 0,
+) -> PriceSeries:
     """Generate a seeded synthetic market starting at price 1.
 
     Log prices follow per-asset drift plus Gaussian noise.  When regime
     switching is enabled, a global sign flips with the given probability at
     each step and multiplies every drift, so favourable assets trade places.
     """
-    rng = np.random.default_rng(spec.seed)
-    n, t_total = spec.n_assets, spec.n_steps
-    drift = spec._per_asset("drift")
-    vol = spec._per_asset("vol")
-    flips = rng.random(t_total - 1) < spec.regime_switch_prob
+    if n_assets < 1:
+        raise MarketDataError("need at least one risky asset")
+    if n_steps < 2:
+        raise MarketDataError("need at least two steps")
+    if not 0.0 <= regime_switch_prob <= 1.0:
+        raise MarketDataError("regime switch probability outside [0, 1]")
+    drift = _per_asset(drift, n_assets, "drift")
+    vol = _per_asset(vol, n_assets, "vol")
+    if np.any(vol < 0.0):
+        raise MarketDataError("volatility must be non-negative")
+    rng = np.random.default_rng(seed)
+    flips = rng.random(n_steps - 1) < regime_switch_prob
     signs = np.where(flips, -1.0, 1.0).cumprod()
-    noise = rng.standard_normal((n, t_total - 1))
+    noise = rng.standard_normal((n_assets, n_steps - 1))
     increments = drift[:, None] * signs[None, :] + vol[:, None] * noise
-    log_close = np.concatenate([np.zeros((n, 1)), np.cumsum(increments, axis=1)], axis=1)
-    close = np.vstack([np.ones((1, t_total)), np.exp(log_close)])
+    log_close = np.concatenate([np.zeros((n_assets, 1)), np.cumsum(increments, axis=1)], axis=1)
+    close = np.vstack([np.ones((1, n_steps)), np.exp(log_close)])
     return PriceSeries(
         close=close,
-        timestamps=tuple(range(t_total)),
-        assets=tuple(f"A{i + 1}" for i in range(n)),
+        timestamps=tuple(range(n_steps)),
+        assets=tuple(f"A{i + 1}" for i in range(n_assets)),
     )
 
 

@@ -20,25 +20,6 @@ class SignalError(ValueError):
 
 
 @dataclass(frozen=True)
-class SignalConfig:
-    """Controls the simulated prediction channel.
-
-    accuracy is the probability a present label agrees with the realized
-    movement; density is the fraction of usable steps that carry a label.
-    """
-
-    accuracy: float = 1.0
-    density: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise SignalError(f"accuracy {self.accuracy} outside [0, 1]")
-        if not 0.0 <= self.density <= 1.0:
-            raise SignalError(f"density {self.density} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class SignalSeries:
     """Per-asset signal matrix, one row per risky asset, one column per step."""
 
@@ -79,22 +60,29 @@ def true_movements(prices: PriceSeries) -> SignalSeries:
     return SignalSeries(values=values)
 
 
-def oracle_labels(truth: SignalSeries, cfg: SignalConfig) -> SignalSeries:
+def oracle_labels(
+    truth: SignalSeries, accuracy: float = 1.0, density: float = 1.0, seed: int = 0
+) -> SignalSeries:
     """Corrupt true movements into a channel of controlled quality.
 
-    Density is derandomized: each asset keeps exactly round(density * usable)
-    labels, where usable excludes the undefined final column.  Each kept
-    label agrees with truth with probability accuracy, otherwise it flips.
+    density is the fraction of usable steps that carry a label, derandomized:
+    each asset keeps exactly round(density * usable) labels, where usable
+    excludes the undefined final column.  Each kept label agrees with truth
+    with probability accuracy, otherwise it flips.
     """
-    rng = np.random.default_rng(cfg.seed)
+    if not 0.0 <= accuracy <= 1.0:
+        raise SignalError(f"accuracy {accuracy} outside [0, 1]")
+    if not 0.0 <= density <= 1.0:
+        raise SignalError(f"density {density} outside [0, 1]")
+    rng = np.random.default_rng(seed)
     usable = truth.n_steps - 1
     if usable < 1:
         raise SignalError("truth series too short")
-    keep = int(round(cfg.density * usable))
+    keep = int(round(density * usable))
     out = np.zeros_like(truth.values)
     for i in range(truth.n_assets):
         kept = rng.permutation(usable)[:keep]
-        flip = rng.random(usable) < (1.0 - cfg.accuracy)
+        flip = rng.random(usable) < (1.0 - accuracy)
         column = truth.values[i, :usable].copy()
         column[flip] = -column[flip]
         out[i, kept] = column[kept]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from signalfolio.market import PriceSeries, SyntheticMarketSpec, generate_synthetic
+from signalfolio.market import PriceSeries, generate_synthetic
 
 
 @pytest.fixture
@@ -22,16 +22,12 @@ def tiny_market() -> PriceSeries:
 @pytest.fixture
 def drift_market() -> PriceSeries:
     """Zero-vol market where asset 1 compounds at exactly 1.01 per step."""
-    spec = SyntheticMarketSpec(n_assets=1, n_steps=60, drift=np.log(1.01), vol=0.0, seed=0)
-    return generate_synthetic(spec)
+    return generate_synthetic(n_assets=1, n_steps=60, drift=np.log(1.01), vol=0.0, seed=0)
 
 
 @pytest.fixture
 def noisy_market() -> PriceSeries:
-    spec = SyntheticMarketSpec(
-        n_assets=2, n_steps=120, drift=(0.001, -0.001), vol=0.02, seed=42
-    )
-    return generate_synthetic(spec)
+    return generate_synthetic(n_assets=2, n_steps=120, drift=(0.001, -0.001), vol=0.02, seed=42)
 
 
 def random_simplex(rng: np.random.Generator, m: int) -> np.ndarray:

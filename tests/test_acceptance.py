@@ -41,7 +41,7 @@ from signalfolio.engine import (
     step_reward,
 )
 from signalfolio.evaluation import portfolio_value, sharpe_ratio
-from signalfolio.market import SyntheticMarketSpec, generate_synthetic
+from signalfolio.market import generate_synthetic
 from signalfolio.signals import build_states
 from signalfolio.sweep import run_sweep
 
@@ -117,8 +117,8 @@ def test_criterion_1_policy_gradient_matches_finite_differences():
     eps = 1e-5
     checked, worst = 0, 0.0
     for mode, market_seed, net_seed in (("fixed_point", 21, 4), ("simple", 22, 5)):
-        spec = SyntheticMarketSpec(n_assets=2, n_steps=60, vol=0.03, seed=market_seed)
-        episode = Episode.from_market(generate_synthetic(spec), window=8)
+        prices = generate_synthetic(n_assets=2, n_steps=60, vol=0.03, seed=market_seed)
+        episode = Episode.from_market(prices, window=8)
         params = init_policy(episode.states.shape[1], 3, hidden=(6,), seed=net_seed)
         cm = CostModel(mode=mode)
         grads_w, grads_b = gradient(params, episode, cm)
@@ -321,8 +321,7 @@ def wmamr_scripted(b, hist, epsilon, window):
 def test_criterion_7_baselines_agree_with_closed_forms():
     problems = []
 
-    spec = SyntheticMarketSpec(n_assets=3, n_steps=120, vol=0.03, seed=40)
-    prices = generate_synthetic(spec)
+    prices = generate_synthetic(n_assets=3, n_steps=120, vol=0.03, seed=40)
     cm = CostModel(c_buy=0.004, c_sell=0.006)
     held = run_backtest(prices, build_states(prices, None, 10), hold_cash_policy(4), cm)
     if not np.all(np.abs(held.pv - 1.0) <= 1e-12):

@@ -22,15 +22,8 @@ from signalfolio.agent import (
     train,
 )
 from signalfolio.engine import CostModel, EngineError, all_cash, run_backtest
-from signalfolio.market import (
-    PriceSeries,
-    SplitSpec,
-    SyntheticMarketSpec,
-    chronological_split,
-    generate_synthetic,
-)
+from signalfolio.market import PriceSeries, chronological_split, generate_synthetic
 from signalfolio.signals import (
-    SignalConfig,
     SignalError,
     SignalSeries,
     build_states,
@@ -171,8 +164,7 @@ class TestObjective:
         assert j == pytest.approx(LN_1_01, rel=1e-9)
 
     def test_matches_backtest_mean_reward(self):
-        spec = SyntheticMarketSpec(n_assets=3, n_steps=90, vol=0.02, seed=11)
-        prices = generate_synthetic(spec)
+        prices = generate_synthetic(n_assets=3, n_steps=90, vol=0.02, seed=11)
         episode = Episode.from_market(prices, window=10)
         params = init_policy(episode.states.shape[1], 4, hidden=(8,), seed=2)
         cm = CostModel()
@@ -201,8 +193,7 @@ class TestGradient:
     def test_matches_finite_differences(self, mode):
         from signalfolio.agent import episode_betas
 
-        spec = SyntheticMarketSpec(n_assets=2, n_steps=50, vol=0.03, seed=21)
-        prices = generate_synthetic(spec)
+        prices = generate_synthetic(n_assets=2, n_steps=50, vol=0.03, seed=21)
         episode = Episode.from_market(prices, window=8)
         params = init_policy(episode.states.shape[1], 3, hidden=(6,), seed=4)
         cm = CostModel(mode=mode)
@@ -232,8 +223,8 @@ class TestGradient:
     def test_group_rows_equal_one_cell_gradients(self, mode, hidden):
         # each cell's window is rows j - 1 ... j + 31, the group computes its
         # own entry row j - 1, and that must be policy_forward's bytes there
-        spec = SyntheticMarketSpec(n_assets=3, n_steps=120, vol=0.02, seed=13)
-        episode = Episode.from_market(generate_synthetic(spec), window=8)
+        prices = generate_synthetic(n_assets=3, n_steps=120, vol=0.02, seed=13)
+        episode = Episode.from_market(prices, window=8)
         cells = [init_policy(episode.states.shape[1], 4, hidden=hidden, seed=s) for s in (1, 2, 3)]
         starts = (5, 40, 71)
         group = PolicyParams(np.stack([p.theta for p in cells]), cells[0].shapes)
@@ -261,8 +252,7 @@ class TestGradient:
                 assert np.array_equal(got, want)
 
     def test_ascent_improves_objective(self):
-        spec = SyntheticMarketSpec(n_assets=2, n_steps=70, drift=0.004, vol=0.01, seed=3)
-        prices = generate_synthetic(spec)
+        prices = generate_synthetic(n_assets=2, n_steps=70, drift=0.004, vol=0.01, seed=3)
         episode = Episode.from_market(prices, window=8)
         params = init_policy(episode.states.shape[1], 3, hidden=(8,), seed=1)
         cm = CostModel()
@@ -275,10 +265,7 @@ class TestGradient:
 
 class TestTrain:
     def _market(self, seed=17, n_steps=140):
-        spec = SyntheticMarketSpec(
-            n_assets=2, n_steps=n_steps, drift=0.002, vol=0.015, seed=seed
-        )
-        return generate_synthetic(spec)
+        return generate_synthetic(n_assets=2, n_steps=n_steps, drift=0.002, vol=0.015, seed=seed)
 
     def _cfg(self, **kw):
         base = dict(learning_rate=1.0, batch_window=32, epochs=4, window=8)
@@ -339,13 +326,10 @@ class TestTrain:
     def test_signal_column_feeds_policy(self):
         # identical prices, but only one run sees a perfect movement signal;
         # the informed run must not do worse on its own training objective
-        spec = SyntheticMarketSpec(
+        prices = generate_synthetic(
             n_assets=2, n_steps=180, vol=0.02, regime_switch_prob=0.05, seed=29
         )
-        prices = generate_synthetic(spec)
-        labels = oracle_labels(
-            true_movements(prices), SignalConfig(accuracy=1.0, density=1.0, seed=0)
-        )
+        labels = oracle_labels(true_movements(prices), accuracy=1.0, density=1.0, seed=0)
         cfg = TrainConfig(learning_rate=2.0, batch_window=40, epochs=60, window=8)
         scores = {}
         for name, sig in (("informed", labels), ("blind", None)):
@@ -385,10 +369,8 @@ class TestTrain:
         # The sweep shape: 3 assets, window 10, 2,400 steps split at 2,000.
         # The group holds the price windows once, so each added cell costs
         # its signal columns and parameters, not a (T, d) observation copy.
-        prices = generate_synthetic(
-            SyntheticMarketSpec(n_assets=3, n_steps=2400, vol=0.02, seed=5)
-        )
-        prices = chronological_split(prices, SplitSpec(boundary=2000))[0]
+        prices = generate_synthetic(n_assets=3, n_steps=2400, vol=0.02, seed=5)
+        prices = chronological_split(prices, 2000)[0]
         moves, d = true_movements(prices), state_dim(3, 10)
         cfg = TrainConfig(
             learning_rate=3.0, batch_window=64, epochs=1, window=10, steps_per_epoch=1
@@ -396,7 +378,7 @@ class TestTrain:
 
         def peak(cells):
             signals = [
-                oracle_labels(moves, SignalConfig(accuracy=0.5 + c / 100, seed=c)) if c else None
+                oracle_labels(moves, accuracy=0.5 + c / 100, seed=c) if c else None
                 for c in range(cells)
             ]
             params = [init_policy(d, 4, hidden=(32,), seed=c) for c in range(cells)]
@@ -430,11 +412,10 @@ class TestLockstep:
 
     def _cells(self, hidden):
         """Four cells: oracle signals of accuracy 0.6, 1.0, 0.8 and a control."""
-        spec = SyntheticMarketSpec(n_assets=3, n_steps=260, vol=0.02, seed=13)
-        prices = generate_synthetic(spec)
+        prices = generate_synthetic(n_assets=3, n_steps=260, vol=0.02, seed=13)
         moves = true_movements(prices)
         signals = [
-            oracle_labels(moves, SignalConfig(accuracy=acc, density=1.0, seed=i))
+            oracle_labels(moves, accuracy=acc, density=1.0, seed=i)
             for i, acc in enumerate((0.6, 1.0, 0.8))
         ]
         signals.insert(1, None)  # the zero-signal control, mixed in
@@ -555,13 +536,11 @@ class TestLockstep:
         # 35 cells, as in the acceptance grid, on a tiny market: one cell
         # starts non-finite and a flipper hits an infeasible rebalance, so
         # the group shrinks twice and must still give every cell its solo run.
-        prices = generate_synthetic(
-            SyntheticMarketSpec(n_assets=3, n_steps=140, vol=0.02, seed=5)
-        )
+        prices = generate_synthetic(n_assets=3, n_steps=140, vol=0.02, seed=5)
         moves = true_movements(prices)
         signals = [
             None if c % 7 == 0 else
-            oracle_labels(moves, SignalConfig(accuracy=0.5 + 0.1 * (c % 6), density=1.0, seed=c))
+            oracle_labels(moves, accuracy=0.5 + 0.1 * (c % 6), density=1.0, seed=c)
             for c in range(35)
         ]
         d = 3 * self.WINDOW + 3
@@ -620,8 +599,7 @@ class TestCheckpoint:
     def test_resume_equals_continuous_run(self, tmp_path):
         # 2 epochs, a checkpoint round trip, then 2 more on the same sampler
         # give the 4-epoch run bit for bit
-        spec = SyntheticMarketSpec(n_assets=2, n_steps=120, drift=0.002, vol=0.01, seed=5)
-        prices = generate_synthetic(spec)
+        prices = generate_synthetic(n_assets=2, n_steps=120, drift=0.002, vol=0.01, seed=5)
         params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=2)
         cfg = TrainConfig(learning_rate=1.0, batch_window=30, epochs=2, window=8)
         rng = np.random.default_rng(0)

@@ -17,7 +17,7 @@ from signalfolio.baselines import (
     wmamr_action,
 )
 from signalfolio.engine import CostModel, EngineError, run_backtest
-from signalfolio.market import PriceSeries, SyntheticMarketSpec, generate_synthetic, relative_prices
+from signalfolio.market import PriceSeries, generate_synthetic, relative_prices
 from signalfolio.signals import build_states, close_windows
 
 
@@ -329,8 +329,8 @@ class TestReversionPolicies:
         # through the public one-step action and through the per-row loop.
         # 9 and 13 components cross numpy's 8-element pairwise-summation
         # boundary; a policy window of 15 is longer than the 11 ratios.
-        spec = SyntheticMarketSpec(n_assets=n_assets, n_steps=80, vol=0.03, seed=6)
-        obs = build_states(generate_synthetic(spec), window=12)
+        prices = generate_synthetic(n_assets=n_assets, n_steps=80, vol=0.03, seed=6)
+        obs = build_states(prices, window=12)
         policy = cls(n_assets + 1, window=window)
         b = looped = np.full(n_assets + 1, 1.0 / (n_assets + 1))
         expected, loop_expected = [], []
@@ -363,8 +363,7 @@ class TestReversionPolicies:
 
     @pytest.mark.parametrize("cls", [OLMARPolicy, WMAMRPolicy])
     def test_backtest_outputs_valid(self, cls):
-        spec = SyntheticMarketSpec(n_assets=3, n_steps=80, vol=0.03, seed=6)
-        prices = generate_synthetic(spec)
+        prices = generate_synthetic(n_assets=3, n_steps=80, vol=0.03, seed=6)
         result = run_backtest(prices, build_states(prices, None, 12), cls(4), CostModel())
         assert np.all(result.actions >= 0)
         assert np.allclose(result.actions.sum(axis=1), 1.0, atol=1e-9)

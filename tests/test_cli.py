@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from signalfolio import cli
 from signalfolio.agent import init_policy, load_checkpoint, save_checkpoint
 from signalfolio.cli import main
-from signalfolio.market import SyntheticMarketSpec, generate_synthetic
+from signalfolio.market import generate_synthetic
 
 FAST_MARKET = [
     "market.synthetic.n_assets=2",
@@ -46,9 +47,7 @@ def read_all(out: Path) -> dict[str, bytes]:
 
 def write_fast_market_csv(path: Path, extra_columns: bool) -> None:
     """FAST_MARKET's closes as a long-format CSV, optionally with unused columns."""
-    prices = generate_synthetic(
-        SyntheticMarketSpec(n_assets=2, n_steps=150, vol=0.02, drift=0.001, seed=5)
-    )
+    prices = generate_synthetic(n_assets=2, n_steps=150, vol=0.02, drift=0.001, seed=5)
     lines = ["high,timestamp,asset,low,close,volume" if extra_columns else "timestamp,asset,close"]
     for j, ts in enumerate(prices.timestamps):
         for i, asset in enumerate(prices.assets):
@@ -98,6 +97,7 @@ BAD_VALUES = [
         "split.fraction: 1.5 outside (0, 1)",
     ),
     (["split.fraction=0"], ALL_COMMANDS, "split.fraction: 0.0 outside (0, 1)"),
+    (["split.fraction=1"], ALL_COMMANDS, "split.fraction: 1.0 outside (0, 1)"),
     (["split.boundary=0"], ALL_COMMANDS, "split.boundary:"),
     (["cost.buy=1.0"], ALL_COMMANDS, "cost.buy: 1.0 outside [0, 1)"),
     (["cost.sell=-0.001"], ALL_COMMANDS, "cost.sell:"),
@@ -300,6 +300,27 @@ class TestBacktestCommand:
         assert run("backtest", "--out", str(tmp_path / "run"), *sets(args)) == 0
         assert built == ["baselines", "agent"]
 
+    def test_no_state_matrix_alive_while_results_are_written(self, tmp_path, monkeypatch):
+        built, alive_at_save = [], []
+
+        def tracked(prices, signals, window):
+            states = real_build(prices, signals, window)
+            built.append(weakref.ref(states))
+            return states
+
+        def checked_save(result, path):
+            alive_at_save.append(sum(ref() is not None for ref in built))
+            return real_save(result, path)
+
+        real_build, real_save = cli.build_states, cli.BacktestResult.save
+        monkeypatch.setattr(cli, "build_states", tracked)
+        monkeypatch.setattr(cli.BacktestResult, "save", checked_save)
+        args = FAST_MARKET + FAST_AGENT + ["agent.enabled=true", "signal.mode=oracle"]
+        args += ["baselines=ew,olmar", "metrics.horizons=1w"]
+        assert run("backtest", "--out", str(tmp_path / "run"), *sets(args)) == 0
+        assert len(built) == 2
+        assert alive_at_save == [0, 0, 0]
+
     def test_corrupt_checkpoint_exits_one(self, tmp_path, capsys):
         # a checkpoint cut off after its first 12 characters, '{"layers": ['
         bad = tmp_path / "bad.json"
@@ -394,6 +415,23 @@ class TestCheckpointAndSplitErrors:
         assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
         err = capsys.readouterr().err
         assert err == f"error: agent.checkpoint: {ckpt}: missing key 'layers'\n"
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    @pytest.mark.parametrize(
+        "meta",
+        [[], {"epochs_trained": "two"}, {"epochs_trained": -3}, {"epochs_trained": True}],
+        ids=["list", "string", "negative", "bool"],
+    )
+    def test_bad_checkpoint_meta_exits_one(self, tmp_path, capsys, command, meta):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(init_policy(2 * 8 + 2, 3, hidden=(8,), seed=0), ckpt)
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "meta": meta}))
+        args = FAST_MARKET + CHECKPOINT_COMMANDS[command] + [f"agent.checkpoint={ckpt}"]
+        out = tmp_path / "x"
+        assert run(command, "--out", str(out), *sets(args)) == 1
+        reason = f"meta {meta!r} needs an integer epochs_trained >= 0"
+        assert capsys.readouterr().err == f"error: agent.checkpoint: {ckpt}: {reason}\n"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys, command):

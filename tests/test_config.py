@@ -13,7 +13,6 @@ from signalfolio.config import (
     build_cost,
     build_market,
     build_segments,
-    build_split,
     build_train_config,
     echo_config,
     parse_config_file,
@@ -21,6 +20,7 @@ from signalfolio.config import (
     parse_value,
     resolve,
 )
+from signalfolio.market import chronological_split
 
 
 class TestScalarParsing:
@@ -165,19 +165,19 @@ class TestBuilders:
         assert "market.synthetic" in str(err.value)
 
     def test_split_fraction_by_default(self):
-        spec = build_split(resolve(None))
-        assert spec.fraction == 0.9
-        assert spec.boundary is None
+        train, test = build_segments(resolve(None))
+        assert train.n_steps == 2160
+        assert test.n_steps == 240
 
     def test_split_boundary_takes_precedence(self):
         cfg = resolve({"split.boundary": 2000})
-        spec = build_split(cfg)
-        assert spec.boundary == 2000
-        assert spec.fraction is None
+        train, test = build_segments(cfg)
+        assert train.n_steps == 2000
+        assert test.n_steps == 400
 
     def test_split_rejects_bad_fraction(self):
         with pytest.raises(ConfigError) as err:
-            build_split(resolve({"split.fraction": 1.5}))
+            build_segments(resolve({"split.fraction": 1.5}))
         assert "split" in str(err.value)
 
     def test_cost_model(self):
@@ -225,12 +225,17 @@ def _train_config(cfg):
     return build_train_config(cfg, build_segments(cfg)[0])
 
 
+def _split_at_boundary(cfg):
+    # the library's own bound on split.boundary: no segment length asked
+    return chronological_split(build_market(cfg), cfg["split.boundary"], min_steps=0)
+
+
 _BELOW_0, _ABOVE_0 = math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0)
 _BELOW_1, _ABOVE_1 = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
 
-# Each range that a KEYS entry shares with a library dataclass: the key, the
-# value just inside the range, the value just outside it, and the builder
-# that hands the key to the dataclass.
+# Each range that a KEYS entry shares with the library: the key, the value
+# just inside the range, the value just outside it, and the builder that
+# hands the key to the library.
 SHARED_BOUNDS = [
     ("agent.learning_rate", 0.0, _BELOW_0, _train_config),
     ("agent.batch_window", 1, 0, _train_config),
@@ -241,9 +246,7 @@ SHARED_BOUNDS = [
     ("cost.sell", 0.0, _BELOW_0, build_cost),
     ("cost.sell", _BELOW_1, 1.0, build_cost),
     ("cost.mode", "simple", "bogus", build_cost),
-    ("split.fraction", _ABOVE_0, 0.0, build_split),
-    ("split.fraction", _BELOW_1, 1.0, build_split),
-    ("split.boundary", 1, 0, build_split),
+    ("split.boundary", 1, 0, _split_at_boundary),
     ("market.synthetic.n_assets", 1, 0, build_market),
     ("market.synthetic.n_steps", 2, 1, build_market),
     ("market.synthetic.regime_prob", 0.0, _BELOW_0, build_market),
@@ -254,7 +257,7 @@ SHARED_BOUNDS = [
 
 
 class TestSharedBounds:
-    """KEYS and the dataclasses draw each shared range at the same value."""
+    """KEYS and the library draw each shared range at the same value."""
 
     @pytest.mark.parametrize(
         "key,inside,outside,build",

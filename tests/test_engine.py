@@ -23,7 +23,7 @@ from signalfolio.engine import (
     run_backtest,
     step_reward,
 )
-from signalfolio.market import MarketDataError, SyntheticMarketSpec, generate_synthetic
+from signalfolio.market import MarketDataError, generate_synthetic
 from signalfolio.signals import build_states
 
 LN_1_1 = 0.09531017980432493
@@ -424,7 +424,7 @@ class TestRunBacktest:
             # states built at window 10 on a series two steps longer: the row
             # count says window 8, whose rows are 6 columns narrower
             lambda p: build_states(
-                generate_synthetic(SyntheticMarketSpec(n_assets=2, n_steps=p.n_steps + 2)), None, 10
+                generate_synthetic(n_assets=2, n_steps=p.n_steps + 2), None, 10
             ),
             lambda p: build_states(p, None, 10)[2:],
             lambda p: build_states(p, None, 10)[0],

@@ -15,7 +15,7 @@ from signalfolio.evaluation import (
     write_metrics_csv,
     write_metrics_json,
 )
-from signalfolio.market import SyntheticMarketSpec, generate_synthetic
+from signalfolio.market import generate_synthetic
 from signalfolio.signals import build_states
 
 SHARPE_TWO_POINT = 19.799999999999994
@@ -143,8 +143,7 @@ class TestHorizonTable:
         assert json.loads(path.read_text())["flat"]["sharpe_by_horizon"]["1w"] is None
 
     def test_backtest_feeds_table(self):
-        spec = SyntheticMarketSpec(n_assets=2, n_steps=60, vol=0.02, seed=31)
-        prices = generate_synthetic(spec)
+        prices = generate_synthetic(n_assets=2, n_steps=60, vol=0.02, seed=31)
         result = run_backtest(prices, build_states(prices, None, 10), ew_policy(3), CostModel())
         table = horizon_table({"ew": result}, ["1w", "2w"])
         assert np.isfinite(table["ew"]["sharpe_by_horizon"]["2w"])

@@ -6,8 +6,6 @@ import pytest
 from signalfolio.market import (
     MarketDataError,
     PriceSeries,
-    SplitSpec,
-    SyntheticMarketSpec,
     chronological_split,
     generate_synthetic,
     load_csv,
@@ -143,8 +141,7 @@ class TestLoadCsv:
         assert np.array_equal(a.close, b.close)
 
     def test_round_trip_identity(self, tmp_path):
-        spec = SyntheticMarketSpec(n_assets=3, n_steps=40, drift=0.001, vol=0.05, seed=9)
-        original = generate_synthetic(spec)
+        original = generate_synthetic(n_assets=3, n_steps=40, drift=0.001, vol=0.05, seed=9)
         path = tmp_path / "rt.csv"
         rows = [
             f"{ts},{asset},{float(original.close[i + 1, j])!r}"
@@ -181,14 +178,13 @@ class TestRelativePrices:
     def test_cumprod_recovers_closes(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            spec = SyntheticMarketSpec(
+            p = generate_synthetic(
                 n_assets=int(rng.integers(1, 5)),
                 n_steps=int(rng.integers(3, 40)),
                 drift=float(rng.normal(0, 0.01)),
                 vol=float(rng.uniform(0, 0.1)),
                 seed=int(rng.integers(0, 1000)),
             )
-            p = generate_synthetic(spec)
             y = relative_prices(p)
             rebuilt = p.close[:, :1] * np.cumprod(y, axis=1)
             assert np.allclose(rebuilt, p.close[:, 1:], rtol=1e-12)
@@ -209,54 +205,55 @@ class TestRelativePrices:
 
 class TestSplit:
     def test_fraction_ninety(self):
-        p = generate_synthetic(SyntheticMarketSpec(n_assets=1, n_steps=100, seed=0))
-        train, test = chronological_split(p, SplitSpec(fraction=0.9))
+        p = generate_synthetic(n_assets=1, n_steps=100, seed=0)
+        train, test = chronological_split(p, int(round(0.9 * p.n_steps)))
         assert train.n_steps == 90
         assert test.n_steps == 10
 
     def test_fraction_one_rejected(self):
         with pytest.raises(MarketDataError):
-            SplitSpec(fraction=1.0)
-
-    def test_both_given_rejected(self):
-        with pytest.raises(MarketDataError):
-            SplitSpec(fraction=0.5, boundary=10)
+            chronological_split(generate_synthetic(n_assets=1, n_steps=100), 100)
 
     def test_halfhour_style_boundary(self):
-        p = generate_synthetic(SyntheticMarketSpec(n_assets=1, n_steps=35089, seed=1))
-        train, test = chronological_split(p, SplitSpec(boundary=32313))
+        p = generate_synthetic(n_assets=1, n_steps=35089, seed=1)
+        train, test = chronological_split(p, 32313)
         assert train.n_steps == 32313
         assert test.n_steps == 2776
 
     def test_concatenation_reproduces_input(self, noisy_market):
-        train, test = chronological_split(noisy_market, SplitSpec(fraction=0.75))
+        train, test = chronological_split(noisy_market, 90)
         glued = np.hstack([train.close, test.close])
         assert np.array_equal(glued, noisy_market.close)
         assert train.timestamps + test.timestamps == noisy_market.timestamps
 
     def test_too_short_segment_rejected(self):
-        p = generate_synthetic(SyntheticMarketSpec(n_assets=1, n_steps=20, seed=0))
+        p = generate_synthetic(n_assets=1, n_steps=20, seed=0)
         with pytest.raises(MarketDataError, match="too short"):
-            chronological_split(p, SplitSpec(boundary=19), min_steps=2)
+            chronological_split(p, 19, min_steps=2)
         with pytest.raises(MarketDataError, match="too short"):
-            chronological_split(p, SplitSpec(boundary=5), min_steps=12)
+            chronological_split(p, 5, min_steps=12)
+
+    def test_boundary_below_one_rejected(self):
+        p = generate_synthetic(n_assets=1, n_steps=20, seed=0)
+        with pytest.raises(MarketDataError, match="^split boundary 0 must be >= 1$"):
+            chronological_split(p, 0, min_steps=0)
 
 
 class TestSynthetic:
     def test_same_seed_identical(self):
-        spec = SyntheticMarketSpec(n_assets=2, n_steps=50, drift=0.01, vol=0.1, seed=11)
-        a = generate_synthetic(spec)
-        b = generate_synthetic(spec)
+        spec = dict(n_assets=2, n_steps=50, drift=0.01, vol=0.1, seed=11)
+        a = generate_synthetic(**spec)
+        b = generate_synthetic(**spec)
         assert np.array_equal(a.close, b.close)
 
     def test_different_seed_differs(self):
         base = dict(n_assets=2, n_steps=50, drift=0.01, vol=0.1)
-        a = generate_synthetic(SyntheticMarketSpec(seed=1, **base))
-        b = generate_synthetic(SyntheticMarketSpec(seed=2, **base))
+        a = generate_synthetic(seed=1, **base)
+        b = generate_synthetic(seed=2, **base)
         assert not np.array_equal(a.close, b.close)
 
     def test_zero_vol_zero_drift_constant(self):
-        p = generate_synthetic(SyntheticMarketSpec(n_assets=2, n_steps=30, seed=5, vol=0.0))
+        p = generate_synthetic(n_assets=2, n_steps=30, seed=5, vol=0.0)
         assert np.all(p.close == 1.0)
 
     def test_zero_vol_drift_compounds(self, drift_market):
@@ -264,10 +261,10 @@ class TestSynthetic:
         assert np.allclose(y[1], 1.01, rtol=1e-12)
 
     def test_regime_prob_one_alternates_drift_sign(self):
-        spec = SyntheticMarketSpec(
+        prices = generate_synthetic(
             n_assets=1, n_steps=7, drift=0.1, vol=0.0, regime_switch_prob=1.0, seed=0
         )
-        y = relative_prices(generate_synthetic(spec))[1]
+        y = relative_prices(prices)[1]
         signs = np.sign(np.log(y))
         assert list(signs) == [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
 
@@ -275,7 +272,7 @@ class TestSynthetic:
         rng = np.random.default_rng(77)
         for _ in range(15):
             n = int(rng.integers(1, 6))
-            spec = SyntheticMarketSpec(
+            spec = dict(
                 n_assets=n,
                 n_steps=int(rng.integers(2, 60)),
                 drift=tuple(rng.normal(0, 0.02, n)),
@@ -283,15 +280,31 @@ class TestSynthetic:
                 regime_switch_prob=float(rng.uniform(0, 1)),
                 seed=int(rng.integers(0, 10_000)),
             )
-            p = generate_synthetic(spec)
-            assert p.close.shape == (n + 1, spec.n_steps)
+            p = generate_synthetic(**spec)
+            assert p.close.shape == (n + 1, spec["n_steps"])
             assert np.all(p.close > 0)
             assert np.all(p.close[0] == 1.0)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(MarketDataError):
-            SyntheticMarketSpec(n_assets=0, n_steps=10)
+            generate_synthetic(n_assets=0, n_steps=10)
         with pytest.raises(MarketDataError):
-            SyntheticMarketSpec(n_assets=1, n_steps=10, vol=-0.1)
+            generate_synthetic(n_assets=1, n_steps=10, vol=-0.1)
         with pytest.raises(MarketDataError):
-            SyntheticMarketSpec(n_assets=1, n_steps=10, regime_switch_prob=1.5)
+            generate_synthetic(n_assets=1, n_steps=10, regime_switch_prob=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(n_assets=0), "need at least one risky asset"),
+            (dict(n_steps=1), "need at least two steps"),
+            (dict(regime_switch_prob=-0.1), "regime switch probability outside [0, 1]"),
+            (dict(drift=(0.1, 0.2, 0.3)), "drift has shape (3,), want (2,)"),
+            (dict(vol=[[0.1, 0.2]]), "vol has shape (1, 2), want (2,)"),
+            (dict(vol=(0.1, -0.1)), "volatility must be non-negative"),
+        ],
+    )
+    def test_bad_spec_messages(self, kwargs, message):
+        with pytest.raises(MarketDataError) as err:
+            generate_synthetic(**{"n_assets": 2, "n_steps": 10, **kwargs})
+        assert str(err.value) == message

@@ -1,5 +1,5 @@
-"""Invariants of the reward chain, its stored result and the simplex projection,
-over generated inputs.
+"""Invariants of the reward chain, its stored result, the simplex projection and
+lockstep training, over generated inputs.
 
 Runs only where hypothesis is importable; the package never needs it.
 Examples are derived from the test's name, not drawn afresh, so every run
@@ -17,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from signalfolio.agent import TrainConfig, init_policy, train  # noqa: E402
 from signalfolio.baselines import simplex_project  # noqa: E402
 from signalfolio.engine import (  # noqa: E402
     BacktestResult,
@@ -25,6 +26,8 @@ from signalfolio.engine import (  # noqa: E402
     drift_weights,
     reward_chain,
 )
+from signalfolio.market import generate_synthetic  # noqa: E402
+from signalfolio.signals import oracle_labels, state_dim, true_movements  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
 MODES = st.sampled_from(["fixed_point", "simple"])
@@ -146,3 +149,52 @@ def test_simplex_projection_is_the_nearest_simplex_point(case):
     np.testing.assert_allclose(p, np.maximum(v - sort_threshold(v), 0.0), rtol=0.0, atol=1e-9)
     for q in others:
         assert np.linalg.norm(p - v) <= np.linalg.norm(q - v) + 1e-9
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def groups(draw):
+    """A tiny market and 1 to 4 cells, each with its parameters, oracle labels
+    or none, and sampler seed, under one cost mode and training config."""
+    n, window, cells = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    prices = generate_synthetic(n, window + draw(st.integers(6, 30)), vol=0.03, seed=draw(SEEDS))
+    episode = prices.n_steps - window
+    cfg = TrainConfig(
+        learning_rate=draw(st.floats(0.0, 5.0)),
+        batch_window=draw(st.integers(1, episode)),
+        epochs=draw(st.integers(1, 3)),
+        window=window,
+        steps_per_epoch=draw(st.none() | st.integers(1, 3)),
+    )
+    hidden = draw(st.sampled_from([(), (3,), (4, 2)]))
+    moves = true_movements(prices)
+    params, signals = [], []
+    for _ in range(cells):
+        params.append(init_policy(state_dim(n, window), n + 1, hidden=hidden, seed=draw(SEEDS)))
+        accuracy, density = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        labelled = draw(st.booleans())
+        signals.append(oracle_labels(moves, accuracy, density, draw(SEEDS)) if labelled else None)
+    cm = costs(draw, 0.05)
+    return prices, params, signals, [draw(SEEDS) for _ in range(cells)], cm, cfg
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    (got_params, got_curve), (want_params, want_curve) = got, want
+    return got_params.theta.tobytes() == want_params.theta.tobytes() and (
+        np.array(got_curve).tobytes() == np.array(want_curve).tobytes()
+    )
+
+
+@SETTINGS
+@hypothesis.given(groups())
+def test_group_training_equals_one_cell_runs_bit_for_bit(case):
+    prices, params, signals, seeds, cm, cfg = case
+    samplers = [np.random.default_rng(seed) for seed in seeds]
+    group = train(params, prices, signals, cm, cfg, samplers)
+    for got, p, s, seed in zip(group, params, signals, seeds):
+        [want] = train([p], prices, [s], cm, cfg, [np.random.default_rng(seed)])
+        assert same_outcome(got, want)

@@ -3,9 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from signalfolio.market import MarketDataError, PriceSeries, SyntheticMarketSpec, generate_synthetic
+from signalfolio.market import MarketDataError, PriceSeries, generate_synthetic
 from signalfolio.signals import (
-    SignalConfig,
     SignalError,
     SignalSeries,
     _logits,
@@ -66,55 +65,67 @@ class TestTrueMovements:
 class TestOracleLabels:
     def test_perfect_channel_equals_truth(self, noisy_market):
         truth = true_movements(noisy_market)
-        labels = oracle_labels(truth, SignalConfig(accuracy=1.0, density=1.0, seed=4))
+        labels = oracle_labels(truth, accuracy=1.0, density=1.0, seed=4)
         assert np.array_equal(labels.values, truth.values)
 
     def test_density_zero_all_absent(self, noisy_market):
         truth = true_movements(noisy_market)
-        labels = oracle_labels(truth, SignalConfig(accuracy=0.8, density=0.0, seed=4))
+        labels = oracle_labels(truth, accuracy=0.8, density=0.0, seed=4)
         assert np.all(labels.values == 0.0)
 
     def test_density_count_exact_per_asset(self):
         rng = np.random.default_rng(8)
-        market = generate_synthetic(
-            SyntheticMarketSpec(n_assets=3, n_steps=101, vol=0.05, seed=2)
-        )
+        market = generate_synthetic(n_assets=3, n_steps=101, vol=0.05, seed=2)
         truth = true_movements(market)
         usable = market.n_steps - 1
         for _ in range(25):
             density = float(rng.uniform(0, 1))
-            cfg = SignalConfig(
+            labels = oracle_labels(
+                truth,
                 accuracy=float(rng.uniform(0, 1)),
                 density=density,
                 seed=int(rng.integers(0, 10_000)),
             )
-            labels = oracle_labels(truth, cfg)
             expected = int(round(density * usable))
             present = np.count_nonzero(labels.values, axis=1)
             assert np.all(present == expected)
 
     def test_agreement_rate_concentrates(self):
-        market = generate_synthetic(
-            SyntheticMarketSpec(n_assets=1, n_steps=10_001, vol=0.05, seed=3)
-        )
+        market = generate_synthetic(n_assets=1, n_steps=10_001, vol=0.05, seed=3)
         truth = true_movements(market)
-        labels = oracle_labels(truth, SignalConfig(accuracy=0.7, density=1.0, seed=12))
+        labels = oracle_labels(truth, accuracy=0.7, density=1.0, seed=12)
         usable = slice(0, market.n_steps - 1)
         agree = np.mean(labels.values[0, usable] == truth.values[0, usable])
         assert 0.685 <= agree <= 0.715
 
     def test_deterministic_per_seed(self, noisy_market):
         truth = true_movements(noisy_market)
-        cfg = SignalConfig(accuracy=0.6, density=0.5, seed=99)
-        a = oracle_labels(truth, cfg)
-        b = oracle_labels(truth, cfg)
+        cfg = dict(accuracy=0.6, density=0.5, seed=99)
+        a = oracle_labels(truth, **cfg)
+        b = oracle_labels(truth, **cfg)
         assert np.array_equal(a.values, b.values)
 
-    def test_bad_config_rejected(self):
+    def test_bad_config_rejected(self, noisy_market):
+        truth = true_movements(noisy_market)
         with pytest.raises(SignalError):
-            SignalConfig(accuracy=1.2)
+            oracle_labels(truth, accuracy=1.2)
         with pytest.raises(SignalError):
-            SignalConfig(density=-0.1)
+            oracle_labels(truth, density=-0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(accuracy=1.2), "accuracy 1.2 outside [0, 1]"),
+            (dict(accuracy=-0.1), "accuracy -0.1 outside [0, 1]"),
+            (dict(density=-0.1), "density -0.1 outside [0, 1]"),
+            (dict(density=1.5), "density 1.5 outside [0, 1]"),
+        ],
+    )
+    def test_bad_config_messages(self, kwargs, message):
+        # checked before the series, so a truth too short to label reports them
+        with pytest.raises(SignalError) as err:
+            oracle_labels(SignalSeries(values=np.zeros((1, 1))), **kwargs)
+        assert str(err.value) == message
 
 
 class TestInternalPredictor:
@@ -124,15 +135,12 @@ class TestInternalPredictor:
         assert predictor.train_accuracy[0] == 1.0
 
     def test_noise_only_near_chance(self):
-        market = generate_synthetic(
-            SyntheticMarketSpec(n_assets=1, n_steps=5002, drift=0.0, vol=0.02, seed=21)
-        )
+        market = generate_synthetic(n_assets=1, n_steps=5002, drift=0.0, vol=0.02, seed=21)
         predictor = fit_internal_predictor(market, lags=5, epochs=100, seed=1)
         assert abs(np.mean(predictor.train_accuracy) - 0.5) <= 0.05
 
     def test_regime_market_beats_chance_modestly(self):
         market = generate_synthetic(
-            SyntheticMarketSpec(
                 n_assets=2,
                 n_steps=3000,
                 drift=0.02,
@@ -140,7 +148,6 @@ class TestInternalPredictor:
                 regime_switch_prob=0.01,
                 seed=5,
             )
-        )
         predictor = fit_internal_predictor(market, lags=8, epochs=300, lr=1.0, seed=2)
         assert 0.52 <= np.mean(predictor.train_accuracy) <= 0.95
 
@@ -239,9 +246,7 @@ class TestAugment:
             series_from_closes([1.0, -2.0, 1.0, 1.0])
 
     def test_rows_match_hand_built_state(self, noisy_market):
-        labels = oracle_labels(
-            true_movements(noisy_market), SignalConfig(accuracy=0.7, density=0.6, seed=3)
-        )
+        labels = oracle_labels(true_movements(noisy_market), accuracy=0.7, density=0.6, seed=3)
         w = 8
         obs = build_states(noisy_market, labels, window=w)
         closes = noisy_market.close[1:]
