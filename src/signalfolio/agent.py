@@ -298,8 +298,8 @@ def train(
 
     Cell c starts from params[c], sees signals[c] (None: zero signal columns)
     and draws its window starts from rngs[c], a generator the caller builds
-    (config.prepare_agent) and keeps: training on from the returned
-    parameters with it reproduces one longer run bit for bit.  The cells
+    (config.train_agents, from each agent's sampler seed): training on from
+    the returned parameters with it reproduces one longer run bit for bit.  The cells
     share the prices, the architecture, whose input width must be
     state_dim(n_assets, cfg.window), the cost model and cfg.  Each gradient
     step draws a uniform window start per cell; the window enters with the

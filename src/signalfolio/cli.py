@@ -68,16 +68,17 @@ def cmd_backtest(cfg, out: Path) -> int:
     window = cfg["window"]
     cfgmod.check_horizons(cfg, len(decision_indices(test_p.n_steps, window)))
     cm = cfgmod.build_cost(cfg)
+    if cfg["agent.enabled"]:  # a checkpoint that does not fit fails before any strategy runs
+        loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
     states = build_states(test_p, None, window) if baselines else None
     runs = {name: run_backtest(test_p, states, p, cm) for name, p in baselines.items()}
     del states  # one state matrix alive at a time, and none while results are written
     if cfg["agent.enabled"]:
-        loaded, _ = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
-        seeds = cfgmod.run_seeds(cfg)
         if loaded is None:
-            params, _, test_signals = cfgmod.setup_agent(cfg, train_p, test_p, seeds, cm)
+            params, _, test_signals = _train_agent(cfg, train_p, test_p, cm, None)
         else:
-            params, _, _, test_signals = cfgmod.prepare_agent(cfg, train_p, test_p, seeds, loaded)
+            params = loaded
+            test_signals = cfgmod.labeller(cfg, train_p)(test_p, cfgmod.run_seeds(cfg)[3])
         policy = partial(policy_forward, params)
         runs["agent"] = run_backtest(test_p, build_states(test_p, test_signals, window), policy, cm)
     for name, result in runs.items():
@@ -86,6 +87,15 @@ def cmd_backtest(cfg, out: Path) -> int:
     _write_metric_tables(cfg, runs, out)
     _write_echo(cfg, out)
     return 0
+
+
+def _train_agent(cfg, train_p, test_p, cm, params):
+    """The run's one agent through config.train_agents; raises the error that stops it."""
+    agent = (cfgmod.labeller(cfg, train_p), cfgmod.run_seeds(cfg), params)
+    [outcome] = cfgmod.train_agents(cfg, train_p, test_p, cm, [agent])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _write_pv_curves(runs: dict[str, BacktestResult], path: Path) -> None:
@@ -109,9 +119,7 @@ def _write_metric_tables(cfg, runs, out: Path) -> None:
 def cmd_train(cfg, out: Path) -> int:
     train_p, _ = cfgmod.build_segments(cfg)
     loaded, epochs_done = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
-    params, curve, _ = cfgmod.setup_agent(
-        cfg, train_p, None, cfgmod.run_seeds(cfg), cfgmod.build_cost(cfg), loaded
-    )
+    params, curve, _ = _train_agent(cfg, train_p, None, cfgmod.build_cost(cfg), loaded)
     _write_curve(out / "learning_curve.csv", curve, epochs_done, resumed=loaded is not None)
     save_checkpoint(
         params,

@@ -36,7 +36,6 @@ from .market import (
     load_csv,
 )
 from .signals import (
-    SignalSeries,
     decision_indices,
     fit_internal_predictor,
     oracle_labels,
@@ -289,7 +288,7 @@ def build_train_config(cfg: dict[str, object], train_p: PriceSeries) -> TrainCon
     return tc
 
 
-def _labeller(cfg, train_p: PriceSeries):
+def labeller(cfg, train_p: PriceSeries):
     """(segment, seed) -> movement labels per signal.mode, fit on train_p if needed."""
     mode = cfg["signal.mode"]
     if mode == "none":
@@ -304,39 +303,47 @@ def _labeller(cfg, train_p: PriceSeries):
 
 
 def run_seeds(cfg: dict[str, object]) -> tuple[int, int, int, int]:
-    """Init, sampler, train-label and test-label seeds of a CLI run, for prepare_agent."""
+    """Init, sampler, train-label and test-label seeds of a CLI run's agent."""
     agent_seed = cfg["agent.seed"]
     labels = np.random.SeedSequence(cfg["signal.seed"]).generate_state(2)
     return (agent_seed, agent_seed, *(int(s) for s in labels))
 
 
-def prepare_agent(
-    cfg: dict[str, object],
-    train_p: PriceSeries,
-    test_p: PriceSeries | None,
-    seeds: tuple[int, int, int, int],
-    params: PolicyParams | None = None,
-) -> tuple[PolicyParams, np.random.Generator, SignalSeries | None, SignalSeries | None]:
-    """Labels, initial policy and training sampler of one run; shared by every command.
+def train_agents(cfg, train_p: PriceSeries, test_p: PriceSeries | None, cm: CostModel, agents):
+    """Set up each agent, then train them under cm in lockstep; the one path to agent.train.
 
-    seeds are the init, training, train-label and test-label seeds; this is
-    where they become draws.  params (from a checkpoint) stand in for a fresh
-    init, and test_p=None skips the test labels.  Returns the parameters, the
-    sampler, which train draws from and which continues the same run when
-    passed to train again, and the train- and test-split signals.
+    Each agent is (label, seeds, params): label(segment, seed) gives its
+    movement labels (see labeller); seeds are its init, sampler, train-label
+    and test-label seeds, and this is where they become draws; params (from
+    a checkpoint) stand in for a fresh init.  test_p=None skips the test
+    labels.  The training settings come first, so one that does not fit
+    train_p raises ConfigError before any set-up.  Returns per agent its
+    parameters, per-epoch learning curve and test-split signals, or the
+    error that stopped it; one that fails in set-up fails alone.
     """
-    init_seed, train_seed, train_label_seed, test_label_seed = seeds
-    label = _labeller(cfg, train_p)
-    test_signals = None if test_p is None else label(test_p, test_label_seed)
-    if params is None:
-        n, window = train_p.n_assets, cfg["window"]
-        params = init_policy(
-            input_dim=state_dim(n, window),
-            n_actions=n + 1,
-            hidden=cfg["agent.hidden"],
-            seed=init_seed,
-        )
-    return params, np.random.default_rng(train_seed), label(train_p, train_label_seed), test_signals
+    train_cfg = build_train_config(cfg, train_p)
+    n, window = train_p.n_assets, cfg["window"]
+    outcomes: list = [None] * len(agents)
+    ready = []
+    for index, (label, seeds, params) in enumerate(agents):
+        init_seed, train_seed, train_label_seed, test_label_seed = seeds
+        try:
+            test_signals = None if test_p is None else label(test_p, test_label_seed)
+            if params is None:
+                params = init_policy(state_dim(n, window), n + 1, cfg["agent.hidden"], init_seed)
+            rng = np.random.default_rng(train_seed)
+            ready.append((index, params, rng, label(train_p, train_label_seed), test_signals))
+        except Exception as exc:
+            outcomes[index] = exc
+    if ready:
+        indices, params, rngs, train_signals, test_signals = zip(*ready)
+        try:
+            trained = train(params, train_p, train_signals, cm, train_cfg, rngs)
+        except Exception as exc:
+            trained = [exc] * len(ready)
+        for index, outcome, signals in zip(indices, trained, test_signals):
+            outcomes[index] = outcome if isinstance(outcome, Exception) else (*outcome, signals)
+    return outcomes
 
 
 def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, int]:
@@ -364,28 +371,6 @@ def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, int]
             f"at window {window} need {want}"
         )
     return params, epochs
-
-
-def setup_agent(
-    cfg: dict[str, object],
-    train_p: PriceSeries,
-    test_p: PriceSeries | None,
-    seeds: tuple[int, int, int, int],
-    cm: CostModel,
-    params: PolicyParams | None = None,
-) -> tuple[PolicyParams, list[float], SignalSeries | None]:
-    """One run of the agent: prepare_agent, then training under cm as a group of one.
-
-    Returns the parameters, the per-epoch learning curve and the test-split
-    signals, and raises the error that stops the training.
-    """
-    params, rng, train_signals, test_signals = prepare_agent(cfg, train_p, test_p, seeds, params)
-    [outcome] = train(
-        [params], train_p, [train_signals], cm, build_train_config(cfg, train_p), [rng]
-    )
-    if isinstance(outcome, Exception):
-        raise outcome
-    return (*outcome, test_signals)
 
 
 def build_baselines(cfg: dict[str, object], m: int) -> dict:

@@ -8,9 +8,9 @@ numbers are bit-identical to training it alone.  Cell seeds are derived by
 hashing the master seed with the cell's values (not grid positions), so
 extending a grid never changes existing cells, and rows keep the sorted
 cell order so results are identical however the cells were grouped.  The
-segments, the cost model and the training settings are built once, before
-any cell runs, so a bad market, split or window fails the whole run with a
-ConfigError.
+segments and the cost model are built once, and the training settings
+checked once, before any cell runs, so a bad market, split, window or batch
+window fails the whole run with a ConfigError.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .agent import TrainConfig, policy_forward, train
+from .agent import policy_forward
 from .engine import CostModel, run_backtest
 from .evaluation import sharpe_ratio, write_table
 from .market import PriceSeries, write_json
@@ -71,8 +71,8 @@ def build_cells(cfg: dict[str, object]) -> list[CellSpec]:
     return cells
 
 
-def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
-    """Initial policy, training sampler and train/test labels of one cell."""
+def _cell_agent(cfg: dict[str, object], cell: CellSpec, train_p) -> tuple:
+    """The cell's agent for config.train_agents: its label function, hashed seeds, no params."""
     if cell.is_control:
         cell_cfg = {**cfg, "signal.mode": "none"}
     else:
@@ -84,7 +84,7 @@ def _prepare_cell(cfg: dict[str, object], cell: CellSpec, train_p, test_p):
         }
     root = cell_seed(cfg["seed"], cell)
     seeds = tuple(int(s) for s in np.random.SeedSequence(root).generate_state(4))
-    return cfgmod.prepare_agent(cell_cfg, train_p, test_p, seeds)
+    return cfgmod.labeller(cell_cfg, train_p), seeds, None
 
 
 def _cell_row(cfg: dict[str, object], cell: CellSpec, test_p, params, test_signals, cm) -> dict:
@@ -110,58 +110,40 @@ def run_group(
     train_prices: PriceSeries,
     test_prices: PriceSeries,
     cm: CostModel,
-    train_cfg: TrainConfig,
     cells: list[CellSpec],
 ) -> list[dict]:
-    """Set up every cell, train them in lockstep on train_prices, backtest each.
+    """Set up and train the cells in lockstep on train_prices (config.train_agents), backtest each.
 
     Returns one row dict per cell; a cell that fails in setup, training or
     its backtest fails alone, as a row whose "error" names the exception.
     """
-    outcomes: list = [None] * len(cells)
-    ready = []
-    for index, cell in enumerate(cells):
-        try:
-            ready.append((index, *_prepare_cell(cfg, cell, train_prices, test_prices)))
-        except Exception as exc:
-            outcomes[index] = exc
-    if ready:
-        indices, params, rngs, train_signals, test_signals = zip(*ready)
-        try:
-            trained = train(params, train_prices, train_signals, cm, train_cfg, rngs)
-        except Exception as exc:
-            trained = [exc] * len(ready)
-        for index, outcome, signals in zip(indices, trained, test_signals):
-            if isinstance(outcome, Exception):
-                outcomes[index] = outcome
-                continue
+    agents = [_cell_agent(cfg, cell, train_prices) for cell in cells]
+    outcomes = cfgmod.train_agents(cfg, train_prices, test_prices, cm, agents)
+    rows = []
+    for cell, outcome in zip(cells, outcomes):
+        if not isinstance(outcome, Exception):
+            params, _, test_signals = outcome
             try:
-                outcomes[index] = _cell_row(
-                    cfg, cells[index], test_prices, outcome[0], signals, cm
-                )
+                outcome = _cell_row(cfg, cell, test_prices, params, test_signals, cm)
             except Exception as exc:
-                outcomes[index] = exc
-    return [
-        _failure_row(cell, outcome) if isinstance(outcome, Exception) else outcome
-        for cell, outcome in zip(cells, outcomes)
-    ]
+                outcome = exc
+        rows.append(_failure_row(cell, outcome) if isinstance(outcome, Exception) else outcome)
+    return rows
 
 
 def run_sweep(cfg: dict[str, object]) -> tuple[list[dict], list[dict]]:
     """Run every cell, tolerating per-cell failures.  Rows come back in cell order.
 
-    The segments, cost model and training settings are built once, so a bad
-    one raises ConfigError before any cell runs.  The cells are split into
-    min(cfg["jobs"], cells) groups, and each group trains in lockstep
-    (run_group) in its own worker process, or in this process when there is
-    one group.  Output does not depend on the grouping.
+    The segments and cost model are built once and the training settings
+    checked once, so a bad one raises ConfigError before any cell runs.  The
+    cells are split into min(cfg["jobs"], cells) groups, and each group
+    trains in lockstep (run_group) in its own worker process, or in this
+    process when there is one group.  Output does not depend on the grouping.
     """
     cells = build_cells(cfg)
     train_prices, test_prices = cfgmod.build_segments(cfg)
-    run = partial(
-        run_group, cfg, train_prices, test_prices, cfgmod.build_cost(cfg),
-        cfgmod.build_train_config(cfg, train_prices),
-    )
+    cfgmod.build_train_config(cfg, train_prices)  # raises before any cell runs
+    run = partial(run_group, cfg, train_prices, test_prices, cfgmod.build_cost(cfg))
     n_groups = min(cfg["jobs"], len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from signalfolio import cli
+from signalfolio import config as cfgmod
 from signalfolio.agent import init_policy, load_checkpoint, save_checkpoint
 from signalfolio.cli import main
 from signalfolio.market import generate_synthetic
@@ -152,6 +153,12 @@ BAD_VALUES = [
     (
         ["agent.batch_window=500"],
         ["backtest", "train", "sweep"],
+        "agent.batch_window: 500 longer than the 112-step training episode",
+    ),
+    # checked once in the parent process, before any worker starts
+    (
+        ["agent.batch_window=500", "jobs=2"],
+        ["sweep"],
         "agent.batch_window: 500 longer than the 112-step training episode",
     ),
 ]
@@ -321,6 +328,22 @@ class TestBacktestCommand:
         assert len(built) == 2
         assert alive_at_save == [0, 0, 0]
 
+    def test_checkpoint_run_labels_only_the_test_split(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(init_policy(2 * 8 + 2, 3, hidden=(8,), seed=0), ckpt)
+        labelled = []
+
+        def counted(truth, *args):
+            labelled.append(truth.values.shape)
+            return real(truth, *args)
+
+        real = cfgmod.oracle_labels
+        monkeypatch.setattr(cfgmod, "oracle_labels", counted)
+        args = FAST_MARKET + CHECKPOINT_COMMANDS["backtest"]
+        args += ["signal.mode=oracle", f"agent.checkpoint={ckpt}"]
+        assert run("backtest", "--out", str(tmp_path / "run"), *sets(args)) == 0
+        assert labelled == [(2, 30)]  # the 30-step test split; the train split has 120
+
     def test_corrupt_checkpoint_exits_one(self, tmp_path, capsys):
         # a checkpoint cut off after its first 12 characters, '{"layers": ['
         bad = tmp_path / "bad.json"
@@ -439,6 +462,31 @@ class TestCheckpointAndSplitErrors:
         args += [f"agent.checkpoint={tmp_path / 'absent.json'}"]
         assert run(command, "--out", str(tmp_path / "x"), *sets(args)) == 1
         assert capsys.readouterr().err.startswith("error: agent.checkpoint: no such file")
+
+    @pytest.mark.parametrize(
+        "checkpoint,message",
+        [("absent.json", "no such file"), ("wide.json", "policy (inputs, outputs) (20, 3)")],
+        ids=["missing", "misfit"],
+    )
+    def test_backtest_checks_checkpoint_before_any_strategy(
+        self, tmp_path, capsys, monkeypatch, checkpoint, message
+    ):
+        ckpt = tmp_path / checkpoint
+        if checkpoint == "wide.json":
+            save_checkpoint(init_policy(20, 3, hidden=(8,), seed=0), ckpt)
+        backtests = []
+
+        def counted(*args):
+            backtests.append(args)
+            return real(*args)
+
+        real = cli.run_backtest
+        monkeypatch.setattr(cli, "run_backtest", counted)
+        args = FAST_MARKET + CHECKPOINT_COMMANDS["backtest"]
+        args += ["baselines=ew,crp,olmar", f"agent.checkpoint={ckpt}"]
+        assert run("backtest", "--out", str(tmp_path / "x"), *sets(args)) == 1
+        assert capsys.readouterr().err.startswith(f"error: agent.checkpoint: {message}")
+        assert backtests == []
 
     @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
     def test_split_too_short_for_window_exits_one(self, tmp_path, capsys, command):

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from signalfolio import config as cfgmod
+from signalfolio.agent import init_policy
 from signalfolio.config import (
     DEFAULTS,
     ConfigError,
@@ -15,12 +17,15 @@ from signalfolio.config import (
     build_segments,
     build_train_config,
     echo_config,
+    labeller,
     parse_config_file,
     parse_scalar,
     parse_value,
     resolve,
+    train_agents,
 )
-from signalfolio.market import chronological_split
+from signalfolio.engine import EngineError
+from signalfolio.market import MarketDataError, chronological_split
 
 
 class TestScalarParsing:
@@ -159,10 +164,11 @@ class TestBuilders:
         assert prices.n_assets == 3
         assert prices.n_steps == 2400
 
+    # each bad value is set on a resolved config, past resolve's own check,
+    # so the builder named is the one that rejects it
     def test_market_rejects_bad_spec(self):
-        with pytest.raises(ConfigError) as err:
-            build_market(resolve({"market.synthetic.n_steps": 1}))
-        assert "market.synthetic" in str(err.value)
+        with pytest.raises(MarketDataError, match=r"^need at least two steps$"):
+            build_market({**resolve(None), "market.synthetic.n_steps": 1})
 
     def test_split_fraction_by_default(self):
         train, test = build_segments(resolve(None))
@@ -176,9 +182,8 @@ class TestBuilders:
         assert test.n_steps == 400
 
     def test_split_rejects_bad_fraction(self):
-        with pytest.raises(ConfigError) as err:
-            build_segments(resolve({"split.fraction": 1.5}))
-        assert "split" in str(err.value)
+        with pytest.raises(ConfigError, match=r"^split\.fraction: segment too short"):
+            build_segments({**resolve(None), "split.fraction": 1.5})
 
     def test_cost_model(self):
         cm = build_cost(resolve({"cost.mode": "simple", "cost.sell": 0.001}))
@@ -187,9 +192,8 @@ class TestBuilders:
         assert cm.c_buy == 0.0025
 
     def test_cost_rejects_bad_rate(self):
-        with pytest.raises(ConfigError) as err:
-            build_cost(resolve({"cost.buy": 2.0}))
-        assert "cost" in str(err.value)
+        with pytest.raises(EngineError, match=r"^commission rates must lie in \[0, 1\)$"):
+            build_cost({**resolve(None), "cost.buy": 2.0})
 
     def test_train_config(self):
         cfg = resolve({"agent.epochs": 7, "agent.learning_rate": 0.5, "window": 9})
@@ -292,3 +296,100 @@ class TestEcho:
         assert merged["agent.enabled"] is True
         assert merged["window"] == cfg["window"]
         assert merged == cfg
+
+
+TINY_AGENT = {
+    "market.synthetic.n_assets": 2,
+    "market.synthetic.n_steps": 120,
+    "market.synthetic.vol": 0.02,
+    "market.synthetic.drift": 0.001,
+    "window": 8,
+    "agent.hidden": (8,),
+    "agent.epochs": 2,
+    "agent.batch_window": 16,
+    "agent.learning_rate": 0.5,
+}
+
+
+def _agents(cfg, train_p):
+    """Three agents: oracle labels at two accuracies and the no-signal control."""
+    oracle = {**cfg, "signal.mode": "oracle"}
+    return [
+        (labeller({**oracle, "signal.accuracy": 0.6}, train_p), (1, 2, 3, 4), None),
+        (labeller({**cfg, "signal.mode": "none"}, train_p), (5, 6, 7, 8), None),
+        (labeller(oracle, train_p), (9, 10, 11, 12), None),
+    ]
+
+
+def _outcome_bytes(outcome):
+    params, curve, signals = outcome
+    return params.theta.tobytes(), curve, None if signals is None else signals.values.tobytes()
+
+
+class TestTrainAgents:
+    """config.train_agents: set-up per agent, then one lockstep agent.train call."""
+
+    def setup_method(self):
+        self.cfg = resolve(TINY_AGENT)
+        self.train_p, self.test_p = build_segments(self.cfg)
+        self.cm = build_cost(self.cfg)
+
+    def run(self, agents, with_test=True):
+        test_p = self.test_p if with_test else None
+        return train_agents(self.cfg, self.train_p, test_p, self.cm, agents)
+
+    def test_group_equals_one_agent_calls(self):
+        agents = _agents(self.cfg, self.train_p)
+        group = [_outcome_bytes(outcome) for outcome in self.run(agents)]
+        alone = [_outcome_bytes(outcome) for agent in agents for outcome in self.run([agent])]
+        assert group == alone
+        assert [signals is None for _, _, signals in group] == [False, True, False]
+        assert len({theta for theta, _, _ in group}) == 3
+
+    def test_setup_failure_fails_that_agent_alone(self):
+        agents = _agents(self.cfg, self.train_p)
+        expected = [_outcome_bytes(outcome) for outcome in self.run(agents)]
+
+        def no_labels(segment, seed):
+            raise RuntimeError("no labels here")
+
+        agents[1] = (no_labels, *agents[1][1:])
+        first, failed, last = self.run(agents)
+        assert isinstance(failed, RuntimeError) and str(failed) == "no labels here"
+        assert [_outcome_bytes(first), _outcome_bytes(last)] == [expected[0], expected[2]]
+
+    def test_given_params_are_not_reinitialised(self, monkeypatch):
+        label, seeds, _ = _agents(self.cfg, self.train_p)[1]
+        [fresh] = self.run([(label, seeds, None)])
+        given = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=99)
+        inits = []
+        monkeypatch.setattr(cfgmod, "init_policy", lambda *args: inits.append(args))
+        self.cfg = {**self.cfg, "agent.epochs": 0}
+        [(params, curve, _)] = self.run([(label, seeds, given)])
+        assert inits == [] and curve == []
+        assert params.theta.tobytes() == given.theta.tobytes()
+        assert params.theta.tobytes() != fresh[0].theta.tobytes()
+
+    def test_no_test_split_gives_no_test_signals(self):
+        agents = _agents(self.cfg, self.train_p)
+        assert [signals for _, _, signals in self.run(agents, with_test=False)] == [None] * 3
+
+    def test_training_settings_checked_before_any_setup(self):
+        labelled = []
+
+        def label(segment, seed):
+            labelled.append(seed)
+
+        self.cfg = {**self.cfg, "agent.batch_window": 500}
+        message = r"^agent\.batch_window: 500 longer than the 100-step training episode$"
+        with pytest.raises(ConfigError, match=message):
+            self.run([(label, (0, 0, 0, 0), None)])
+        assert labelled == []
+
+    def test_training_error_fails_every_agent(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("no step")
+
+        monkeypatch.setattr(cfgmod, "train", broken)
+        outcomes = self.run(_agents(self.cfg, self.train_p))
+        assert [str(outcome) for outcome in outcomes] == ["no step"] * 3

@@ -1,7 +1,8 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
 one writer through which every artifact is written and one encoder of JSON
-artifacts, one way into each setting, a reader for every config key, and no
-process pool loaded before a sweep needs one.
+artifacts, one path that sets up and trains the agent, one way into each
+setting, a reader for every config key, and no process pool loaded before a
+sweep needs one.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -71,6 +72,22 @@ def test_one_writer_replaces_and_only_write_json_encodes():
                 text = text.replace(body, "")
             outside += [path.name] * (call in text)
         assert (writer, writers, outside) == (writer, ["market.py"], [])
+
+
+def test_one_agent_path_inits_and_trains():
+    """init_policy( and train( are called in src/ once each, inside config.train_agents,
+    the one set-up and training path of train, backtest and every sweep group."""
+    callers = {"init_policy": [], "train": []}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in callers:
+                    callers[name].append((path.stem, getattr(top, "name", None)))
+    assert callers == {name: [("config", "train_agents")] for name in callers}
 
 
 def test_only_open_whole_opens_a_file_to_write():

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from signalfolio import config as cfgmod
-from signalfolio import sweep as sweepmod
 from signalfolio.config import ConfigError, resolve
 from signalfolio.sweep import (
     CellSpec,
@@ -107,8 +106,7 @@ class TestBuildCells:
 def run_cell(cfg, cell):
     """A group of one cell; its row, which has no "error"."""
     train_prices, test_prices = cfgmod.build_segments(cfg)
-    train_cfg = cfgmod.build_train_config(cfg, train_prices)
-    [row] = run_group(cfg, train_prices, test_prices, cfgmod.build_cost(cfg), train_cfg, [cell])
+    [row] = run_group(cfg, train_prices, test_prices, cfgmod.build_cost(cfg), [cell])
     assert "error" not in row, row.get("error")
     return row
 
@@ -172,13 +170,13 @@ class TestRunSweep:
     )
     def test_one_train_call_per_group(self, monkeypatch, jobs, group_sizes):
         calls = []
-        real_train = sweepmod.train
+        real_train = cfgmod.train
 
         def counting_train(params, *args):
             calls.append(len(params))
             return real_train(params, *args)
 
-        monkeypatch.setattr(sweepmod, "train", counting_train)
+        monkeypatch.setattr(cfgmod, "train", counting_train)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         rows, failures = run_sweep(tiny_cfg(jobs=jobs))
         assert failures == [] and len(rows) == 3
@@ -186,14 +184,18 @@ class TestRunSweep:
 
     def test_setup_failure_fails_one_cell(self, monkeypatch):
         expected, _ = run_sweep(tiny_cfg())
-        real_prepare = cfgmod.prepare_agent
+        real_labeller = cfgmod.labeller
 
-        def prepare(cfg, *args):
-            if cfg["signal.mode"] == "none":
+        def labeller(cfg, train_p):
+            if cfg["signal.mode"] != "none":
+                return real_labeller(cfg, train_p)
+
+            def no_labels(segment, seed):
                 raise RuntimeError("no labels for the control")
-            return real_prepare(cfg, *args)
 
-        monkeypatch.setattr(cfgmod, "prepare_agent", prepare)
+            return no_labels
+
+        monkeypatch.setattr(cfgmod, "labeller", labeller)
         rows, failures = run_sweep(tiny_cfg())
         assert rows == expected[:2]
         assert [f["accuracy"] for f in failures] == [None]
