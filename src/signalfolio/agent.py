@@ -179,29 +179,11 @@ class Episode:
         )
 
 
-def objective(
-    params: PolicyParams,
-    episode: Episode,
-    cm: CostModel,
-    frozen_betas: np.ndarray | None = None,
-) -> float:
-    """Mean per-step log reward of the policy over the episode.
-
-    frozen_betas substitutes precomputed shrink factors; the finite-
-    difference oracle uses this to respect the stop-gradient convention.
-    """
+def objective(params: PolicyParams, episode: Episode, cm: CostModel) -> float:
+    """Mean per-step log reward of the policy over the episode."""
     actions = _forward_batch(params, episode.states)[0]
-    if frozen_betas is not None:
-        gross = _row_sum(actions * episode.rel)
-        return float(np.mean(np.log(frozen_betas * gross)))
     result = reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm)
     return float(result.rewards.mean())
-
-
-def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.ndarray:
-    """Shrink factors the policy realizes on the episode (for freezing)."""
-    actions = _forward_batch(params, episode.states)[0]
-    return reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm).betas
 
 
 def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
@@ -427,4 +409,6 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict]:
     params = PolicyParams.from_layers(
         [layer["weights"] for layer in layers], [layer["biases"] for layer in layers]
     )
+    if not np.isfinite(params.theta).all():
+        raise EngineError("policy parameters must be finite")
     return params, data.get("meta", {})

@@ -52,32 +52,6 @@ def _reversion_path(b, predicted: np.ndarray, epsilon: float, sign: float) -> np
     return path
 
 
-def olmar_action(
-    b: np.ndarray, y_history: np.ndarray, epsilon: float = 10.0, window: int = 5
-) -> np.ndarray:
-    """Moving-average reversion step.
-
-    Predicts the next relative price as the mean of cumulative inverse
-    relatives over the window, then takes a passive-aggressive step toward
-    satisfying b . x >= epsilon and projects back onto the simplex.  With
-    too little history, a satisfied constraint or a flat prediction the
-    weights pass through unchanged.
-    """
-    return OLMARPolicy(np.size(b), epsilon, window)._step(b, y_history)
-
-
-def wmamr_action(
-    b: np.ndarray, y_history: np.ndarray, epsilon: float = 1.0, window: int = 5
-) -> np.ndarray:
-    """Passive-aggressive mean reversion on the windowed average move.
-
-    When the recent average relative return exceeds epsilon the weights
-    step against it (recent winners get trimmed) and reproject; otherwise
-    they pass through unchanged.
-    """
-    return WMAMRPolicy(np.size(b), epsilon, window)._step(b, y_history)
-
-
 class CRPPolicy:
     """Fixed-mix policy; the uniform target is the equal-weight baseline."""
 
@@ -120,16 +94,6 @@ class _ReversionPolicy:
         hist = np.ones((t_total, self.window, m))
         hist[:, :, 1:] = (w[:, :, 1:] / w[:, :, :-1]).transpose(0, 2, 1)
         return _reversion_path(uniform, self.predict(hist, self.window), self.epsilon, self.sign)
-
-    def _step(self, b, y_history) -> np.ndarray:
-        """One checked update of b from a (steps, m) history: a one-row kernel call."""
-        b = as_simplex(b, "weights")
-        hist = np.asarray(y_history, dtype=float)
-        if hist.ndim != 2 or hist.shape[1] != b.size:
-            raise EngineError("y_history must be (steps, assets) matching weights")
-        if hist.shape[0] < self.window:
-            return b.copy()
-        return _reversion_path(b, self.predict(hist[None], self.window), self.epsilon, self.sign)[0]
 
 
 class OLMARPolicy(_ReversionPolicy):

@@ -54,17 +54,6 @@ def all_cash(m: int) -> np.ndarray:
     return w
 
 
-def _check_rel(y, m: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise EngineError(f"relative prices have shape {y.shape}, want ({m},)")
-    if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
-        raise EngineError("relative prices must be finite and strictly positive")
-    if abs(float(y[0]) - 1.0) > SIMPLEX_TOL:
-        raise EngineError("cash relative price must be 1")
-    return y
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Commission rates and the fixed-point solver settings.
@@ -91,41 +80,6 @@ class CostModel:
     @property
     def blended_rate(self) -> float:
         return 0.5 * (self.c_buy + self.c_sell)
-
-
-def drift_weights(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weights after prices move: (y * a) / sum(y * a)."""
-    a = as_simplex(a, "action")
-    y = _check_rel(y, a.size)
-    return _drift(a[None], y[None])[0]
-
-
-def cost_fixed_point(w_drift: np.ndarray, a: np.ndarray, cm: CostModel) -> tuple[float, int]:
-    """Shrink factor mu of the rebalance from w_drift to a, and the iterations used."""
-    mu, iters = _fixed_point_batch(w_drift[None], a[None], cm)
-    return float(mu[0]), iters
-
-
-def cost_factor(w_prev: np.ndarray, a: np.ndarray, y_prev: np.ndarray, cm: CostModel) -> float:
-    """Wealth fraction surviving the rebalance from drifted w_prev to a."""
-    a = as_simplex(a, "action")
-    w_drift = drift_weights(w_prev, y_prev)
-    return float(_betas(w_drift[None], a[None], cm)[0])
-
-
-def step_reward(
-    w_prev: np.ndarray,
-    a: np.ndarray,
-    y: np.ndarray,
-    y_prev: np.ndarray,
-    cm: CostModel,
-) -> float:
-    """Transaction-cost-adjusted log return of one step."""
-    a = as_simplex(a, "action")
-    y = _check_rel(y, a.size)
-    w_prev = as_simplex(w_prev, "action")
-    y_prev = _check_rel(y_prev, w_prev.size)
-    return float(reward_chain(a[None], y[None], w_prev, y_prev, cm).rewards[0])
 
 
 def accumulate(rewards) -> np.ndarray:

@@ -17,16 +17,23 @@ import numpy as np
 import pytest
 
 from conftest import random_simplex
-from signalfolio.agent import Episode, episode_betas, gradient, init_policy, objective
+from scalar import (
+    cost_factor,
+    cost_fixed_point,
+    episode_betas,
+    objective,
+    olmar_action,
+    step_reward,
+    wmamr_action,
+)
+from signalfolio.agent import Episode, gradient, init_policy
 from signalfolio.baselines import (
     CRPPolicy,
     OLMARPolicy,
     WMAMRPolicy,
     ew_policy,
     hold_cash_policy,
-    olmar_action,
     simplex_project,
-    wmamr_action,
 )
 from signalfolio.cli import main as cli_main
 from signalfolio.config import resolve
@@ -35,10 +42,7 @@ from signalfolio.engine import (
     CostModel,
     accumulate,
     all_cash,
-    cost_factor,
-    cost_fixed_point,
     run_backtest,
-    step_reward,
 )
 from signalfolio.evaluation import portfolio_value, sharpe_ratio
 from signalfolio.market import generate_synthetic

@@ -174,6 +174,21 @@ class TestObjective:
         )
         assert j == pytest.approx(result.rewards.mean(), abs=1e-10)
 
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_frozen_at_realized_betas_is_the_training_objective(self, mode):
+        # the finite-difference oracle of the gradient freezes the betas the
+        # policy realizes; at those betas it must score what training scores
+        import scalar
+
+        cm = CostModel(mode=mode)
+        for seed in range(20):
+            prices = generate_synthetic(n_assets=3, n_steps=60, vol=0.02, seed=seed)
+            episode = Episode.from_market(prices, window=8)
+            params = init_policy(episode.states.shape[1], 4, hidden=(16,), seed=seed)
+            frozen = scalar.episode_betas(params, episode, cm)
+            score = scalar.objective(params, episode, cm, frozen_betas=frozen)
+            assert score == objective(params, episode, cm)
+
 
 class TestGradient:
     def test_zero_on_flat_market(self):
@@ -191,7 +206,7 @@ class TestGradient:
 
     @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
     def test_matches_finite_differences(self, mode):
-        from signalfolio.agent import episode_betas
+        from scalar import episode_betas, objective
 
         prices = generate_synthetic(n_assets=2, n_steps=50, vol=0.03, seed=21)
         episode = Episode.from_market(prices, window=8)

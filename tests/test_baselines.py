@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_simplex
+from scalar import olmar_action, wmamr_action
 from signalfolio.baselines import (
     CRPPolicy,
     OLMARPolicy,
     WMAMRPolicy,
     ew_policy,
     hold_cash_policy,
-    olmar_action,
     simplex_project,
-    wmamr_action,
 )
 from signalfolio.engine import CostModel, EngineError, run_backtest
 from signalfolio.market import PriceSeries, generate_synthetic, relative_prices

@@ -457,6 +457,27 @@ class TestCheckpointAndSplitErrors:
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    @pytest.mark.parametrize(
+        "field,value", [("weights", np.nan), ("biases", np.inf)], ids=["nan", "inf"]
+    )
+    def test_non_finite_checkpoint_exits_one(self, tmp_path, capsys, command, field, value):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(init_policy(2 * 8 + 2, 3, hidden=(8,), seed=0), ckpt)
+        data = json.loads(ckpt.read_text())
+        layer = data["layers"][0]
+        if field == "weights":
+            layer["weights"][0][0] = value
+        else:
+            layer["biases"][0] = value
+        ckpt.write_text(json.dumps(data))
+        args = FAST_MARKET + CHECKPOINT_COMMANDS[command] + [f"agent.checkpoint={ckpt}"]
+        out = tmp_path / "x"
+        assert run(command, "--out", str(out), *sets(args)) == 1
+        reason = "policy parameters must be finite"
+        assert capsys.readouterr().err == f"error: agent.checkpoint: {ckpt}: {reason}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys, command):
         args = FAST_MARKET + CHECKPOINT_COMMANDS[command]
         args += [f"agent.checkpoint={tmp_path / 'absent.json'}"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_simplex
+from scalar import cost_factor, cost_fixed_point, drift_weights, step_reward
 from signalfolio.baselines import ew_policy, hold_cash_policy
 from signalfolio.engine import (
     BacktestResult,
@@ -16,12 +17,8 @@ from signalfolio.engine import (
     accumulate,
     all_cash,
     as_simplex,
-    cost_factor,
-    cost_fixed_point,
-    drift_weights,
     reward_chain,
     run_backtest,
-    step_reward,
 )
 from signalfolio.market import MarketDataError, generate_synthetic
 from signalfolio.signals import build_states

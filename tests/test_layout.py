@@ -1,8 +1,8 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
 one writer through which every artifact is written and one encoder of JSON
 artifacts, one path that sets up and trains the agent, one way into each
-setting, a reader for every config key, and no process pool loaded before a
-sweep needs one.
+setting, a reader for every config key, a caller in src/ for everything src/
+defines, and no process pool loaded before a sweep needs one.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from signalfolio.cli import _parser
 from signalfolio.config import KEYS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = sorted((SRC / "signalfolio").glob("*.py"))
 ALLOWED = sys.stdlib_module_names | {"numpy"}
 
@@ -121,6 +123,49 @@ def test_every_config_key_is_read():
         if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
     }
     assert sorted(set(KEYS) - read) == []
+
+
+def test_everything_src_defines_is_used_in_src(monkeypatch):
+    """Each top-level function and class in src/, and each method but dunders, is named
+    in src/ outside its own definition: code that only the tests call lives in tests/.
+
+    The exceptions are the functions the benchmark's tracer wraps, read from
+    perfbench/tracer.py so the list follows the benchmark, and
+    sweep.read_sweep_csv, which a resumable sweep will read back (ROADMAP item 12).
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    exempt = {(target.module, target.attr) for target in tracer.TARGETS}
+    exempt.add(("sweep", "read_sweep_csv"))
+    defined, named = [], []  # (module, qualified name, node); (module, name, line)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, top.name, top))
+            if isinstance(top, ast.ClassDef):
+                defined += [
+                    (path.stem, f"{top.name}.{node.name}", node)
+                    for node in top.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                named.append((path.stem, name, node.lineno))
+    unused = [
+        f"{module}.{qualname}"
+        for module, qualname, node in defined
+        if (module, qualname) not in exempt
+        and not any(
+            name == qualname.rpartition(".")[2]
+            and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, name, line in named
+        )
+    ]
+    assert unused == []
 
 
 def test_importing_the_cli_loads_no_process_pool():

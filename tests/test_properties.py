@@ -17,15 +17,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from scalar import cost_factor, drift_weights  # noqa: E402
 from signalfolio.agent import TrainConfig, init_policy, train  # noqa: E402
 from signalfolio.baselines import simplex_project  # noqa: E402
-from signalfolio.engine import (  # noqa: E402
-    BacktestResult,
-    CostModel,
-    cost_factor,
-    drift_weights,
-    reward_chain,
-)
+from signalfolio.engine import BacktestResult, CostModel, reward_chain  # noqa: E402
 from signalfolio.market import generate_synthetic  # noqa: E402
 from signalfolio.signals import oracle_labels, state_dim, true_movements  # noqa: E402
 
