@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -148,81 +147,31 @@ def policy_forward(params: PolicyParams, x) -> np.ndarray:
     return probs[:, 0] if x.ndim == 2 else probs[0, 0]
 
 
-@dataclass(frozen=True)
-class Episode:
-    """A contiguous run of decision states with aligned next-step moves."""
-
-    states: np.ndarray
-    rel: np.ndarray
-    entry_weights: np.ndarray
-    entry_rel: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.states.ndim != 2 or self.rel.ndim != 2:
-            raise EngineError("episode arrays must be 2-D")
-        if self.states.shape[0] != self.rel.shape[0] or self.states.shape[0] < 1:
-            raise EngineError("episode states and moves must align")
-
-    @classmethod
-    def from_market(
-        cls,
-        prices: PriceSeries,
-        signals: SignalSeries | None = None,
-        window: int = 30,
-    ) -> "Episode":
-        m = prices.n_assets + 1
-        return cls(
-            states=build_states(prices, signals, window=window),
-            rel=relative_prices(prices)[:, decision_indices(prices.n_steps, window)].T,
-            entry_weights=all_cash(m),
-            entry_rel=np.ones(m),
-        )
+def objective(params: PolicyParams, states: np.ndarray, rel: np.ndarray, cm: CostModel) -> float:
+    """Mean log reward of the policy on (T, d) states and their (T, m) moves, from all cash."""
+    m = rel.shape[1]
+    actions = _forward_batch(params, states)[0]
+    return float(reward_chain(actions, rel, all_cash(m), np.ones(m), cm).rewards.mean())
 
 
-def objective(params: PolicyParams, episode: Episode, cm: CostModel) -> float:
-    """Mean per-step log reward of the policy over the episode."""
-    actions = _forward_batch(params, episode.states)[0]
-    result = reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm)
-    return float(result.rewards.mean())
-
-
-def gradient(params: PolicyParams, episode: Episode, cm: CostModel):
-    """Exact reverse-mode gradient of the episode objective.
+def gradient(params: PolicyParams, states: np.ndarray, rel: np.ndarray, cm: CostModel):
+    """Exact reverse-mode gradient of the objective on states and rel, from all cash.
 
     Returns (d_weights, d_biases) matching the parameter layout.  With the
     fixed-point cost mode the betas are stop-gradiented, so only the gross
     return term contributes; with the simple mode the turnover penalty is
     differentiated through both the current action and, via weight drift,
     the action of the step before.  This is a one-cell call of the training
-    step kernel, whose row 0 is a zero state with episode.entry_weights as
-    its action and episode.entry_rel as its move.
+    step kernel, whose row 0 is a zero state with all cash as its action
+    and no move.
     """
+    m = rel.shape[1]
     grads = PolicyParams(np.empty((1, params.theta.size)), params.shapes)
-    x = np.vstack([np.zeros(params.input_dim), episode.states])[None]
-    rel = np.vstack([episode.entry_rel, episode.rel])[None]
+    x = np.vstack([np.zeros(params.input_dim), states])[None]
+    rel = np.vstack([np.ones(m), rel])[None]
     one = PolicyParams(params.theta[None], params.shapes)
-    _lockstep_grads(one, x, rel, np.array([True]), episode.entry_weights, cm, grads)
+    _lockstep_grads(one, x, rel, np.array([True]), all_cash(m), cm, grads)
     return [g[0] for g in grads.weights], [g[0] for g in grads.biases]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Plain gradient-ascent settings for episode mini-batch training.
-
-    steps_per_epoch None means one pass: episode steps // batch_window.
-    """
-
-    learning_rate: float = 3.0
-    batch_window: int = 64
-    epochs: int = 100
-    window: int = 30
-    steps_per_epoch: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0.0 or self.batch_window < 1 or self.epochs < 0 or self.window < 1:
-            raise EngineError("bad training settings")
-        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
-            raise EngineError(f"steps_per_epoch must be at least 1, got {self.steps_per_epoch}")
 
 
 def _lockstep_grads(group: PolicyParams, x, rel, at_start, entry, cm: CostModel, out):
@@ -273,63 +222,71 @@ def train(
     train_prices: PriceSeries,
     signals: list[SignalSeries | None],
     cm: CostModel,
-    cfg: TrainConfig,
     rngs: list[np.random.Generator],
+    *,
+    window: int,
+    batch_window: int,
+    learning_rate: float,
+    epochs: int,
+    steps_per_epoch: int | None,
 ) -> list[tuple[PolicyParams, list[float]] | Exception]:
     """Train a group of cells in lockstep by ascent on mean log reward.
 
     Cell c starts from params[c], sees signals[c] (None: zero signal columns)
     and draws its window starts from rngs[c], a generator the caller builds
     (config.train_agents, from each agent's sampler seed): training on from
-    the returned parameters with it reproduces one longer run bit for bit.  The cells
-    share the prices, the architecture, whose input width must be
-    state_dim(n_assets, cfg.window), the cost model and cfg.  Each gradient
-    step draws a uniform window start per cell; the window enters with the
-    drifted weights the cell's current policy produced on the preceding
-    step, or all cash at the episode start.  All cells take the step in one
-    stacked forward and backward pass, and each cell's result is
-    bit-identical to training it alone.  The group holds the price windows
-    once; each cell keeps only its signal columns.  Returns per cell the
-    trained parameters and the per-epoch objective on the full training
-    episode, or the error that stopped it: non-finite parameters or
-    objective, or an infeasible rebalance.  A stopped cell leaves the group;
-    the rest go on.
-    Parameters that turn non-finite stop their cell at the end of the epoch.
+    the returned parameters with it reproduces one longer run bit for bit.
+    The cells share the prices, the architecture, whose input width must be
+    state_dim(n_assets, window), the cost model and the keyword settings
+    (config.train_settings): epochs epochs of steps_per_epoch steps (None:
+    one pass, episode steps // batch_window), each an ascent step of size
+    learning_rate on a window of batch_window steps.  Each step draws a
+    uniform window start per cell; the window enters with the drifted
+    weights the cell's current policy produced on the preceding step, or all
+    cash at the episode start.  All cells take the step in one stacked
+    forward and backward pass, and each cell's result is bit-identical to
+    training it alone.  The group holds the price windows once; each cell
+    keeps only its signal columns.  Returns per cell the trained parameters
+    and the per-epoch objective on the full training episode, or the error
+    that stopped it: non-finite parameters or objective, or an infeasible
+    rebalance.  A stopped cell leaves the group; the rest go on.  Parameters
+    that turn non-finite stop their cell at the end of the epoch.
     """
+    if learning_rate < 0.0 or batch_window < 1 or epochs < 0 or window < 1:
+        raise EngineError("bad training settings")
+    if steps_per_epoch is not None and steps_per_epoch < 1:
+        raise EngineError(f"steps_per_epoch must be at least 1, got {steps_per_epoch}")
     cells = len(params)
     if not cells or len(signals) != cells or len(rngs) != cells:
         raise EngineError("train needs one signal series and one generator per policy")
     if len({p.shapes for p in params}) != 1:
         raise EngineError("policies trained together must share one architecture")
     n, d = train_prices.n_assets, params[0].input_dim
-    if d != state_dim(n, cfg.window):
+    if d != state_dim(n, window):
         raise EngineError(
-            f"policy input dim {d}, but {n} assets at window {cfg.window} "
-            f"need {state_dim(n, cfg.window)}"
+            f"policy input dim {d}, but {n} assets at window {window} "
+            f"need {state_dim(n, window)}"
         )
     # The price windows are held once, in obs, and each cell's signal
     # columns in labels.  Row 0 of both, like row 0 of moves, stands before
     # the episode's first step, so every window gathers its entry row too; a
-    # window at the start enters with the episode's entry weights.
-    episode = Episode.from_market(train_prices, None, cfg.window)
-    obs = np.vstack([np.zeros(d), episode.states])
-    # One Episode judges every cell: its states are obs[1:], whose signal
-    # columns judge rewrites per cell.
-    episode = Episode(obs[1:], episode.rel, episode.entry_weights, episode.entry_rel)
-    t_total, batch = len(obs) - 1, cfg.batch_window
+    # window at the start enters with all cash.  judge scores obs[1:] and rel.
+    obs = np.vstack([np.zeros(d), build_states(train_prices, None, window)])
+    rel = relative_prices(train_prices)[:, decision_indices(train_prices.n_steps, window)].T
+    t_total, batch = len(obs) - 1, batch_window
     labels = np.zeros((cells, t_total + 1, n))
     for cell, cell_signals in enumerate(signals):
         if cell_signals is not None:
-            labels[cell, 1:] = signal_columns(train_prices, cell_signals, cfg.window)
+            labels[cell, 1:] = signal_columns(train_prices, cell_signals, window)
     if t_total < batch:
         raise EngineError(
             f"training episode of {t_total} steps shorter than batch window {batch}"
         )
     flat_labels, columns = labels.reshape(-1, n), slice(d - n, d)
-    entry = episode.entry_weights
-    moves = np.vstack([episode.entry_rel, episode.rel])
+    entry = all_cash(n + 1)
+    moves = np.vstack([np.ones(n + 1), rel])
     offsets = np.arange(batch + 1)
-    steps = cfg.steps_per_epoch or max(1, t_total // batch)
+    steps = steps_per_epoch or max(1, t_total // batch)
     curves: list[list[float]] = [[] for _ in range(cells)]
     outcomes: list = [None] * cells
     shapes = params[0].shapes
@@ -363,7 +320,7 @@ def train(
     def judge(row, cell) -> None:
         """The objective a cell scores at the end of an epoch, which must be finite."""
         obs[:, columns] = labels[cell]
-        score = objective(group.cells(row), episode, cm)
+        score = objective(group.cells(row), obs[1:], rel, cm)
         if not np.isfinite(score):
             raise TrainingDivergedError(f"objective became {score} during training")
         curves[cell].append(score)
@@ -373,7 +330,7 @@ def train(
     # judge, whose fixed-point objective would raise ConvergenceError on NaN.
     stop_failed()
     starts = np.zeros((cells, steps), dtype=np.int64)  # window starts, by cell
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         for cell in live:  # a stopped cell's generator is left as it stopped
             starts[cell] = rngs[cell].integers(0, t_total - batch + 1, size=steps)
         for step in range(steps):
@@ -387,7 +344,7 @@ def train(
                 _lockstep_grads(group, x, y, at_start, entry, cm, grads)
             except EngineError:  # an infeasible rebalance stops only the cells that hit it
                 stop_failed(retry)
-            grads.theta *= cfg.learning_rate
+            grads.theta *= learning_rate
             group.theta += grads.theta
         stop_failed(judge)
     for row, cell in enumerate(live):

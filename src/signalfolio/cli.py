@@ -131,9 +131,10 @@ def cmd_train(cfg, out: Path) -> int:
 
 
 def _write_curve(path: Path, curve, start_epoch: int, resumed: bool) -> None:
-    """The learning curve, whole: a resumed run's rows follow the file's old ones."""
+    """The learning curve, whole: a resumed run's rows follow the old rows up to start_epoch."""
     old = path.read_text().splitlines()[1:] if resumed and path.exists() else []
-    rows = [*(line.split(",") for line in old), *enumerate(curve, start=start_epoch + 1)]
+    kept = [row for row in (line.split(",") for line in old) if int(row[0]) <= start_epoch]
+    rows = [*kept, *enumerate(curve, start=start_epoch + 1)]
     write_table(path, ["epoch", "J_T"], rows)
 
 

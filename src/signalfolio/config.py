@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import PolicyParams, TrainConfig, init_policy, load_checkpoint, train
+from .agent import PolicyParams, init_policy, load_checkpoint, train
 from .baselines import CRPPolicy, OLMARPolicy, WMAMRPolicy, ew_policy, hold_cash_policy
 from .engine import CostModel, EngineError
 from .evaluation import DEFAULT_RISK_FREE, check_horizon, horizon_steps
@@ -271,21 +271,21 @@ def build_cost(cfg: dict[str, object]) -> CostModel:
     return CostModel(c_buy=cfg["cost.buy"], c_sell=cfg["cost.sell"], mode=cfg["cost.mode"])
 
 
-def build_train_config(cfg: dict[str, object], train_p: PriceSeries) -> TrainConfig:
-    """Training settings, whose batch window must fit train_p's episode."""
-    tc = TrainConfig(
-        learning_rate=cfg["agent.learning_rate"],
-        batch_window=cfg["agent.batch_window"],
-        epochs=cfg["agent.epochs"],
-        window=cfg["window"],
-        steps_per_epoch=cfg["agent.steps_per_epoch"],
-    )
-    episode = len(decision_indices(train_p.n_steps, tc.window))
-    if episode < tc.batch_window:
+def train_settings(cfg: dict[str, object], train_p: PriceSeries) -> dict[str, object]:
+    """agent.train's keyword settings, whose batch window must fit train_p's episode."""
+    batch_window, window = cfg["agent.batch_window"], cfg["window"]
+    episode = len(decision_indices(train_p.n_steps, window))
+    if episode < batch_window:
         raise ConfigError(
-            f"agent.batch_window: {tc.batch_window} longer than the {episode}-step training episode"
+            f"agent.batch_window: {batch_window} longer than the {episode}-step training episode"
         )
-    return tc
+    return {
+        "window": window,
+        "batch_window": batch_window,
+        "learning_rate": cfg["agent.learning_rate"],
+        "epochs": cfg["agent.epochs"],
+        "steps_per_epoch": cfg["agent.steps_per_epoch"],
+    }
 
 
 def labeller(cfg, train_p: PriceSeries):
@@ -321,7 +321,7 @@ def train_agents(cfg, train_p: PriceSeries, test_p: PriceSeries | None, cm: Cost
     parameters, per-epoch learning curve and test-split signals, or the
     error that stopped it; one that fails in set-up fails alone.
     """
-    train_cfg = build_train_config(cfg, train_p)
+    settings = train_settings(cfg, train_p)
     n, window = train_p.n_assets, cfg["window"]
     outcomes: list = [None] * len(agents)
     ready = []
@@ -338,7 +338,7 @@ def train_agents(cfg, train_p: PriceSeries, test_p: PriceSeries | None, cm: Cost
     if ready:
         indices, params, rngs, train_signals, test_signals = zip(*ready)
         try:
-            trained = train(params, train_p, train_signals, cm, train_cfg, rngs)
+            trained = train(params, train_p, train_signals, cm, rngs, **settings)
         except Exception as exc:
             trained = [exc] * len(ready)
         for index, outcome, signals in zip(indices, trained, test_signals):

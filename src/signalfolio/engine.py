@@ -21,6 +21,7 @@ from .market import PriceSeries, _frozen, relative_prices, write_json
 from .signals import decision_indices, state_dim
 
 SIMPLEX_TOL = 1e-12
+MAX_ITERS, TOL = 100, 1e-10  # the cost fixed point's iteration cap and tolerance
 
 
 class ConvergenceError(RuntimeError):
@@ -56,7 +57,7 @@ def all_cash(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Commission rates and the fixed-point solver settings.
+    """Commission rates and the cost mode.
 
     mode "fixed_point" solves the exact wealth-shrink factor; "simple"
     charges a blended one-way rate on turnover and exists as a
@@ -65,15 +66,11 @@ class CostModel:
 
     c_buy: float = 0.0025
     c_sell: float = 0.0025
-    max_iters: int = 100
-    tol: float = 1e-10
     mode: str = "fixed_point"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.c_buy < 1.0 or not 0.0 <= self.c_sell < 1.0:
             raise EngineError("commission rates must lie in [0, 1)")
-        if self.max_iters < 1 or self.tol <= 0.0:
-            raise EngineError("bad solver settings")
         if self.mode not in ("fixed_point", "simple"):
             raise EngineError(f"unknown cost mode {self.mode!r}")
 
@@ -115,7 +112,7 @@ def _fixed_point_batch(
 
     Iterates mu <- [1 - cb*w0 - (cs + cb - cs*cb) * sum_i max(wi - mu*ai, 0)]
     / (1 - cb*a0) from mu = 1 until successive values differ by less than
-    the tolerance in every row.  Zero rates give mu = 1 in zero iterations.
+    TOL in every row.  Zero rates give mu = 1 in zero iterations.
     """
     t_total = a.shape[0]
     cb, cs = cm.c_buy, cm.c_sell
@@ -125,14 +122,14 @@ def _fixed_point_batch(
     num0, denom = 1.0 - cb * w_drift[:, 0], 1.0 - cb * a[:, 0]
     w_rest, a_rest = w_drift[:, 1:], a[:, 1:]
     mu = np.ones(t_total)
-    for i in range(cm.max_iters):
+    for i in range(MAX_ITERS):
         sold = _row_sum(np.maximum(w_rest - mu[:, None] * a_rest, 0.0))
         nxt = (num0 - k * sold) / denom
-        done = np.all(np.abs(nxt - mu) < cm.tol)
+        done = np.all(np.abs(nxt - mu) < TOL)
         mu = nxt
         if done:
             return mu, i + 1
-    raise ConvergenceError(f"cost fixed point did not converge in {cm.max_iters} iterations")
+    raise ConvergenceError(f"cost fixed point did not converge in {MAX_ITERS} iterations")
 
 
 def _betas(drifted: np.ndarray, actions: np.ndarray, cm: CostModel) -> np.ndarray:

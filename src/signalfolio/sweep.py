@@ -142,7 +142,7 @@ def run_sweep(cfg: dict[str, object]) -> tuple[list[dict], list[dict]]:
     """
     cells = build_cells(cfg)
     train_prices, test_prices = cfgmod.build_segments(cfg)
-    cfgmod.build_train_config(cfg, train_prices)  # raises before any cell runs
+    cfgmod.train_settings(cfg, train_prices)  # raises before any cell runs
     run = partial(run_group, cfg, train_prices, test_prices, cfgmod.build_cost(cfg))
     n_groups = min(cfg["jobs"], len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]

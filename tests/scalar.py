@@ -4,9 +4,9 @@ No command runs this module: the package's cost, reward, objective and
 reversion code works on whole (T, m) chains and batches of cells.  The
 tests check one step at a time, so each function here is a thin, checked
 call of the private kernel the commands use (engine._drift, _betas,
-_fixed_point_batch and reward_chain; agent._forward_batch; baselines'
-_reversion_path with each policy's predict).  What they verify is
-therefore the code the commands run.
+_fixed_point_batch and reward_chain; agent._forward_batch and
+_lockstep_grads; baselines' _reversion_path with each policy's predict).
+What they verify is therefore the code the commands run.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from signalfolio import agent
-from signalfolio.agent import Episode, PolicyParams, _forward_batch
+from signalfolio.agent import PolicyParams, _forward_batch, _lockstep_grads
 from signalfolio.baselines import OLMARPolicy, WMAMRPolicy, _reversion_path
 from signalfolio.engine import (
     SIMPLEX_TOL,
@@ -24,9 +24,12 @@ from signalfolio.engine import (
     _drift,
     _fixed_point_batch,
     _row_sum,
+    all_cash,
     as_simplex,
     reward_chain,
 )
+from signalfolio.market import PriceSeries, relative_prices
+from signalfolio.signals import SignalSeries, build_states, decision_indices
 
 
 def _check_rel(y, m: int) -> np.ndarray:
@@ -75,9 +78,32 @@ def step_reward(
     return float(reward_chain(a[None], y[None], w_prev, y_prev, cm).rewards[0])
 
 
+def episode(
+    prices: PriceSeries, signals: SignalSeries | None = None, window: int = 30
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, d) state matrix of prices and the (T, m) moves that follow its rows."""
+    rel = relative_prices(prices)[:, decision_indices(prices.n_steps, window)].T
+    return build_states(prices, signals, window), rel
+
+
+def window_gradient(params: PolicyParams, states, rel, entry_weights, entry_rel, cm: CostModel):
+    """agent.gradient for a window that enters holding entry_weights, moved by entry_rel.
+
+    A one-cell call of the training step kernel, whose row 0 is a zero
+    state with entry_weights as its action and entry_rel as its move.
+    """
+    grads = PolicyParams(np.empty((1, params.theta.size)), params.shapes)
+    x = np.vstack([np.zeros(params.input_dim), states])[None]
+    rel = np.vstack([entry_rel, rel])[None]
+    one = PolicyParams(params.theta[None], params.shapes)
+    _lockstep_grads(one, x, rel, np.array([True]), entry_weights, cm, grads)
+    return [g[0] for g in grads.weights], [g[0] for g in grads.biases]
+
+
 def objective(
     params: PolicyParams,
-    episode: Episode,
+    states: np.ndarray,
+    rel: np.ndarray,
     cm: CostModel,
     frozen_betas: np.ndarray | None = None,
 ) -> float:
@@ -87,16 +113,17 @@ def objective(
     convention, which the finite-difference oracle of the gradient needs.
     """
     if frozen_betas is None:
-        return agent.objective(params, episode, cm)
-    actions = _forward_batch(params, episode.states)[0]
-    gross = _row_sum(actions * episode.rel)
+        return agent.objective(params, states, rel, cm)
+    actions = _forward_batch(params, states)[0]
+    gross = _row_sum(actions * rel)
     return float(np.mean(np.log(frozen_betas * gross)))
 
 
-def episode_betas(params: PolicyParams, episode: Episode, cm: CostModel) -> np.ndarray:
-    """Shrink factors the policy realizes on the episode (for freezing)."""
-    actions = _forward_batch(params, episode.states)[0]
-    return reward_chain(actions, episode.rel, episode.entry_weights, episode.entry_rel, cm).betas
+def episode_betas(params: PolicyParams, states, rel, cm: CostModel) -> np.ndarray:
+    """Shrink factors the policy realizes on states and rel from all cash (for freezing)."""
+    m = rel.shape[1]
+    actions = _forward_batch(params, states)[0]
+    return reward_chain(actions, rel, all_cash(m), np.ones(m), cm).betas
 
 
 def _reversion_step(policy, b, y_history) -> np.ndarray:

@@ -20,13 +20,14 @@ from conftest import random_simplex
 from scalar import (
     cost_factor,
     cost_fixed_point,
+    episode,
     episode_betas,
     objective,
     olmar_action,
     step_reward,
     wmamr_action,
 )
-from signalfolio.agent import Episode, gradient, init_policy
+from signalfolio.agent import gradient, init_policy
 from signalfolio.baselines import (
     CRPPolicy,
     OLMARPolicy,
@@ -122,11 +123,11 @@ def test_criterion_1_policy_gradient_matches_finite_differences():
     checked, worst = 0, 0.0
     for mode, market_seed, net_seed in (("fixed_point", 21, 4), ("simple", 22, 5)):
         prices = generate_synthetic(n_assets=2, n_steps=60, vol=0.03, seed=market_seed)
-        episode = Episode.from_market(prices, window=8)
-        params = init_policy(episode.states.shape[1], 3, hidden=(6,), seed=net_seed)
+        states, rel = episode(prices, window=8)
+        params = init_policy(states.shape[1], 3, hidden=(6,), seed=net_seed)
         cm = CostModel(mode=mode)
-        grads_w, grads_b = gradient(params, episode, cm)
-        frozen = episode_betas(params, episode, cm) if mode == "fixed_point" else None
+        grads_w, grads_b = gradient(params, states, rel, cm)
+        frozen = episode_betas(params, states, rel, cm) if mode == "fixed_point" else None
         rng = np.random.default_rng(0)
         for arrays, grads in ((params.weights, grads_w), (params.biases, grads_b)):
             for layer, grad in zip(arrays, grads):
@@ -135,9 +136,9 @@ def test_criterion_1_policy_gradient_matches_finite_differences():
                 for idx in picks:
                     saved = flat[idx]
                     flat[idx] = saved + eps
-                    up = objective(params, episode, cm, frozen_betas=frozen)
+                    up = objective(params, states, rel, cm, frozen_betas=frozen)
                     flat[idx] = saved - eps
-                    down = objective(params, episode, cm, frozen_betas=frozen)
+                    down = objective(params, states, rel, cm, frozen_betas=frozen)
                     flat[idx] = saved
                     fd = (up - down) / (2 * eps)
                     if abs(g_flat[idx]) > 1e-6:
@@ -162,8 +163,6 @@ def test_criterion_2_cost_fixed_point_converges():
         cm = CostModel(
             c_buy=float(rng.uniform(0, 0.05)),
             c_sell=float(rng.uniform(0, 0.05)),
-            max_iters=50,
-            tol=1e-10,
         )
         beta, iters = cost_fixed_point(w_drift, a, cm)
         max_iters_seen = max(max_iters_seen, iters)

@@ -1,16 +1,14 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+from scalar import episode, window_gradient
 from signalfolio.agent import (
-    Episode,
     PolicyParams,
-    TrainConfig,
     TrainingDivergedError,
     _lockstep_grads,
     gradient,
@@ -42,9 +40,14 @@ def rngs(seeds) -> list[np.random.Generator]:
     return [np.random.default_rng(seed) for seed in seeds]
 
 
+def settings(**kw) -> dict:
+    """agent.train's keyword settings: kw, and one pass per epoch unless kw sets steps_per_epoch."""
+    return {"steps_per_epoch": None, **kw}
+
+
 def train_one(params, prices, signals, cm, cfg, rng=None):
     """Train a group of one cell on rng, or a fresh sampler; raise the error that stopped it."""
-    [outcome] = train([params], prices, [signals], cm, cfg, [rng or np.random.default_rng(0)])
+    [outcome] = train([params], prices, [signals], cm, [rng or np.random.default_rng(0)], **cfg)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -157,18 +160,18 @@ def _drift_prices(n_steps: int = 80, rate: float = 1.01) -> PriceSeries:
 class TestObjective:
     def test_all_in_on_steady_gain(self):
         prices = _drift_prices()
-        episode = Episode.from_market(prices, window=10)
-        params = _zero_params(episode.states.shape[1], 2)
+        states, rel = episode(prices, window=10)
+        params = _zero_params(states.shape[1], 2)
         params.biases[-1][1] = 40.0
-        j = objective(params, episode, NO_COST)
+        j = objective(params, states, rel, NO_COST)
         assert j == pytest.approx(LN_1_01, rel=1e-9)
 
     def test_matches_backtest_mean_reward(self):
         prices = generate_synthetic(n_assets=3, n_steps=90, vol=0.02, seed=11)
-        episode = Episode.from_market(prices, window=10)
-        params = init_policy(episode.states.shape[1], 4, hidden=(8,), seed=2)
+        states, rel = episode(prices, window=10)
+        params = init_policy(states.shape[1], 4, hidden=(8,), seed=2)
         cm = CostModel()
-        j = objective(params, episode, cm)
+        j = objective(params, states, rel, cm)
         result = run_backtest(
             prices, build_states(prices, None, 10), partial(policy_forward, params), cm
         )
@@ -183,11 +186,11 @@ class TestObjective:
         cm = CostModel(mode=mode)
         for seed in range(20):
             prices = generate_synthetic(n_assets=3, n_steps=60, vol=0.02, seed=seed)
-            episode = Episode.from_market(prices, window=8)
-            params = init_policy(episode.states.shape[1], 4, hidden=(16,), seed=seed)
-            frozen = scalar.episode_betas(params, episode, cm)
-            score = scalar.objective(params, episode, cm, frozen_betas=frozen)
-            assert score == objective(params, episode, cm)
+            states, rel = episode(prices, window=8)
+            params = init_policy(states.shape[1], 4, hidden=(16,), seed=seed)
+            frozen = scalar.episode_betas(params, states, rel, cm)
+            score = scalar.objective(params, states, rel, cm, frozen_betas=frozen)
+            assert score == objective(params, states, rel, cm)
 
 
 class TestGradient:
@@ -196,9 +199,9 @@ class TestGradient:
         close[1] = 4.0
         close[2] = 2.0
         prices = PriceSeries(close=close, timestamps=tuple(range(40)), assets=("A", "B"))
-        episode = Episode.from_market(prices, window=6)
-        params = init_policy(episode.states.shape[1], 3, hidden=(8,), seed=0)
-        gw, gb = gradient(params, episode, NO_COST)
+        states, rel = episode(prices, window=6)
+        params = init_policy(states.shape[1], 3, hidden=(8,), seed=0)
+        gw, gb = gradient(params, states, rel, NO_COST)
         # every allocation earns log(1) on a flat market, so the landscape
         # is exactly level
         for g in gw + gb:
@@ -209,11 +212,11 @@ class TestGradient:
         from scalar import episode_betas, objective
 
         prices = generate_synthetic(n_assets=2, n_steps=50, vol=0.03, seed=21)
-        episode = Episode.from_market(prices, window=8)
-        params = init_policy(episode.states.shape[1], 3, hidden=(6,), seed=4)
+        states, rel = episode(prices, window=8)
+        params = init_policy(states.shape[1], 3, hidden=(6,), seed=4)
         cm = CostModel(mode=mode)
-        gw, gb = gradient(params, episode, cm)
-        frozen = episode_betas(params, episode, cm) if mode == "fixed_point" else None
+        gw, gb = gradient(params, states, rel, cm)
+        frozen = episode_betas(params, states, rel, cm) if mode == "fixed_point" else None
         eps = 1e-5
         rng = np.random.default_rng(0)
         checked = 0
@@ -223,9 +226,9 @@ class TestGradient:
             for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
                 original = flat[idx]
                 flat[idx] = original + eps
-                up = objective(params, episode, cm, frozen_betas=frozen)
+                up = objective(params, states, rel, cm, frozen_betas=frozen)
                 flat[idx] = original - eps
-                down = objective(params, episode, cm, frozen_betas=frozen)
+                down = objective(params, states, rel, cm, frozen_betas=frozen)
                 flat[idx] = original
                 fd = (up - down) / (2 * eps)
                 if abs(g_flat[idx]) > 1e-8:
@@ -239,43 +242,44 @@ class TestGradient:
         # each cell's window is rows j - 1 ... j + 31, the group computes its
         # own entry row j - 1, and that must be policy_forward's bytes there
         prices = generate_synthetic(n_assets=3, n_steps=120, vol=0.02, seed=13)
-        episode = Episode.from_market(prices, window=8)
-        cells = [init_policy(episode.states.shape[1], 4, hidden=hidden, seed=s) for s in (1, 2, 3)]
+        states, rel = episode(prices, window=8)
+        cells = [init_policy(states.shape[1], 4, hidden=hidden, seed=s) for s in (1, 2, 3)]
         starts = (5, 40, 71)
         group = PolicyParams(np.stack([p.theta for p in cells]), cells[0].shapes)
         grads = PolicyParams(np.empty_like(group.theta), group.shapes)
         cm = CostModel(mode=mode)
         _lockstep_grads(
             group,
-            np.stack([episode.states[j - 1 : j + 32] for j in starts]),
-            np.stack([episode.rel[j - 1 : j + 32] for j in starts]),
+            np.stack([states[j - 1 : j + 32] for j in starts]),
+            np.stack([rel[j - 1 : j + 32] for j in starts]),
             np.zeros(3, dtype=bool),
             all_cash(4),
             cm,
             grads,
         )
         for c, (params, j) in enumerate(zip(cells, starts)):
-            window = Episode(
-                episode.states[j : j + 32],
-                episode.rel[j : j + 32],
-                policy_forward(params, episode.states[j - 1]),
-                episode.rel[j - 1],
+            gw, gb = window_gradient(
+                params,
+                states[j : j + 32],
+                rel[j : j + 32],
+                policy_forward(params, states[j - 1]),
+                rel[j - 1],
+                cm,
             )
-            gw, gb = gradient(params, window, cm)
             row = grads.cells(c)
             for got, want in zip(row.weights + row.biases, gw + gb):
                 assert np.array_equal(got, want)
 
     def test_ascent_improves_objective(self):
         prices = generate_synthetic(n_assets=2, n_steps=70, drift=0.004, vol=0.01, seed=3)
-        episode = Episode.from_market(prices, window=8)
-        params = init_policy(episode.states.shape[1], 3, hidden=(8,), seed=1)
+        states, rel = episode(prices, window=8)
+        params = init_policy(states.shape[1], 3, hidden=(8,), seed=1)
         cm = CostModel()
-        before = objective(params, episode, cm)
+        before = objective(params, states, rel, cm)
         for _ in range(25):
-            gw, gb = gradient(params, episode, cm)
+            gw, gb = gradient(params, states, rel, cm)
             ascent_step(params, (gw, gb), 1.0)
-        assert objective(params, episode, cm) > before
+        assert objective(params, states, rel, cm) > before
 
 
 class TestTrain:
@@ -284,8 +288,7 @@ class TestTrain:
 
     def _cfg(self, **kw):
         base = dict(learning_rate=1.0, batch_window=32, epochs=4, window=8)
-        base.update(kw)
-        return TrainConfig(**base)
+        return settings(**{**base, **kw})
 
     def test_zero_learning_rate_freezes_params(self):
         prices = self._market()
@@ -329,12 +332,10 @@ class TestTrain:
         # should end up nearly all-in and close to the per-step log gain
         prices = _drift_prices(n_steps=160)
         params = init_policy(1 * 8 + 1, 2, hidden=(8,), seed=0)
-        cfg = TrainConfig(learning_rate=2.0, batch_window=40, epochs=120, window=8)
+        cfg = settings(learning_rate=2.0, batch_window=40, epochs=120, window=8)
         trained, curve = train_one(params, prices, None, NO_COST, cfg)
-        episode = Episode.from_market(prices, window=8)
-        final_actions = np.stack(
-            [policy_forward(trained, s) for s in episode.states]
-        )
+        states, _ = episode(prices, window=8)
+        final_actions = np.stack([policy_forward(trained, s) for s in states])
         assert final_actions[:, 1].mean() > 0.95
         assert curve[-1] > 0.95 * LN_1_01
 
@@ -345,7 +346,7 @@ class TestTrain:
             n_assets=2, n_steps=180, vol=0.02, regime_switch_prob=0.05, seed=29
         )
         labels = oracle_labels(true_movements(prices), accuracy=1.0, density=1.0, seed=0)
-        cfg = TrainConfig(learning_rate=2.0, batch_window=40, epochs=60, window=8)
+        cfg = settings(learning_rate=2.0, batch_window=40, epochs=60, window=8)
         scores = {}
         for name, sig in (("informed", labels), ("blind", None)):
             params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=1)
@@ -377,7 +378,7 @@ class TestTrain:
         samplers = rngs([0, 1])
         bad = SignalSeries(values=np.ones(shape))
         with pytest.raises(SignalError, match=message):
-            train(params, prices, [None, bad], CostModel(), self._cfg(), samplers)
+            train(params, prices, [None, bad], CostModel(), samplers, **self._cfg())
         assert samplers[0].bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_memory_per_cell_is_its_signal_columns(self):
@@ -387,9 +388,7 @@ class TestTrain:
         prices = generate_synthetic(n_assets=3, n_steps=2400, vol=0.02, seed=5)
         prices = chronological_split(prices, 2000)[0]
         moves, d = true_movements(prices), state_dim(3, 10)
-        cfg = TrainConfig(
-            learning_rate=3.0, batch_window=64, epochs=1, window=10, steps_per_epoch=1
-        )
+        cfg = settings(learning_rate=3.0, batch_window=64, epochs=1, window=10, steps_per_epoch=1)
 
         def peak(cells):
             signals = [
@@ -399,14 +398,14 @@ class TestTrain:
             params = [init_policy(d, 4, hidden=(32,), seed=c) for c in range(cells)]
             tracemalloc.start()
             try:
-                outcomes = train(params, prices, signals, CostModel(), cfg, rngs(range(cells)))
+                outcomes = train(params, prices, signals, CostModel(), rngs(range(cells)), **cfg)
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert not any(isinstance(o, Exception) for o in outcomes)
             return top
 
-        t_total = Episode.from_market(prices, window=10).states.shape[0]
+        t_total = episode(prices, window=10)[0].shape[0]
         per_cell = (peak(35) - peak(1)) / 34
         assert per_cell < 0.5 * t_total * d * 8
 
@@ -441,11 +440,11 @@ class TestLockstep:
 
     def _cfg(self, **kw):
         base = dict(learning_rate=3.0, batch_window=32, epochs=3, window=self.WINDOW)
-        return TrainConfig(**{**base, **kw})
+        return settings(**{**base, **kw})
 
     def _solo(self, prices, params, signals, seeds, cm, cfg):
         return [
-            train([p], prices, [s], cm, cfg, rngs([seed]))[0]
+            train([p], prices, [s], cm, rngs([seed]), **cfg)[0]
             for p, s, seed in zip(params, signals, seeds)
         ]
 
@@ -455,8 +454,8 @@ class TestLockstep:
         prices, params, signals, seeds = self._cells(hidden)
         cm, cfg = CostModel(mode=mode), self._cfg()
         solo = self._solo(prices, params, signals, seeds, cm, cfg)
-        group = train(params, prices, signals, cm, cfg, rngs(seeds))
-        prefix = train(params[:2], prices, signals[:2], cm, cfg, rngs(seeds[:2]))
+        group = train(params, prices, signals, cm, rngs(seeds), **cfg)
+        prefix = train(params[:2], prices, signals[:2], cm, rngs(seeds[:2]), **cfg)
         for got, want in zip(group + prefix, solo + solo[:2]):
             _assert_same_outcome(got, want)
 
@@ -466,20 +465,20 @@ class TestLockstep:
         # weights from the current policy on row j - 1 (all cash at j = 0)
         prices, params, signals, seeds = self._cells((16,))
         cm, cfg = CostModel(mode=mode), self._cfg(epochs=2)
-        [(trained, curve)] = train(params[:1], prices, signals[:1], cm, cfg, rngs(seeds[:1]))
-        episode = Episode.from_market(prices, signals[0], window=self.WINDOW)
-        t_total, batch = episode.states.shape[0], cfg.batch_window
+        [(trained, curve)] = train(params[:1], prices, signals[:1], cm, rngs(seeds[:1]), **cfg)
+        states, rel = episode(prices, signals[0], window=self.WINDOW)
+        t_total, batch = states.shape[0], cfg["batch_window"]
         replay, rng, replay_curve = _copy(params[0]), np.random.default_rng(seeds[0]), []
-        for _ in range(cfg.epochs):
+        for _ in range(cfg["epochs"]):
             for _ in range(t_total // batch):
                 j = int(rng.integers(0, t_total - batch + 1))
-                entry_w = policy_forward(replay, episode.states[j - 1]) if j else all_cash(4)
-                entry_y = episode.rel[j - 1] if j else np.ones(4)
-                window = Episode(
-                    episode.states[j : j + batch], episode.rel[j : j + batch], entry_w, entry_y
+                entry_w = policy_forward(replay, states[j - 1]) if j else all_cash(4)
+                entry_y = rel[j - 1] if j else np.ones(4)
+                grads = window_gradient(
+                    replay, states[j : j + batch], rel[j : j + batch], entry_w, entry_y, cm
                 )
-                ascent_step(replay, gradient(replay, window, cm), cfg.learning_rate)
-            replay_curve.append(objective(replay, episode, cm))
+                ascent_step(replay, grads, cfg["learning_rate"])
+            replay_curve.append(objective(replay, states, rel, cm))
         _assert_same_outcome((trained, curve), (replay, replay_curve))
 
     @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
@@ -489,9 +488,9 @@ class TestLockstep:
         prices, params, signals, seeds = self._cells((16,))
         params, signals, seeds = params[:3], signals[:3], seeds[:3]
         cm, samplers = CostModel(mode=mode), rngs(seeds)
-        first = train(params, prices, signals, cm, self._cfg(), samplers)
-        second = train([p for p, _ in first], prices, signals, cm, self._cfg(), samplers)
-        whole = train(params, prices, signals, cm, self._cfg(epochs=6), rngs(seeds))
+        first = train(params, prices, signals, cm, samplers, **self._cfg())
+        second = train([p for p, _ in first], prices, signals, cm, samplers, **self._cfg())
+        whole = train(params, prices, signals, cm, rngs(seeds), **self._cfg(epochs=6))
         for (_, head), (trained, tail), want in zip(first, second, whole):
             _assert_same_outcome((trained, head + tail), want)
 
@@ -506,8 +505,8 @@ class TestLockstep:
         overflowing.weights[-1][:] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             group = train(
-                [params[0], nan_init, overflowing, params[3]], prices, signals, cm, cfg,
-                rngs(seeds),
+                [params[0], nan_init, overflowing, params[3]], prices, signals, cm, rngs(seeds),
+                **cfg,
             )
         for pos in (1, 2):
             assert isinstance(group[pos], TrainingDivergedError)
@@ -526,7 +525,7 @@ class TestLockstep:
         with np.errstate(over="ignore", invalid="ignore"):
             group = train(
                 [params[0], nan_init, overflowing, params[3]], prices, signals,
-                CostModel(mode=mode), self._cfg(), samplers,
+                CostModel(mode=mode), samplers, **self._cfg(),
             )
         assert isinstance(group[1], TrainingDivergedError)
         assert isinstance(group[2], TrainingDivergedError)
@@ -541,8 +540,8 @@ class TestLockstep:
     @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
     def test_cell_stopped_after_epoch_one_drew_one_epoch(self, mode):
         prices, seeds, samplers = self._stopped_group(mode)
-        t_total = Episode.from_market(prices, window=self.WINDOW).states.shape[0]
-        batch = self._cfg().batch_window
+        t_total = episode(prices, window=self.WINDOW)[0].shape[0]
+        batch = self._cfg()["batch_window"]
         one_epoch = np.random.default_rng(seeds[2])
         one_epoch.integers(0, t_total - batch + 1, size=t_total // batch)
         assert samplers[2].bit_generator.state == one_epoch.bit_generator.state
@@ -569,7 +568,7 @@ class TestLockstep:
         cm = CostModel(c_buy=0.9, c_sell=0.9, mode="simple")
         cfg = self._cfg(learning_rate=0.1, epochs=2, batch_window=16)
         solo = self._solo(prices, params, signals, seeds, cm, cfg)
-        group = train(params, prices, signals, cm, cfg, rngs(seeds))
+        group = train(params, prices, signals, cm, rngs(seeds), **cfg)
         assert isinstance(solo[4], TrainingDivergedError)
         assert isinstance(solo[20], EngineError)
         assert sum(isinstance(outcome, Exception) for outcome in solo) == 2
@@ -591,7 +590,7 @@ class TestLockstep:
         flipper.weights[1][1, 0], flipper.weights[1][2, 0] = 40.0, -40.0
         params[2] = flipper
         solo = self._solo(prices, params, signals, seeds, cm, cfg)
-        group = train(params, prices, signals, cm, cfg, rngs(seeds))
+        group = train(params, prices, signals, cm, rngs(seeds), **cfg)
         assert isinstance(solo[2], EngineError)
         assert isinstance(group[2], EngineError)
         for pos in (0, 1, 3):
@@ -616,7 +615,7 @@ class TestCheckpoint:
         # give the 4-epoch run bit for bit
         prices = generate_synthetic(n_assets=2, n_steps=120, drift=0.002, vol=0.01, seed=5)
         params = init_policy(2 * 8 + 2, 3, hidden=(8,), seed=2)
-        cfg = TrainConfig(learning_rate=1.0, batch_window=30, epochs=2, window=8)
+        cfg = settings(learning_rate=1.0, batch_window=30, epochs=2, window=8)
         rng = np.random.default_rng(0)
         first, curve1 = train_one(params, prices, None, CostModel(), cfg, rng)
         path = tmp_path / "ckpt.json"
@@ -624,7 +623,7 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         second, curve2 = train_one(loaded, prices, None, CostModel(), cfg, rng)
         assert meta["epochs_trained"] == 2
-        whole = train_one(params, prices, None, CostModel(), replace(cfg, epochs=4))
+        whole = train_one(params, prices, None, CostModel(), {**cfg, "epochs": 4})
         _assert_same_outcome((second, curve1 + curve2), whole)
 
     def test_corrupt_file_raises(self, tmp_path):

@@ -604,6 +604,22 @@ class TestTrainCommand:
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
         assert (out / "learning_curve.csv").read_bytes().startswith(first_curve)
 
+    def test_resume_replaces_curve_rows_past_the_checkpoint(self, tmp_path):
+        # two resumes from one 3-epoch checkpoint leave epochs 1 to 6 once each
+        out = tmp_path / "run"
+        base = FAST_MARKET + FAST_AGENT + ["agent.epochs=3"]
+        assert run("train", "--out", str(out), *sets(base)) == 0
+        ckpt = tmp_path / "epoch3.json"
+        ckpt.write_bytes((out / "checkpoint.json").read_bytes())
+        resume = sets(base + [f"agent.checkpoint={ckpt}"])
+        assert run("train", "--out", str(out), *resume) == 0
+        once = (out / "learning_curve.csv").read_bytes()
+        assert run("train", "--out", str(out), *resume) == 0
+        lines = (out / "learning_curve.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5", "6"]
+        assert (out / "learning_curve.csv").read_bytes() == once
+        assert load_checkpoint(out / "checkpoint.json")[1]["epochs_trained"] == 6
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("steps", ["-3", "0"])
     def test_bad_steps_per_epoch_exits_one(self, tmp_path, capsys, command, steps):

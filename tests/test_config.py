@@ -3,10 +3,11 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
 from signalfolio import config as cfgmod
-from signalfolio.agent import init_policy
+from signalfolio.agent import init_policy, train
 from signalfolio.config import (
     DEFAULTS,
     ConfigError,
@@ -15,7 +16,6 @@ from signalfolio.config import (
     build_cost,
     build_market,
     build_segments,
-    build_train_config,
     echo_config,
     labeller,
     parse_config_file,
@@ -23,9 +23,11 @@ from signalfolio.config import (
     parse_value,
     resolve,
     train_agents,
+    train_settings,
 )
 from signalfolio.engine import EngineError
 from signalfolio.market import MarketDataError, chronological_split
+from signalfolio.signals import state_dim
 
 
 class TestScalarParsing:
@@ -197,10 +199,10 @@ class TestBuilders:
 
     def test_train_config(self):
         cfg = resolve({"agent.epochs": 7, "agent.learning_rate": 0.5, "window": 9})
-        tc = build_train_config(cfg, build_segments(cfg)[0])
-        assert tc.epochs == 7
-        assert tc.learning_rate == 0.5
-        assert tc.window == 9
+        settings = train_settings(cfg, build_segments(cfg)[0])
+        assert settings["epochs"] == 7
+        assert settings["learning_rate"] == 0.5
+        assert settings["window"] == 9
 
     def test_hidden_sizes(self):
         assert resolve({"agent.hidden": (32, 16)})["agent.hidden"] == (32, 16)
@@ -225,8 +227,12 @@ class TestBuilders:
             resolve({"seeds": ("a",)})
 
 
-def _train_config(cfg):
-    return build_train_config(cfg, build_segments(cfg)[0])
+def _train(cfg):
+    """agent.train on one cell of a one-unit net, with cfg's training settings."""
+    train_p = build_segments(cfg)[0]
+    n, settings = train_p.n_assets, train_settings(cfg, train_p)
+    params = init_policy(state_dim(n, cfg["window"]), n + 1, (1,), 0)
+    return train([params], train_p, [None], build_cost(cfg), [np.random.default_rng(0)], **settings)
 
 
 def _split_at_boundary(cfg):
@@ -241,10 +247,10 @@ _BELOW_1, _ABOVE_1 = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
 # just inside the range, the value just outside it, and the builder that
 # hands the key to the library.
 SHARED_BOUNDS = [
-    ("agent.learning_rate", 0.0, _BELOW_0, _train_config),
-    ("agent.batch_window", 1, 0, _train_config),
-    ("agent.epochs", 0, -1, _train_config),
-    ("agent.steps_per_epoch", 1, 0, _train_config),
+    ("agent.learning_rate", 0.0, _BELOW_0, _train),
+    ("agent.batch_window", 1, 0, _train),
+    ("agent.epochs", 0, -1, _train),
+    ("agent.steps_per_epoch", 1, 0, _train),
     ("cost.buy", 0.0, _BELOW_0, build_cost),
     ("cost.buy", _BELOW_1, 1.0, build_cost),
     ("cost.sell", 0.0, _BELOW_0, build_cost),
@@ -387,7 +393,7 @@ class TestTrainAgents:
         assert labelled == []
 
     def test_training_error_fails_every_agent(self, monkeypatch):
-        def broken(*args):
+        def broken(*args, **settings):
             raise RuntimeError("no step")
 
         monkeypatch.setattr(cfgmod, "train", broken)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from conftest import random_simplex
 from scalar import cost_factor, cost_fixed_point, drift_weights, step_reward
+from signalfolio import engine
 from signalfolio.baselines import ew_policy, hold_cash_policy
 from signalfolio.engine import (
     BacktestResult,
@@ -177,7 +177,7 @@ class TestCostFactor:
             m = int(rng.integers(2, 8))
             w, a = random_simplex(rng, m), random_simplex(rng, m)
             rate = float(rng.uniform(0, 0.05))
-            cm = CostModel(c_buy=rate, c_sell=rate, max_iters=50, tol=1e-10)
+            cm = CostModel(c_buy=rate, c_sell=rate)
             beta, iters = cost_fixed_point(w, a, cm)
             assert iters <= 50
             assert 0.0 < beta <= 1.0
@@ -199,15 +199,18 @@ class TestCostFactor:
             m = int(rng.integers(2, 6))
             w, a = sparse_simplex(rng, m), sparse_simplex(rng, m)
             cb, cs = rng.uniform(0, 0.05, 2)
-            cm = CostModel(c_buy=float(cb), c_sell=float(cs), max_iters=50, tol=1e-10)
-            beta, _ = cost_fixed_point(w, a, cm)
+            cm = CostModel(c_buy=float(cb), c_sell=float(cs))
+            beta, iters = cost_fixed_point(w, a, cm)
+            assert iters <= 50
             worst = max(worst, abs(beta - active_set_root(w, a, cb, cs)))
         assert worst <= 1e-10
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
         # heavy rates and a partially closed position keep the sell term
-        # active, so the iteration contracts slowly and overruns max_iters
-        cm = CostModel(c_buy=0.9, c_sell=0.9, max_iters=2, tol=1e-14)
+        # active, so the iteration contracts slowly and overruns MAX_ITERS
+        monkeypatch.setattr(engine, "MAX_ITERS", 2)
+        monkeypatch.setattr(engine, "TOL", 1e-14)
+        cm = CostModel(c_buy=0.9, c_sell=0.9)
         with pytest.raises(ConvergenceError):
             cost_fixed_point(
                 np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.5, 0.5]), cm
@@ -218,14 +221,6 @@ class TestCostFactor:
             CostModel(c_buy=1.0)
         with pytest.raises(EngineError):
             CostModel(mode="other")
-
-    def test_solver_settings_validated(self):
-        # no config key sets them, so CostModel's own check is the only one
-        CostModel(max_iters=1, tol=math.nextafter(0.0, 1.0))
-        with pytest.raises(EngineError, match="bad solver settings"):
-            CostModel(max_iters=0)
-        with pytest.raises(EngineError, match="bad solver settings"):
-            CostModel(tol=0.0)
 
 
 class TestStepReward:

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from signalfolio.agent import (
-    Episode,
     PolicyParams,
     _lockstep_grads,
     init_policy,
     objective,
 )
 from signalfolio.engine import (
+    MAX_ITERS,
+    TOL,
     BacktestResult,
     ConvergenceError,
     CostModel,
@@ -62,10 +63,10 @@ def oracle_fixed_point_batch(w_drift, a, cm):
     k = cs + cb - cs * cb
     denom = 1.0 - cb * a[:, 0]
     mu = np.ones(t_total)
-    for i in range(cm.max_iters):
+    for i in range(MAX_ITERS):
         sold = np.maximum(w_drift[:, 1:] - mu[:, None] * a[:, 1:], 0.0).sum(axis=1)
         nxt = (1.0 - cb * w_drift[:, 0] - k * sold) / denom
-        done = np.all(np.abs(nxt - mu) < cm.tol)
+        done = np.all(np.abs(nxt - mu) < TOL)
         mu = nxt
         if done:
             return mu, i + 1
@@ -128,11 +129,10 @@ def oracle_lockstep_grads(group, x, rel, at_start, entry, cm, out):
     oracle_grads(group, x[:, 1:], rel[:, 1:], entry_w, rel[:, :1], cm, out)
 
 
-def oracle_objective(params, episode, cm):
-    actions, _ = oracle_forward_batch(params, episode.states)
-    chain = oracle_reward_chain(
-        actions, episode.rel, episode.entry_weights, episode.entry_rel, cm
-    )
+def oracle_objective(params, states, rel, cm):
+    m = rel.shape[1]
+    actions, _ = oracle_forward_batch(params, states)
+    chain = oracle_reward_chain(actions, rel, all_cash(m), np.ones(m), cm)
     return float(chain.rewards.mean())
 
 
@@ -231,9 +231,9 @@ class TestObjectiveAndChain:
     def test_objective_equals_the_oracle(self, m, hidden, mode):
         rng = np.random.default_rng(m)
         params = group_of(1, m, hidden).cells(0)
-        episode = Episode(rng.normal(size=(300, D)), moves(rng, (300, m)), all_cash(m), np.ones(m))
+        states, rel = rng.normal(size=(300, D)), moves(rng, (300, m))
         cm = CostModel(mode=mode)
-        got, want = objective(params, episode, cm), oracle_objective(params, episode, cm)
+        got, want = objective(params, states, rel, cm), oracle_objective(params, states, rel, cm)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("mode", MODES)

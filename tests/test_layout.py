@@ -1,8 +1,9 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
 one writer through which every artifact is written and one encoder of JSON
-artifacts, one path that sets up and trains the agent, one way into each
-setting, a reader for every config key, a caller in src/ for everything src/
-defines, and no process pool loaded before a sweep needs one.
+artifacts, one path that sets up and trains the agent, training settings that
+are agent.train's keywords, one way into each setting, a reader for every
+config key, a caller in src/ for everything src/ defines, and no process pool
+loaded before a sweep needs one.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -23,8 +25,9 @@ from pathlib import Path
 import pytest
 
 import signalfolio
+from signalfolio.agent import train
 from signalfolio.cli import _parser
-from signalfolio.config import KEYS
+from signalfolio.config import KEYS, build_segments, resolve, train_settings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -90,6 +93,29 @@ def test_one_agent_path_inits_and_trains():
                 if name in callers:
                     callers[name].append((path.stem, getattr(top, "name", None)))
     assert callers == {name: [("config", "train_agents")] for name in callers}
+
+
+def test_train_settings_are_the_keywords_of_agent_train():
+    """config.train_settings gives agent.train its keyword-only settings, no more and no
+    fewer, each the value of its key: window, or agent.<name> for the others."""
+    cfg = resolve(
+        {
+            "market.synthetic.n_steps": 150,
+            "window": 9,
+            "agent.batch_window": 17,
+            "agent.learning_rate": 0.25,
+            "agent.epochs": 3,
+            "agent.steps_per_epoch": 2,
+        }
+    )
+    settings = train_settings(cfg, build_segments(cfg)[0])
+    keywords = [
+        param.name
+        for param in inspect.signature(train).parameters.values()
+        if param.kind is param.KEYWORD_ONLY
+    ]
+    key = {name: "window" if name == "window" else f"agent.{name}" for name in keywords}
+    assert settings == {name: cfg[key[name]] for name in keywords}
 
 
 def test_only_open_whole_opens_a_file_to_write():

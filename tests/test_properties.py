@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from scalar import cost_factor, drift_weights  # noqa: E402
-from signalfolio.agent import TrainConfig, init_policy, train  # noqa: E402
+from signalfolio.agent import init_policy, train  # noqa: E402
 from signalfolio.baselines import simplex_project  # noqa: E402
 from signalfolio.engine import BacktestResult, CostModel, reward_chain  # noqa: E402
 from signalfolio.market import generate_synthetic  # noqa: E402
@@ -156,7 +156,7 @@ def groups(draw):
     n, window, cells = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     prices = generate_synthetic(n, window + draw(st.integers(6, 30)), vol=0.03, seed=draw(SEEDS))
     episode = prices.n_steps - window
-    cfg = TrainConfig(
+    cfg = dict(
         learning_rate=draw(st.floats(0.0, 5.0)),
         batch_window=draw(st.integers(1, episode)),
         epochs=draw(st.integers(1, 3)),
@@ -189,7 +189,7 @@ def same_outcome(got, want) -> bool:
 def test_group_training_equals_one_cell_runs_bit_for_bit(case):
     prices, params, signals, seeds, cm, cfg = case
     samplers = [np.random.default_rng(seed) for seed in seeds]
-    group = train(params, prices, signals, cm, cfg, samplers)
+    group = train(params, prices, signals, cm, samplers, **cfg)
     for got, p, s, seed in zip(group, params, signals, seeds):
-        [want] = train([p], prices, [s], cm, cfg, [np.random.default_rng(seed)])
+        [want] = train([p], prices, [s], cm, [np.random.default_rng(seed)], **cfg)
         assert same_outcome(got, want)

@@ -172,9 +172,9 @@ class TestRunSweep:
         calls = []
         real_train = cfgmod.train
 
-        def counting_train(params, *args):
+        def counting_train(params, *args, **settings):
             calls.append(len(params))
-            return real_train(params, *args)
+            return real_train(params, *args, **settings)
 
         monkeypatch.setattr(cfgmod, "train", counting_train)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
