@@ -11,6 +11,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import shutil
 import sys
 from functools import partial
 from pathlib import Path
@@ -81,8 +83,7 @@ def cmd_backtest(cfg, out: Path) -> int:
             test_signals = cfgmod.labeller(cfg, train_p)(test_p, cfgmod.run_seeds(cfg)[3])
         policy = partial(policy_forward, params)
         runs["agent"] = run_backtest(test_p, build_states(test_p, test_signals, window), policy, cm)
-    for name, result in runs.items():
-        result.save(out / f"result_{name}.json")
+    _save_results(runs, out)
     _write_pv_curves(runs, out / "pv_curves.csv")
     _write_metric_tables(cfg, runs, out)
     _write_echo(cfg, out)
@@ -96,6 +97,20 @@ def _train_agent(cfg, train_p, test_p, cm, params):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _save_results(runs: dict[str, BacktestResult], out: Path) -> None:
+    """Each run as result_<name>.json; a run equal to one already saved copies that file's text."""
+    saved: list[tuple[BacktestResult, Path]] = []
+    for name, result in runs.items():
+        path = out / f"result_{name}.json"
+        twin = next((p for r, p in saved if r == result), None)
+        if twin is None:
+            result.save(path)
+            saved.append((result, path))
+        else:
+            with twin.open() as text, open_whole(path) as fh:
+                shutil.copyfileobj(text, fh)
 
 
 def _write_pv_curves(runs: dict[str, BacktestResult], path: Path) -> None:
@@ -150,12 +165,15 @@ def cmd_metrics(cfg, out: Path) -> int:
     result_files = sorted(out.glob("result_*.json"))
     if not result_files:
         raise ConfigError(f"out: no result_*.json files in {out}")
-    runs = {}
+    runs, parsed = {}, {}  # parsed: the sha256 of a file's bytes -> its result
     for path in result_files:
-        try:
-            runs[path.stem.removeprefix("result_")] = BacktestResult.load(path)
-        except (ValueError, TypeError) as exc:  # bad JSON, a missing or altered field
-            raise ConfigError(f"out: {path.name}: {exc}") from exc
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        if digest not in parsed:
+            try:
+                parsed[digest] = BacktestResult.load(path)
+            except (ValueError, TypeError) as exc:  # bad JSON, a missing or altered field
+                raise ConfigError(f"out: {path.name}: {exc}") from exc
+        runs[path.stem.removeprefix("result_")] = parsed[digest]
     _write_metric_tables(cfg, runs, out)
     return 0
 

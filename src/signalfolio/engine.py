@@ -198,6 +198,15 @@ class BacktestResult:
         if len({getattr(self, name).shape[:1] for name in _STORED}) != 1:
             raise EngineError("inconsistent backtest arrays")
 
+    def __eq__(self, other) -> bool:
+        """Same start index and stored arrays, bit for bit: 0.0 and -0.0 differ."""
+        if not isinstance(other, BacktestResult):
+            return NotImplemented
+        return self.start_index == other.start_index and all(
+            mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+            for mine, theirs in ((getattr(self, n), getattr(other, n)) for n in _STORED)
+        )
+
     @property
     def n_steps(self) -> int:
         return self.factors.size
@@ -219,13 +228,30 @@ class BacktestResult:
 
     @classmethod
     def load(cls, path: str | Path) -> BacktestResult:
-        """Read a saved result; rewards, pv and final_pv must equal their rebuilt values."""
+        """Read a saved result and check it.
+
+        actions and weights must be (T, m) with m >= 2, betas and factors
+        (T,), every action row must lie on the simplex, and rewards, pv and
+        final_pv must equal their rebuilt values.
+        """
         data = json.loads(Path(path).read_text())
         for name in _FIELDS:
             if not isinstance(data, dict) or name not in data:
                 raise EngineError(f"field {name!r} is missing")
-        arrays = (np.asarray(data[name], dtype=float) for name in _STORED)
-        result = cls(int(data["start_index"]), *arrays)
+        arrays = {}
+        for name in _STORED:
+            try:
+                arrays[name] = np.asarray(data[name], dtype=float)
+            except (TypeError, ValueError) as exc:  # ragged rows, a string
+                raise EngineError(f"field {name!r}: {exc}") from None
+        rows = arrays["actions"].shape
+        if len(rows) != 2 or rows[1] < 2:
+            raise EngineError(f"field 'actions' has shape {rows}, want (T, m) with m >= 2")
+        for name, want in (("weights", rows), ("betas", rows[:1]), ("factors", rows[:1])):
+            if arrays[name].shape != want:
+                raise EngineError(f"field {name!r} has shape {arrays[name].shape}, want {want}")
+        as_simplex(arrays["actions"], "field 'actions'")
+        result = cls(int(data["start_index"]), **arrays)
         for name in _DERIVED:
             if not np.array_equal(data[name], getattr(result, name)):
                 raise EngineError(f"field {name!r} differs from its value rebuilt from the factors")

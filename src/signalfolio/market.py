@@ -11,6 +11,7 @@ at the bottom of the import graph so that every module can use them.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -54,16 +55,33 @@ def write_json(path: str | Path, fields: dict) -> None:
     """Write the bytes of json.dumps(fields, sort_keys=True), whole or not at all.
 
     Each top-level value is encoded on its own, a numpy array as its
-    .tolist(), so the largest text held at once is one value's.
+    .tolist(), so the largest text held at once is one value's.  A float64
+    vector or matrix is encoded one run of bit-equal rows at a time (a
+    vector's elements are its rows): json.dumps encodes the first row of
+    each run, and the text repeats that row's token for the rest of the run.
     """
+
+    def encode(value) -> str:
+        if not isinstance(value, np.ndarray):
+            return json.dumps(value, sort_keys=True)
+        if value.dtype != np.float64 or value.ndim not in (1, 2) or len(value) < 2:
+            return json.dumps(value.tolist(), sort_keys=True)
+        bits = np.ascontiguousarray(value).view(np.int64)  # -0.0 and 0.0 differ in bits
+        bits = bits[:, None] if value.ndim == 1 else bits
+        starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+        if len(starts) == len(value):  # no row repeats its predecessor
+            return json.dumps(value.tolist())
+        counts = np.diff(np.r_[starts, len(value)]).tolist()
+        text = json.dumps(value[starts].tolist())
+        sep, edge = (", ", 1) if value.ndim == 1 else ("], [", 2)
+        rows = map(itertools.repeat, text[edge:-edge].split(sep), counts)
+        return text[:edge] + sep.join(itertools.chain.from_iterable(rows)) + text[-edge:]
+
     with open_whole(path) as fh:
         fh.write("{")
         for i, key in enumerate(sorted(fields)):
-            value = fields[key]
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
             fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            fh.write(json.dumps(value, sort_keys=True))
+            fh.write(encode(fields[key]))
         fh.write("}")
 
 

@@ -31,6 +31,27 @@ FAILURE_ROW = {
 }
 
 
+# Arrays at the edges of write_json's run-by-run encoding of float64 vectors and
+# matrices; the rest of the dtypes and shapes go through json.dumps whole.
+ENCODER_EDGES = {
+    "constant-rows": np.full((6, 3), 1.0 / 3.0),
+    "alternating-runs": np.repeat(
+        [[0.25, 0.75], [0.5, 0.5], [0.25, 0.75], [0.5, 0.5]], [3, 1, 2, 1], axis=0
+    ),
+    "signed-zero-rows": np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),
+    "signed-zero-vector": np.array([0.0, -0.0, -0.0, 0.0]),
+    "nan-and-inf": np.array([[np.nan, 1.0], [np.nan, 1.0], [np.inf, -np.inf], [np.inf, -np.inf]]),
+    "no-rows": np.zeros((0, 3)),
+    "one-row": np.array([[0.5, 0.5]]),
+    "one-run-vector": np.full(5, 0.2),
+    "width-one": np.array([[1.5], [1.5], [2.5]]),
+    "strided-view": np.repeat(np.arange(6.0)[None, :], 4, axis=0)[:, ::2],
+    "3-d": np.zeros((2, 2, 2)),
+    "int": np.array([3, 3, 4]),
+    "bool": np.array([True, True, False]),
+}
+
+
 @pytest.fixture
 def result(noisy_market) -> BacktestResult:
     return run_backtest(
@@ -99,8 +120,12 @@ class TestSameBytesAsBefore:
 
     @pytest.mark.parametrize(
         "fields",
-        [{}, {"b": np.arange(3.0), "a": {"z": [1, None], "y": float("nan")}, "é": "ü"}],
-        ids=["empty", "mixed"],
+        [
+            {},
+            {"b": np.arange(3.0), "a": {"z": [1, None], "y": float("nan")}, "é": "ü"},
+            *({"a": array, "b": 1} for array in ENCODER_EDGES.values()),
+        ],
+        ids=["empty", "mixed", *ENCODER_EDGES],
     )
     def test_writer_alone(self, tmp_path, fields):
         path = tmp_path / "out.json"

@@ -695,6 +695,38 @@ def _with_one_reward_off(text: str) -> str:
     return json.dumps(payload)
 
 
+def _with_narrow_weights(text: str) -> str:
+    payload = json.loads(text)
+    payload["weights"] = [row[:2] for row in payload["weights"]]
+    return json.dumps(payload)
+
+
+def _with_ragged_weights(text: str) -> str:
+    payload = json.loads(text)
+    payload["weights"][0] = payload["weights"][0][:2]
+    return json.dumps(payload)
+
+
+def _with_betas_as_column(text: str) -> str:
+    payload = json.loads(text)
+    payload["betas"] = [[beta] for beta in payload["betas"]]
+    return json.dumps(payload)
+
+
+def _with_actions_off_simplex(text: str) -> str:
+    # each row still sums to 1, but holds a negative weight
+    payload = json.loads(text)
+    payload["actions"] = [[2.0, -1.0] + [0.0] * (len(row) - 2) for row in payload["actions"]]
+    return json.dumps(payload)
+
+
+def _with_one_pv_digit_changed(text: str) -> str:
+    """pv[1] with its third decimal digit moved by one, so it parses to another float."""
+    head, sep, tail = text.partition('"pv": [1.0, ')
+    at = tail.index(".") + 3
+    return head + sep + tail[:at] + str((int(tail[at]) + 1) % 10) + tail[at + 1 :]
+
+
 class TestMetricsCommand:
     def test_recomputes_tables_from_results(self, tmp_path):
         out = tmp_path / "run"
@@ -719,8 +751,20 @@ class TestMetricsCommand:
             (_truncated, "delimiter"),
             (_without_pv, "'pv'"),
             (_with_one_reward_off, "'rewards'"),
+            (_with_narrow_weights, "'weights'"),
+            (_with_ragged_weights, "'weights'"),
+            (_with_betas_as_column, "'betas'"),
+            (_with_actions_off_simplex, "'actions'"),
         ],
-        ids=["truncated", "missing-field", "tampered-rewards"],
+        ids=[
+            "truncated",
+            "missing-field",
+            "tampered-rewards",
+            "narrow-weights",
+            "ragged-weights",
+            "betas-as-column",
+            "actions-off-simplex",
+        ],
     )
     def test_bad_result_file_exits_one_naming_it(self, tmp_path, capsys, damage, named):
         out = tmp_path / "run"
@@ -734,3 +778,40 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: out: result_ew.json: ")
         assert named in err
+
+
+class TestEqualResults:
+    """crp without target weights is ew bit for bit: backtest writes its file as a copy,
+    and metrics parses byte-equal files once but still checks every distinct one."""
+
+    HORIZONS = ["metrics.horizons=1w,2w"]
+
+    def backtest(self, out: Path, *extra: str) -> None:
+        args = [*FAST_MARKET, *self.HORIZONS, "baselines=ew,crp", *extra]
+        assert run("backtest", "--out", str(out), *sets(args)) == 0
+
+    def test_equal_runs_write_equal_files_and_the_same_tables(self, tmp_path):
+        out = tmp_path / "run"
+        self.backtest(out)
+        assert (out / "result_crp.json").read_bytes() == (out / "result_ew.json").read_bytes()
+        before = read_all(out)
+        (out / "metrics.csv").unlink()
+        (out / "metrics.json").unlink()
+        assert run("metrics", "--out", str(out), *sets(self.HORIZONS)) == 0
+        assert read_all(out) == before
+
+    def test_target_weights_make_the_files_differ(self, tmp_path):
+        out = tmp_path / "run"
+        self.backtest(out, "baseline.target_weights=0.2,0.3,0.5")
+        assert (out / "result_crp.json").read_bytes() != (out / "result_ew.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["crp", "ew"])
+    def test_one_changed_twin_exits_one_naming_it(self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        self.backtest(out)
+        path = out / f"result_{name}.json"
+        path.write_text(_with_one_pv_digit_changed(path.read_text()))
+        capsys.readouterr()
+        assert run("metrics", "--out", str(out), *sets(self.HORIZONS)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out: result_{name}.json: field 'pv' differs")

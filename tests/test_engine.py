@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -439,3 +440,17 @@ class TestRunBacktest:
         assert np.array_equal(loaded.actions, result.actions)
         assert loaded.final_pv == result.final_pv
         assert loaded.start_index == result.start_index
+
+    def test_equal_bit_for_bit_to_its_round_trip(self, tmp_path, noisy_market):
+        result = run_backtest(
+            noisy_market, build_states(noisy_market, None, 10), ew_policy(3), CostModel()
+        )
+        path = tmp_path / "result.json"
+        result.save(path)
+        assert BacktestResult.load(path) == result
+        weights = result.weights.copy()
+        assert weights[0, 1] == 0.0  # the first step drifts from all cash
+        weights[0, 1] = -0.0
+        assert np.array_equal(weights, result.weights)
+        assert replace(result, weights=weights) != result
+        assert replace(result, start_index=result.start_index + 1) != result

@@ -89,6 +89,7 @@ def test_reward_sum_is_the_log_of_the_factor_product(case):
 
 @st.composite
 def results(draw):
+    """A result that load accepts: simplex action rows; any finite weights and betas."""
     steps, m = draw(st.integers(1, 20)), draw(st.integers(2, 4))
     floats = st.floats(allow_nan=False, allow_infinity=False)
     positive = st.floats(min_value=0.0, max_value=1e15, exclude_min=True)  # pv stays finite
@@ -99,7 +100,7 @@ def results(draw):
 
     return BacktestResult(
         start_index=draw(st.integers(0, 10_000)),
-        actions=array(floats, (steps, m)),
+        actions=np.stack([draw(simplex(m)) for _ in range(steps)]),
         weights=array(floats, (steps, m)),
         betas=array(floats, (steps,)),
         factors=array(positive, (steps,)),
