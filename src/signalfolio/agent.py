@@ -26,7 +26,7 @@ from .engine import (
     reward_chain,
 )
 from .market import PriceSeries, relative_prices, write_json
-from .signals import SignalSeries, build_states, decision_indices, signal_columns, state_dim
+from .signals import build_states, decision_indices, signal_columns, state_dim
 
 
 class TrainingDivergedError(RuntimeError):
@@ -220,7 +220,7 @@ def _lockstep_grads(group: PolicyParams, x, rel, at_start, entry, cm: CostModel,
 def train(
     params: list[PolicyParams],
     train_prices: PriceSeries,
-    signals: list[SignalSeries | None],
+    signals: list[np.ndarray | None],
     cm: CostModel,
     rngs: list[np.random.Generator],
     *,
@@ -232,8 +232,10 @@ def train(
 ) -> list[tuple[PolicyParams, list[float]] | Exception]:
     """Train a group of cells in lockstep by ascent on mean log reward.
 
-    Cell c starts from params[c], sees signals[c] (None: zero signal columns)
-    and draws its window starts from rngs[c], a generator the caller builds
+    Cell c starts from params[c], sees signals[c], the read-only (n_assets,
+    n_steps) label array of train_prices from signals.py (None: zero signal
+    columns), whose shape signal_columns checks before any step, and draws
+    its window starts from rngs[c], a generator the caller builds
     (config.train_agents, from each agent's sampler seed): training on from
     the returned parameters with it reproduces one longer run bit for bit.
     The cells share the prices, the architecture, whose input width must be

@@ -167,12 +167,12 @@ def cmd_metrics(cfg, out: Path) -> int:
         raise ConfigError(f"out: no result_*.json files in {out}")
     runs, parsed = {}, {}  # parsed: the sha256 of a file's bytes -> its result
     for path in result_files:
-        digest = hashlib.sha256(path.read_bytes()).digest()
-        if digest not in parsed:
-            try:
+        try:
+            digest = hashlib.sha256(path.read_bytes()).digest()
+            if digest not in parsed:
                 parsed[digest] = BacktestResult.load(path)
-            except (ValueError, TypeError) as exc:  # bad JSON, a missing or altered field
-                raise ConfigError(f"out: {path.name}: {exc}") from exc
+        except (OSError, ValueError, TypeError) as exc:  # a directory, bad JSON, a bad field
+            raise ConfigError(f"out: {path.name}: {exc}") from exc
         runs[path.stem.removeprefix("result_")] = parsed[digest]
     _write_metric_tables(cfg, runs, out)
     return 0
@@ -191,7 +191,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a regular file, say
+            raise ConfigError(f"out: {out}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

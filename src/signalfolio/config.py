@@ -137,9 +137,13 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, a byte that is not UTF-8
+        raise ConfigError(f"config file {path}: {exc}") from exc
     out: dict[str, object] = {}
     lines: dict[str, int] = {}  # the line that set each key
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -241,6 +245,8 @@ def build_market(cfg: dict[str, object]) -> PriceSeries:
             return load_csv(path, forward_fill=cfg["market.csv.forward_fill"])
         except MarketDataError as exc:
             raise ConfigError(f"market.csv.path: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, a byte that is not UTF-8
+            raise ConfigError(f"market.csv.path: {path}: {exc}") from exc
     n_assets = cfg["market.synthetic.n_assets"]
     for key in ("market.synthetic.drift", "market.synthetic.vol"):
         if isinstance(cfg[key], tuple) and len(cfg[key]) != n_assets:
@@ -355,7 +361,7 @@ def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, int]
         raise ConfigError(f"agent.checkpoint: no such file {path!r}")
     try:
         params, meta = load_checkpoint(path)
-    except (ValueError, KeyError, TypeError) as exc:  # bad JSON or layers, a missing key
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # a directory, bad JSON or layers
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"agent.checkpoint: {path}: {reason}") from exc
     epochs = meta.get("epochs_trained", 0) if isinstance(meta, dict) else None

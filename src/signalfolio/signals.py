@@ -3,6 +3,8 @@
 Labels live on {-1, 0, +1}: +1 predicts the next close is higher, -1 lower,
 0 means no signal at that step.  A label at time t refers to the move from
 t to t+1, so it is information a real predictor could emit at decision time.
+Each maker returns a read-only (n_assets, n_steps) float array of them, one
+row per risky asset, whose final column is 0.
 """
 
 from __future__ import annotations
@@ -19,32 +21,7 @@ class SignalError(ValueError):
     """Bad signal configuration or malformed signal data."""
 
 
-@dataclass(frozen=True)
-class SignalSeries:
-    """Per-asset signal matrix, one row per risky asset, one column per step."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise SignalError("signal values must be a 2-D matrix")
-        if not np.all(np.isfinite(values)):
-            raise SignalError("signal values must be finite")
-        if not np.all(np.isin(values, (-1.0, 0.0, 1.0))):
-            raise SignalError("signal values must lie in {-1, 0, +1}")
-        object.__setattr__(self, "values", _frozen(values))
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
-
-
-def true_movements(prices: PriceSeries) -> SignalSeries:
+def true_movements(prices: PriceSeries) -> np.ndarray:
     """Realized next-step movement labels for every risky asset.
 
     Flat steps count as up so labels stay binary.  The final column has no
@@ -56,13 +33,10 @@ def true_movements(prices: PriceSeries) -> SignalSeries:
     diff = closes[:, 1:] - closes[:, :-1]
     labels = np.where(diff >= 0.0, 1.0, -1.0)
     n = prices.n_assets
-    values = np.concatenate([labels, np.zeros((n, 1))], axis=1)
-    return SignalSeries(values=values)
+    return _frozen(np.concatenate([labels, np.zeros((n, 1))], axis=1))
 
 
-def oracle_labels(
-    truth: SignalSeries, accuracy: float = 1.0, density: float = 1.0, seed: int = 0
-) -> SignalSeries:
+def oracle_labels(truth: np.ndarray, accuracy: float, density: float, seed: int) -> np.ndarray:
     """Corrupt true movements into a channel of controlled quality.
 
     density is the fraction of usable steps that carry a label, derandomized:
@@ -75,18 +49,18 @@ def oracle_labels(
     if not 0.0 <= density <= 1.0:
         raise SignalError(f"density {density} outside [0, 1]")
     rng = np.random.default_rng(seed)
-    usable = truth.n_steps - 1
+    usable = truth.shape[1] - 1
     if usable < 1:
         raise SignalError("truth series too short")
     keep = int(round(density * usable))
-    out = np.zeros_like(truth.values)
-    for i in range(truth.n_assets):
+    out = np.zeros_like(truth)
+    for i in range(len(truth)):
         kept = rng.permutation(usable)[:keep]
         flip = rng.random(usable) < (1.0 - accuracy)
-        column = truth.values[i, :usable].copy()
+        column = truth[i, :usable].copy()
         column[flip] = -column[flip]
         out[i, kept] = column[kept]
-    return SignalSeries(values=out)
+    return _frozen(out)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -107,11 +81,7 @@ class MovementPredictor:
 
 
 def fit_internal_predictor(
-    train: PriceSeries,
-    lags: int = 5,
-    epochs: int = 200,
-    lr: float = 0.5,
-    seed: int = 0,
+    train: PriceSeries, *, epochs: int, seed: int, lags: int = 5, lr: float = 0.5
 ) -> MovementPredictor:
     """Fit one logistic movement classifier per risky asset.
 
@@ -166,7 +136,7 @@ def _logits(predictor: MovementPredictor, log_rel: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ijk->ij", predictor.weights, lagged) + predictor.bias[:, None]
 
 
-def predictor_labels(predictor: MovementPredictor, prices: PriceSeries) -> SignalSeries:
+def predictor_labels(predictor: MovementPredictor, prices: PriceSeries) -> np.ndarray:
     """Run the predictor over a whole series, absent where history is short."""
     if prices.n_assets != predictor.weights.shape[0]:
         raise SignalError("price series assets do not match predictor")
@@ -176,7 +146,7 @@ def predictor_labels(predictor: MovementPredictor, prices: PriceSeries) -> Signa
     if log_rel.shape[1] >= predictor.lags:
         logits = _logits(predictor, log_rel)
         values[:, predictor.lags : prices.n_steps - 1] = np.where(logits >= 0.0, 1.0, -1.0)
-    return SignalSeries(values=values)
+    return _frozen(values)
 
 
 def decision_indices(n_steps: int, window: int) -> range:
@@ -206,19 +176,21 @@ def close_windows(states: np.ndarray, n_assets: int) -> np.ndarray:
     return states[:, : n_assets * window].reshape(len(states), n_assets, window)
 
 
-def signal_columns(prices: PriceSeries, signals: SignalSeries, window: int = 30) -> np.ndarray:
-    """The signal columns of every decision step's state, (T, n_assets): its labels."""
-    if signals.n_assets != prices.n_assets:
+def signal_columns(prices: PriceSeries, signals: np.ndarray, window: int) -> np.ndarray:
+    """The signal columns of every decision step's state, (T, n_assets): its labels.
+
+    signals must be a label array of prices, (n_assets, n_steps) like every
+    label maker returns; any other shape raises SignalError.
+    """
+    if signals.shape[:1] != (prices.n_assets,):
         raise SignalError("signal assets do not match price series")
-    if signals.n_steps != prices.n_steps:
+    if signals.shape[1:] != (prices.n_steps,):
         raise SignalError("signal steps do not match price series")
     steps = decision_indices(prices.n_steps, window)
-    return signals.values[:, steps.start : steps.stop].T
+    return signals[:, steps.start : steps.stop].T
 
 
-def build_states(
-    prices: PriceSeries, signals: SignalSeries | None = None, window: int = 30
-) -> np.ndarray:
+def build_states(prices: PriceSeries, signals: np.ndarray | None, window: int) -> np.ndarray:
     """The read-only (T, state_dim) matrix of every decision step's state, one row per step.
 
     The signal columns hold each asset's label at the decision step; an

@@ -29,7 +29,7 @@ from signalfolio.engine import (
     reward_chain,
 )
 from signalfolio.market import PriceSeries, relative_prices
-from signalfolio.signals import SignalSeries, build_states, decision_indices
+from signalfolio.signals import build_states, decision_indices
 
 
 def _check_rel(y, m: int) -> np.ndarray:
@@ -79,7 +79,7 @@ def step_reward(
 
 
 def episode(
-    prices: PriceSeries, signals: SignalSeries | None = None, window: int = 30
+    prices: PriceSeries, signals: np.ndarray | None = None, window: int = 30
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (T, d) state matrix of prices and the (T, m) moves that follow its rows."""
     rel = relative_prices(prices)[:, decision_indices(prices.n_steps, window)].T

@@ -23,7 +23,6 @@ from signalfolio.engine import CostModel, EngineError, all_cash, run_backtest
 from signalfolio.market import PriceSeries, chronological_split, generate_synthetic
 from signalfolio.signals import (
     SignalError,
-    SignalSeries,
     build_states,
     oracle_labels,
     state_dim,
@@ -369,14 +368,19 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "shape, message",
-        [((3, 140), "signal assets do not match"), ((2, 139), "signal steps do not match")],
+        [
+            ((3, 140), "signal assets do not match"),
+            ((2, 139), "signal steps do not match"),
+            ((140,), "signal assets do not match"),
+            ((2, 140, 1), "signal steps do not match"),
+        ],
     )
     def test_mismatched_signals_raise_before_any_step(self, shape, message):
         # the second cell's series is bad; the first cell's sampler stays unused
         prices = self._market()
         params = [init_policy(2 * 8 + 2, 3, hidden=(8,), seed=s) for s in (1, 2)]
         samplers = rngs([0, 1])
-        bad = SignalSeries(values=np.ones(shape))
+        bad = np.ones(shape)
         with pytest.raises(SignalError, match=message):
             train(params, prices, [None, bad], CostModel(), samplers, **self._cfg())
         assert samplers[0].bit_generator.state == np.random.default_rng(0).bit_generator.state
@@ -392,7 +396,7 @@ class TestTrain:
 
         def peak(cells):
             signals = [
-                oracle_labels(moves, accuracy=0.5 + c / 100, seed=c) if c else None
+                oracle_labels(moves, accuracy=0.5 + c / 100, density=1.0, seed=c) if c else None
                 for c in range(cells)
             ]
             params = [init_policy(d, 4, hidden=(32,), seed=c) for c in range(cells)]

@@ -97,13 +97,13 @@ class TestFixedMixPolicies:
             CRPPolicy(np.array([0.6, 0.6]))
 
     def test_ew_is_uniform_crp(self, noisy_market):
-        obs = build_states(noisy_market, window=10)
+        obs = build_states(noisy_market, None, window=10)
         ew = ew_policy(3)
         crp = CRPPolicy(np.full(3, 1.0 / 3.0))
         assert np.array_equal(ew(obs), crp(obs))
 
     def test_policy_output_is_a_copy(self, noisy_market):
-        obs = build_states(noisy_market, window=10)
+        obs = build_states(noisy_market, None, window=10)
         policy = ew_policy(3)
         out = policy(obs)
         out[0, 0] = 99.0
@@ -285,7 +285,7 @@ class TestReversionPolicies:
             timestamps=tuple(range(close.shape[1])),
             assets=tuple(f"A{i}" for i in range(len(rows))),
         )
-        return build_states(prices, window=window)
+        return build_states(prices, None, window=window)
 
     def test_history_extraction(self):
         # the first window is [[1, 2, 4], [3, 3, 1.5]], so the history the
@@ -329,7 +329,7 @@ class TestReversionPolicies:
         # 9 and 13 components cross numpy's 8-element pairwise-summation
         # boundary; a policy window of 15 is longer than the 11 ratios.
         prices = generate_synthetic(n_assets=n_assets, n_steps=80, vol=0.03, seed=6)
-        obs = build_states(prices, window=12)
+        obs = build_states(prices, None, window=12)
         policy = cls(n_assets + 1, window=window)
         b = looped = np.full(n_assets + 1, 1.0 / (n_assets + 1))
         expected, loop_expected = [], []

@@ -334,7 +334,7 @@ class TestBacktestCommand:
         labelled = []
 
         def counted(truth, *args):
-            labelled.append(truth.values.shape)
+            labelled.append(truth.shape)
             return real(truth, *args)
 
         real = cfgmod.oracle_labels
@@ -517,6 +517,42 @@ class TestCheckpointAndSplitErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: split.boundary:") and "too short" in err
         assert err.rstrip().endswith("at window 8")
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize(
+        "key,kind",
+        [
+            ("config", "dir"),
+            ("config", "bytes"),
+            ("market.csv.path", "dir"),
+            ("market.csv.path", "bytes"),
+            ("agent.checkpoint", "dir"),
+            ("out", "file"),
+            ("out", "result-dir"),
+        ],
+    )
+    def test_path_that_exists_but_cannot_be_read_exits_one(self, tmp_path, capsys, key, kind):
+        # a directory, a file with a byte that is not UTF-8, a regular file for the
+        # output directory, or a directory where metrics reads a result file
+        out = tmp_path / "x"
+        path = out / "result_ew.json" if kind == "result-dir" else tmp_path / "unreadable"
+        if kind.endswith("dir"):
+            path.mkdir(parents=True)
+        else:
+            path.write_bytes(b"caf\xe9\n")
+        argv = ["--out", str(path if kind == "file" else out), *sets(FAST_MARKET + FAST_AGENT)]
+        if key == "config":
+            argv += ["--config", str(path)]
+        elif key == "market.csv.path":
+            argv += sets(["market.source=csv", f"market.csv.path={path}"])
+        elif key == "agent.checkpoint":
+            argv += sets([f"agent.checkpoint={path}"])
+        assert run("metrics" if kind == "result-dir" else "train", *argv) == 1
+        named = f"config file {path}" if key == "config" else f"{key}: {path}"
+        if kind == "result-dir":  # metrics names a result file by its name in --out
+            named = f"out: {path.name}"
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
 
 
 class TestCsvMarket:

@@ -329,7 +329,7 @@ def _agents(cfg, train_p):
 
 def _outcome_bytes(outcome):
     params, curve, signals = outcome
-    return params.theta.tobytes(), curve, None if signals is None else signals.values.tobytes()
+    return params.theta.tobytes(), curve, None if signals is None else signals.tobytes()
 
 
 class TestTrainAgents:

@@ -6,7 +6,6 @@ import pytest
 from signalfolio.market import MarketDataError, PriceSeries, generate_synthetic
 from signalfolio.signals import (
     SignalError,
-    SignalSeries,
     _logits,
     _sigmoid,
     build_states,
@@ -32,7 +31,7 @@ def series_from_closes(*rows):
 
 def signal_at(series, t):
     """Oracle of one row's signal columns in build_states: the labels at step t."""
-    return series.values[:, t]
+    return series[:, t]
 
 
 def predict_internal(predictor, window):
@@ -42,36 +41,67 @@ def predict_internal(predictor, window):
     return np.where(_logits(predictor, log_rel)[:, 0] >= 0.0, 1.0, -1.0)
 
 
+class TestLabelContract:
+    """Each label maker returns a read-only float64 (n_assets, n_steps) array on
+    {-1, 0, +1} whose final column, which has no next step, is 0."""
+
+    @staticmethod
+    def check(labels, prices):
+        assert isinstance(labels, np.ndarray) and labels.dtype == np.float64
+        assert not labels.flags.writeable
+        assert labels.shape == (prices.n_assets, prices.n_steps)
+        assert np.all(np.isin(labels, (-1.0, 0.0, 1.0)))
+        assert np.all(labels[:, -1] == 0.0)
+
+    def test_true_movements(self, noisy_market, tiny_market):
+        for prices in (noisy_market, tiny_market):
+            self.check(true_movements(prices), prices)
+
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("accuracy", [0.0, 0.5, 0.7, 1.0])
+    def test_oracle_labels(self, noisy_market, accuracy, density):
+        truth = true_movements(noisy_market)
+        for seed in (0, 7, 2024):
+            self.check(oracle_labels(truth, accuracy, density, seed), noisy_market)
+
+    @pytest.mark.parametrize("steps", [5, 6, 120], ids=lambda steps: f"{steps}-steps")
+    def test_predictor_labels(self, noisy_market, steps):
+        # 5 steps leave no step with 4 log relatives before it, 6 leave one
+        predictor = fit_internal_predictor(noisy_market, lags=4, epochs=20, seed=0)
+        prices = noisy_market.slice(0, steps)
+        self.check(predictor_labels(predictor, prices), prices)
+
+
 class TestTrueMovements:
     def test_monotone_increase_all_up(self):
         truth = true_movements(series_from_closes([1.0, 2.0, 3.0, 4.0]))
-        assert np.all(truth.values[0, :3] == 1.0)
-        assert truth.values[0, 3] == 0.0
+        assert np.all(truth[0, :3] == 1.0)
+        assert truth[0, 3] == 0.0
 
     def test_down_then_up(self):
         truth = true_movements(series_from_closes([10.0, 9.0, 11.0]))
-        assert list(truth.values[0, :2]) == [-1.0, 1.0]
+        assert list(truth[0, :2]) == [-1.0, 1.0]
 
     def test_tie_counts_up_and_is_flagged(self):
         # a flat step is flagged as a move up: a present +1 label, not an absent 0
         truth = true_movements(series_from_closes([5.0, 5.0, 4.0]))
-        assert list(truth.values[0]) == [1.0, -1.0, 0.0]
+        assert list(truth[0]) == [1.0, -1.0, 0.0]
 
     def test_cash_excluded(self, tiny_market):
         truth = true_movements(tiny_market)
-        assert truth.values.shape == (2, 5)
+        assert truth.shape == (2, 5)
 
 
 class TestOracleLabels:
     def test_perfect_channel_equals_truth(self, noisy_market):
         truth = true_movements(noisy_market)
         labels = oracle_labels(truth, accuracy=1.0, density=1.0, seed=4)
-        assert np.array_equal(labels.values, truth.values)
+        assert np.array_equal(labels, truth)
 
     def test_density_zero_all_absent(self, noisy_market):
         truth = true_movements(noisy_market)
         labels = oracle_labels(truth, accuracy=0.8, density=0.0, seed=4)
-        assert np.all(labels.values == 0.0)
+        assert np.all(labels == 0.0)
 
     def test_density_count_exact_per_asset(self):
         rng = np.random.default_rng(8)
@@ -87,7 +117,7 @@ class TestOracleLabels:
                 seed=int(rng.integers(0, 10_000)),
             )
             expected = int(round(density * usable))
-            present = np.count_nonzero(labels.values, axis=1)
+            present = np.count_nonzero(labels, axis=1)
             assert np.all(present == expected)
 
     def test_agreement_rate_concentrates(self):
@@ -95,7 +125,7 @@ class TestOracleLabels:
         truth = true_movements(market)
         labels = oracle_labels(truth, accuracy=0.7, density=1.0, seed=12)
         usable = slice(0, market.n_steps - 1)
-        agree = np.mean(labels.values[0, usable] == truth.values[0, usable])
+        agree = np.mean(labels[0, usable] == truth[0, usable])
         assert 0.685 <= agree <= 0.715
 
     def test_deterministic_per_seed(self, noisy_market):
@@ -103,14 +133,14 @@ class TestOracleLabels:
         cfg = dict(accuracy=0.6, density=0.5, seed=99)
         a = oracle_labels(truth, **cfg)
         b = oracle_labels(truth, **cfg)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_bad_config_rejected(self, noisy_market):
         truth = true_movements(noisy_market)
         with pytest.raises(SignalError):
-            oracle_labels(truth, accuracy=1.2)
+            oracle_labels(truth, accuracy=1.2, density=1.0, seed=0)
         with pytest.raises(SignalError):
-            oracle_labels(truth, density=-0.1)
+            oracle_labels(truth, accuracy=1.0, density=-0.1, seed=0)
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -123,14 +153,15 @@ class TestOracleLabels:
     )
     def test_bad_config_messages(self, kwargs, message):
         # checked before the series, so a truth too short to label reports them
+        kwargs = {"accuracy": 1.0, "density": 1.0, "seed": 0, **kwargs}
         with pytest.raises(SignalError) as err:
-            oracle_labels(SignalSeries(values=np.zeros((1, 1))), **kwargs)
+            oracle_labels(np.zeros((1, 1)), **kwargs)
         assert str(err.value) == message
 
 
 class TestInternalPredictor:
     def test_uptrend_is_degenerate_and_perfect(self, drift_market):
-        predictor = fit_internal_predictor(drift_market, lags=3, epochs=50)
+        predictor = fit_internal_predictor(drift_market, lags=3, epochs=50, seed=0)
         assert predictor.degenerate[0]
         assert predictor.train_accuracy[0] == 1.0
 
@@ -153,22 +184,22 @@ class TestInternalPredictor:
 
     def test_too_short_history_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):
-            fit_internal_predictor(tiny_market, lags=5)
+            fit_internal_predictor(tiny_market, lags=5, epochs=200, seed=0)
 
     def test_lags_below_one_rejected(self, noisy_market):
         with pytest.raises(SignalError, match="lags must be >= 1"):
-            fit_internal_predictor(noisy_market, lags=0)
+            fit_internal_predictor(noisy_market, lags=0, epochs=200, seed=0)
 
     def test_predict_labels_binary(self, noisy_market):
-        predictor = fit_internal_predictor(noisy_market, lags=4, epochs=20)
-        labels = predictor_labels(predictor, noisy_market).values[:, 4:-1]
+        predictor = fit_internal_predictor(noisy_market, lags=4, epochs=20, seed=0)
+        labels = predictor_labels(predictor, noisy_market)[:, 4:-1]
         assert set(np.unique(labels)) <= {-1.0, 1.0}
 
     def test_window_too_short_rejected(self, noisy_market):
         # a step needs lags log relatives before it: none of 5 steps has 4
-        predictor = fit_internal_predictor(noisy_market, lags=4, epochs=5)
-        assert np.all(predictor_labels(predictor, noisy_market.slice(0, 5)).values == 0.0)
-        assert np.all(predictor_labels(predictor, noisy_market.slice(0, 6)).values[:, 4] != 0.0)
+        predictor = fit_internal_predictor(noisy_market, lags=4, epochs=5, seed=0)
+        assert np.all(predictor_labels(predictor, noisy_market.slice(0, 5)) == 0.0)
+        assert np.all(predictor_labels(predictor, noisy_market.slice(0, 6))[:, 4] != 0.0)
 
     def test_mirrored_window_flips_logit_sign(self):
         from signalfolio.signals import MovementPredictor
@@ -185,8 +216,8 @@ class TestInternalPredictor:
         closes = [1.0, 1.1, 1.25, 1.3, 1.6]
         rising = predictor_labels(predictor, series_from_closes(closes + [1.0]))
         falling = predictor_labels(predictor, series_from_closes(closes[::-1] + [1.0]))
-        assert rising.values[0, lags] == 1.0
-        assert falling.values[0, lags] == -1.0
+        assert rising[0, lags] == 1.0
+        assert falling[0, lags] == -1.0
 
     def test_predictor_labels_match_stepwise_predictions(self, noisy_market):
         predictor = fit_internal_predictor(noisy_market, lags=4, epochs=30, seed=2)
@@ -194,7 +225,7 @@ class TestInternalPredictor:
         closes = noisy_market.close[1:]
         for t in range(4, noisy_market.n_steps - 1):
             expected = predict_internal(predictor, closes[:, t - 4 : t + 1])
-            assert np.array_equal(series.values[:, t], expected)
+            assert np.array_equal(series[:, t], expected)
 
     @pytest.mark.filterwarnings("error")
     def test_sigmoid_bitwise_equals_two_branch_form(self):
@@ -213,11 +244,11 @@ class TestInternalPredictor:
         assert _sigmoid(z).tobytes() == two_branch(z).tobytes()
 
     def test_predictor_labels_absent_until_history(self, noisy_market):
-        predictor = fit_internal_predictor(noisy_market, lags=6, epochs=10)
+        predictor = fit_internal_predictor(noisy_market, lags=6, epochs=10, seed=0)
         series = predictor_labels(predictor, noisy_market)
-        assert np.all(series.values[:, :6] == 0.0)
-        assert np.all(series.values[:, -1] == 0.0)
-        assert np.all(series.values[:, 6] != 0.0)
+        assert np.all(series[:, :6] == 0.0)
+        assert np.all(series[:, -1] == 0.0)
+        assert np.all(series[:, 6] != 0.0)
 
 
 class TestAugment:
@@ -225,7 +256,7 @@ class TestAugment:
 
     def test_last_column_normalized_to_one(self):
         prices = series_from_closes([10.0, 12.0, 8.0, 9.0, 9.5], [5.0, 5.5, 5.0, 6.0, 6.1])
-        obs = build_states(prices, window=3)
+        obs = build_states(prices, None, window=3)
         assert np.all(close_windows(obs, 2)[:, :, -1] == 1.0)
         assert np.allclose(close_windows(obs, 2)[0, 0], [1.25, 1.5, 1.0])
 
@@ -237,7 +268,7 @@ class TestAugment:
     def test_standard_dimensions(self):
         closes = np.abs(np.random.default_rng(0).normal(10, 1, size=(9, 32)))
         prices = series_from_closes(*closes)
-        obs = build_states(prices, SignalSeries(values=np.ones((9, 32))), window=30)
+        obs = build_states(prices, np.ones((9, 32)), window=30)
         assert obs.shape == (len(obs), 279) == (len(obs), state_dim(9, 30))
 
     def test_rejects_nonpositive_window(self):
@@ -284,19 +315,14 @@ class TestStateAssembly:
         assert len(obs) == len(steps)
         assert steps[0] == 7
         assert steps[-1] == noisy_market.n_steps - 2
-        assert np.array_equal(obs[:5, -2:], truth.values[:, 7:12].T)
+        assert np.array_equal(obs[:5, -2:], truth[:, 7:12].T)
 
     def test_too_short_series_rejected(self, tiny_market):
         with pytest.raises(MarketDataError):
-            build_states(tiny_market, window=5)
+            build_states(tiny_market, None, window=5)
 
     def test_mismatched_signal_shape_rejected(self, tiny_market):
-        bad = SignalSeries(values=np.zeros((1, 5)))
+        bad = np.zeros((1, 5))
         with pytest.raises(SignalError):
             build_states(tiny_market, bad, window=2)
 
-
-class TestSignalSeries:
-    def test_discrete_values_validated(self):
-        with pytest.raises(SignalError):
-            SignalSeries(values=np.array([[0.5]]))
