@@ -10,8 +10,14 @@ dependence of each step's drifted weights on the previous action.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
+import signal
+import threading
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +37,83 @@ from .signals import build_states, decision_indices, signal_columns, state_dim
 
 class TrainingDivergedError(RuntimeError):
     """Objective became non-finite during training."""
+
+
+_CELL_ERRORS = (EngineError, ConvergenceError, TrainingDivergedError)  # each stops one cell
+
+
+@functools.cache
+def _openblas_calls():
+    """The get and set thread-count calls of numpy's bundled OpenBLAS, or None without it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:  # numpy has loaded the library already, so this maps nothing new
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_count = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_count.argtypes, set_count.restype = [ctypes.c_int], None
+        return get, set_count
+    return None
+
+
+def blas_threads(count: int | None = None) -> int | None:
+    """numpy's OpenBLAS thread count, set to count first if given; None where numpy bundles
+    no such library, and then nothing is set.  numpy has no call for it, so it goes through
+    ctypes.  The count never changes a byte of output, only the speed."""
+    calls = _openblas_calls()
+    if calls is None:
+        return None
+    get, set_count = calls
+    if count is not None:
+        set_count(count)
+    return get()
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked helper may judge epochs while training goes on, on a CPU nothing else uses.
+
+    That needs the fork start method, a process that is no pool worker (its
+    siblings hold the other CPUs), more than one CPU in the affinity set, and
+    numpy's OpenBLAS at one thread, so that BLAS holds no second core.  It
+    also needs this to be the only Python thread: a fork copies no other
+    thread, and a lock one of them held would stay held in the helper.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or len(affinity(0)) < 2 or blas_threads() != 1:
+        return False
+    if threading.active_count() > 1:
+        return False
+    import multiprocessing  # here: importing the package loads no process machinery
+
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and multiprocessing.parent_process() is None
+    )
+
+
+def _fork(target, cpus):
+    """Fork a daemon process running target(its end, this end) of a new pipe, move this
+    thread onto all of cpus but the last, which the process is to take, and return the
+    process and this end.  Unpinned, the kernel runs a process that a pipe wakes on its
+    waker's core, and the two take turns there while the other core idles."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    here, there = context.Pipe()
+    process = context.Process(target=target, args=(there, here), daemon=True)
+    try:
+        os.sched_setaffinity(0, cpus[:-1])
+        process.start()
+    except OSError:
+        here.close()
+        os.sched_setaffinity(0, cpus)
+        raise
+    finally:
+        there.close()
+    return process, here
 
 
 class PolicyParams:
@@ -252,7 +335,10 @@ def train(
     and the per-epoch objective on the full training episode, or the error
     that stopped it: non-finite parameters or objective, or an infeasible
     rebalance.  A stopped cell leaves the group; the rest go on.  Parameters
-    that turn non-finite stop their cell at the end of the epoch.
+    that turn non-finite stop their cell at the end of the epoch.  Where a
+    CPU is spare (_spare_cpu), a forked helper computes each epoch's
+    objectives but the last while the next epoch trains, with the same
+    outcomes, curves, parameters and generator states as judging inline.
     """
     if learning_rate < 0.0 or batch_window < 1 or epochs < 0 or window < 1:
         raise EngineError("bad training settings")
@@ -298,17 +384,20 @@ def train(
 
     def stop_failed(check=None) -> None:
         """Stop the live rows whose parameters are not finite or whose check(row, cell) raises."""
-        nonlocal group, grads, live
-        kept = []
         for row, cell in enumerate(live):
             try:
                 if not np.isfinite(group.theta[row]).all():
                     raise TrainingDivergedError("policy parameters are no longer finite")
                 if check:
                     check(row, cell)
-                kept.append(row)
-            except (EngineError, ConvergenceError, TrainingDivergedError) as exc:
+            except _CELL_ERRORS as exc:
                 outcomes[cell] = exc
+        drop_stopped()
+
+    def drop_stopped() -> None:
+        """Take the rows of the cells that have an outcome out of the group."""
+        nonlocal group, grads, live
+        kept = [row for row, cell in enumerate(live) if outcomes[cell] is None]
         if len(kept) < live.size:
             group, grads, live = group.cells(kept), grads.cells(kept), live[kept]
 
@@ -319,36 +408,118 @@ def train(
             group.cells(one), x[one], y[one], at_start[one], entry, cm, grads.cells(one)
         )
 
-    def judge(row, cell) -> None:
+    def score(cell_params: PolicyParams, cell) -> float:
         """The objective a cell scores at the end of an epoch, which must be finite."""
         obs[:, columns] = labels[cell]
-        score = objective(group.cells(row), obs[1:], rel, cm)
-        if not np.isfinite(score):
-            raise TrainingDivergedError(f"objective became {score} during training")
-        curves[cell].append(score)
+        value = objective(cell_params, obs[1:], rel, cm)
+        if not np.isfinite(value):
+            raise TrainingDivergedError(f"objective became {value} during training")
+        return value
+
+    def judge(row, cell) -> None:
+        curves[cell].append(score(group.cells(row), cell))
+
+    def serve(connection, other) -> None:
+        """The helper's loop: for each pair of messages received, the live cells and their
+        rows of theta, send one verdict per cell, its score or the error that stops it, or
+        the first unexpected error; stop at EOF."""
+        other.close()  # so the parent closing its end is this end's EOF
+        os.sched_setaffinity(0, cpus[-1:])
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+
+        def verdict(theta, cell):
+            try:
+                return score(PolicyParams(theta, shapes), cell)
+            except Exception as exc:  # the frames stay here, so their text travels as a note
+                frames = "".join(traceback.format_tb(exc.__traceback__))
+                exc.add_note(f"raised in the judge helper:\n{frames.rstrip()}")
+                if isinstance(exc, _CELL_ERRORS):
+                    return exc
+                raise
+
+        while True:
+            try:
+                judged = np.frombuffer(connection.recv_bytes(), dtype=live.dtype)
+                theta = np.frombuffer(connection.recv_bytes()).reshape(judged.size, -1)
+            except EOFError:
+                return
+            try:
+                verdicts = [verdict(row, cell) for row, cell in zip(theta, judged)]
+            except Exception as exc:
+                verdicts = exc
+            try:
+                connection.send(verdicts)
+            except OSError:  # the parent stopped waiting
+                return
+
+    def settle(undrawn) -> None:
+        """The helper's verdicts on the cells of pending, applied as if judged in order
+        before this epoch: a stopped cell takes the judge's error, its generator goes back
+        to its state before this epoch's draw (undrawn), and its row leaves the group."""
+        try:
+            verdicts = helper[1].recv()
+        except EOFError:
+            raise RuntimeError("the judge helper exited without a verdict") from None
+        if isinstance(verdicts, BaseException):
+            raise verdicts
+        for cell, verdict, state in zip(pending, verdicts, undrawn):
+            if isinstance(verdict, Exception):
+                outcomes[cell] = verdict
+                rngs[cell].bit_generator.state = state
+            else:
+                curves[cell].append(verdict)
+        drop_stopped()
 
     # Rows never mix, so a cell that turns non-finite mid-epoch changes no other
     # cell before the end of the epoch stops it.  Finiteness is checked before
     # judge, whose fixed-point objective would raise ConvergenceError on NaN.
+    # With a spare CPU, a forked helper judges each epoch but the last while
+    # the next one trains; a cell the judge stops has then trained one epoch
+    # too many, which changes no other cell, and settle undoes its draw.
     stop_failed()
+    helper = None  # (process, connection) of the judge helper
+    if epochs > 1 and live.size and _spare_cpu():
+        cpus = sorted(os.sched_getaffinity(0))
+        try:
+            helper = _fork(serve, cpus)
+        except OSError:  # no process to be had: the judge runs here
+            pass
+    pending = live[:0]  # the cells whose verdict on the last epoch the helper is computing
     starts = np.zeros((cells, steps), dtype=np.int64)  # window starts, by cell
-    for _ in range(epochs):
-        for cell in live:  # a stopped cell's generator is left as it stopped
-            starts[cell] = rngs[cell].integers(0, t_total - batch + 1, size=steps)
-        for step in range(steps):
-            if not live.size:
-                break
-            first = starts[live, step]
-            at_start, rows = first == 0, first[:, None] + offsets
-            x, y = obs.take(rows, axis=0), moves.take(rows, axis=0)
-            x[..., columns] = flat_labels.take(live[:, None] * (t_total + 1) + rows, axis=0)
-            try:
-                _lockstep_grads(group, x, y, at_start, entry, cm, grads)
-            except EngineError:  # an infeasible rebalance stops only the cells that hit it
-                stop_failed(retry)
-            grads.theta *= learning_rate
-            group.theta += grads.theta
-        stop_failed(judge)
+    try:
+        for epoch in range(epochs):
+            undrawn = [rngs[cell].bit_generator.state for cell in pending]
+            for cell in live:  # a stopped cell's generator is left as it stopped
+                starts[cell] = rngs[cell].integers(0, t_total - batch + 1, size=steps)
+            for step in range(steps):
+                if not live.size:
+                    break
+                first = starts[live, step]
+                at_start, rows = first == 0, first[:, None] + offsets
+                x, y = obs.take(rows, axis=0), moves.take(rows, axis=0)
+                x[..., columns] = flat_labels.take(live[:, None] * (t_total + 1) + rows, axis=0)
+                try:
+                    _lockstep_grads(group, x, y, at_start, entry, cm, grads)
+                except EngineError:  # an infeasible rebalance stops only the cells that hit it
+                    stop_failed(retry)
+                grads.theta *= learning_rate
+                group.theta += grads.theta
+            if pending.size:
+                settle(undrawn)
+                pending = live[:0]
+            if helper and epoch < epochs - 1:
+                stop_failed()
+                if live.size:
+                    helper[1].send_bytes(live)
+                    helper[1].send_bytes(group.theta)
+                    pending = live
+                continue
+            stop_failed(judge)
+    finally:
+        if helper:
+            helper[1].close()
+            helper[0].join()
+            os.sched_setaffinity(0, cpus)
     for row, cell in enumerate(live):
         outcomes[cell] = (group.cells(row), curves[cell])
     return outcomes

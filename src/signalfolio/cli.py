@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import shutil
 import sys
 from functools import partial
@@ -134,8 +135,11 @@ def _write_metric_tables(cfg, runs, out: Path) -> None:
 def cmd_train(cfg, out: Path) -> int:
     train_p, _ = cfgmod.build_segments(cfg)
     loaded, epochs_done = cfgmod.load_agent_checkpoint(cfg, train_p.n_assets)
+    curve_path = out / "learning_curve.csv"
+    old_rows = [] if loaded is None else _old_curve(curve_path, epochs_done)
     params, curve, _ = _train_agent(cfg, train_p, None, cfgmod.build_cost(cfg), loaded)
-    _write_curve(out / "learning_curve.csv", curve, epochs_done, resumed=loaded is not None)
+    rows = [*old_rows, *enumerate(curve, start=epochs_done + 1)]
+    write_table(curve_path, ["epoch", "J_T"], rows)
     save_checkpoint(
         params,
         out / "checkpoint.json",
@@ -145,12 +149,40 @@ def cmd_train(cfg, out: Path) -> int:
     return 0
 
 
-def _write_curve(path: Path, curve, start_epoch: int, resumed: bool) -> None:
-    """The learning curve, whole: a resumed run's rows follow the old rows up to start_epoch."""
-    old = path.read_text().splitlines()[1:] if resumed and path.exists() else []
-    kept = [row for row in (line.split(",") for line in old) if int(row[0]) <= start_epoch]
-    rows = [*kept, *enumerate(curve, start=start_epoch + 1)]
-    write_table(path, ["epoch", "J_T"], rows)
+def _old_curve(path: Path, epochs_done: int) -> list[tuple[int, float]]:
+    """The rows a resumed run keeps of its learning curve: epochs 1 to epochs_done.
+
+    The file must be the header and then (integer epoch, finite J_T) rows
+    numbered from 1 in order, through at least epochs_done; rows past it are
+    replaced.  With no file the curve starts at epochs_done + 1.
+    """
+    if not path.exists():
+        return []
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, ValueError) as exc:  # a directory, a non-UTF-8 byte
+        raise ConfigError(f"out: {path.name}: {exc}") from exc
+    if lines[:1] != ["epoch,J_T"]:
+        raise ConfigError(f"out: {path.name} line 1: want the header 'epoch,J_T'")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        epoch, _, value = line.partition(",")
+        try:
+            row = (int(epoch), float(value))
+        except ValueError:
+            row = None
+        if row is None or row[0] != len(rows) + 1 or not math.isfinite(row[1]):
+            raise ConfigError(
+                f"out: {path.name} line {number}: {line!r} is not epoch {len(rows) + 1} "
+                "and a finite J_T"
+            )
+        rows.append(row)
+    if len(rows) < epochs_done:
+        raise ConfigError(
+            f"out: {path.name} line {len(lines) + 1}: the file ends at epoch {len(rows)}, "
+            f"but agent.checkpoint has {epochs_done} epochs trained"
+        )
+    return rows[:epochs_done]
 
 
 def cmd_sweep(cfg, out: Path) -> int:

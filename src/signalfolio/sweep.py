@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .agent import policy_forward
+from .agent import blas_threads, policy_forward
 from .engine import CostModel, run_backtest
 from .evaluation import sharpe_ratio, write_table
 from .market import PriceSeries, write_json
@@ -147,9 +147,10 @@ def run_sweep(cfg: dict[str, object]) -> tuple[list[dict], list[dict]]:
     n_groups = min(cfg["jobs"], len(cells))
     groups = [cells[i::n_groups] for i in range(n_groups)]
     if n_groups > 1:
-        # imported here, so a run with one group never loads multiprocessing
+        # imported here, so a run with one group never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+        # each worker runs one BLAS thread, so n_groups workers keep to n_groups cores
+        with ProcessPoolExecutor(n_groups, initializer=blas_threads, initargs=(1,)) as pool:
             done = list(pool.map(run, groups))
     else:
         done = [run(cells)]

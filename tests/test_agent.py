@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import traceback
 import tracemalloc
 from functools import partial
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 
 from scalar import episode, window_gradient
+from signalfolio import agent
 from signalfolio.agent import (
     PolicyParams,
     TrainingDivergedError,
@@ -19,12 +24,13 @@ from signalfolio.agent import (
     save_checkpoint,
     train,
 )
-from signalfolio.engine import CostModel, EngineError, all_cash, run_backtest
+from signalfolio.engine import CostModel, ConvergenceError, EngineError, all_cash, run_backtest
 from signalfolio.market import PriceSeries, chronological_split, generate_synthetic
 from signalfolio.signals import (
     SignalError,
     build_states,
     oracle_labels,
+    signal_columns,
     state_dim,
     true_movements,
 )
@@ -599,6 +605,172 @@ class TestLockstep:
         assert isinstance(group[2], EngineError)
         for pos in (0, 1, 3):
             _assert_same_outcome(group[pos], solo[pos])
+
+
+class TestJudgeHelper:
+    """A forked helper judges each epoch but the last while the next trains, and every
+    outcome, curve, parameter byte and generator state equals judging inline."""
+
+    WINDOW = 8
+
+    def _group(self, mode):
+        """Six cells: healthy ones, one non-finite at the start (cell 1), a flipper (cell 3),
+        and one (cell 4) whose objective the patched judge finds NaN at epoch 1.  At
+        these rates the flipper's rebalance is infeasible in simple mode, and in
+        fixed-point mode cell 5's cost fixed point stops converging."""
+        prices = generate_synthetic(n_assets=3, n_steps=200, vol=0.02, seed=21)
+        moves = true_movements(prices)
+        signals = [oracle_labels(moves, accuracy=0.8, density=1.0, seed=c) for c in range(6)]
+        signals[0] = None
+        d = 3 * self.WINDOW + 3
+        params = [init_policy(d, 4, hidden=(8,), seed=30 + c) for c in range(6)]
+        params[1].weights[0][0, 0] = np.nan
+        flipper = _zero_params(d, 4, hidden=(8,))
+        flipper.weights[0][0, 3 * self.WINDOW] = 5.0
+        flipper.weights[1][1, 0], flipper.weights[1][2, 0] = 40.0, -40.0
+        params[3] = flipper
+        rate = 0.9 if mode == "simple" else 0.7
+        cm = CostModel(c_buy=rate, c_sell=rate, mode=mode)
+        cfg = settings(learning_rate=0.1, batch_window=16, epochs=3, window=self.WINDOW)
+        return prices, params, signals, cm, cfg
+
+    def _nan_judge(self, monkeypatch, prices, signals, error=None):
+        """Patch agent.objective: NaN on cell 4's label columns, or raise error there."""
+        marked, real = signal_columns(prices, signals[4], self.WINDOW), agent.objective
+
+        def judged(params, states, rel, cm):
+            if np.array_equal(states[:, -3:], marked):
+                if error:
+                    raise error
+                return float("nan")
+            return real(params, states, rel, cm)
+
+        monkeypatch.setattr(agent, "objective", judged)
+
+    def _run(self, monkeypatch, spare, prices, params, signals, cm, cfg):
+        """train with the helper forced on or off; the outcomes, samplers and forks made."""
+        forks, real_fork = [], agent._fork
+
+        def counted_fork(*args):
+            forks.append(args)
+            return real_fork(*args)
+
+        monkeypatch.setattr(agent, "_spare_cpu", lambda: spare)
+        monkeypatch.setattr(agent, "_fork", counted_fork)
+        samplers = rngs(range(len(params)))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcomes = train(params, prices, signals, cm, samplers, **cfg)
+        finally:
+            assert multiprocessing.active_children() == []
+        return outcomes, [g.bit_generator.state for g in samplers], len(forks)
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
+    def test_helper_equals_inline(self, monkeypatch, mode):
+        prices, params, signals, cm, cfg = self._group(mode)
+        self._nan_judge(monkeypatch, prices, signals)
+        inline, inline_states, inline_forks = self._run(
+            monkeypatch, False, prices, params, signals, cm, cfg
+        )
+        helper, helper_states, helper_forks = self._run(
+            monkeypatch, True, prices, params, signals, cm, cfg
+        )
+        assert (inline_forks, helper_forks) == (0, 1)
+        assert isinstance(inline[1], TrainingDivergedError)
+        assert str(inline[4]) == "objective became nan during training"
+        failed = (3, EngineError) if mode == "simple" else (5, ConvergenceError)
+        assert isinstance(inline[failed[0]], failed[1])
+        assert sum(not isinstance(o, Exception) for o in inline) == 3
+        for got, want in zip(helper, inline):
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert got[1] == want[1] and len(got[1]) == cfg["epochs"]
+                assert got[0].theta.tobytes() == want[0].theta.tobytes()
+        assert helper_states == inline_states
+        # the judge stopped cell 4 before its second draw, in the helper too
+        one_epoch = np.random.default_rng(4)
+        t_total = episode(prices, window=self.WINDOW)[0].shape[0]
+        one_epoch.integers(0, t_total - 16 + 1, size=t_total // 16)
+        assert helper_states[4] == one_epoch.bit_generator.state
+
+    def test_helper_error_keeps_its_text_and_shows_its_frame(self, monkeypatch):
+        prices, params, signals, cm, cfg = self._group("simple")
+        self._nan_judge(monkeypatch, prices, signals)
+        outcomes, _, forks = self._run(monkeypatch, True, prices, params, signals, cm, cfg)
+        assert forks == 1
+        stopped = outcomes[4]
+        assert str(stopped) == "objective became nan during training"
+        shown = "".join(traceback.format_exception(stopped))
+        assert "raised in the judge helper" in shown and "in score" in shown
+
+    def test_unexpected_helper_error_is_raised(self, monkeypatch):
+        prices, params, signals, cm, cfg = self._group("simple")
+        self._nan_judge(monkeypatch, prices, signals, error=KeyError("judge broke"))
+        for spare in (False, True):
+            with pytest.raises(KeyError, match="judge broke"):
+                self._run(monkeypatch, spare, prices, params, signals, cm, cfg)
+
+    def test_step_error_leaves_no_process(self, monkeypatch):
+        prices, params, signals, cm, cfg = self._group("simple")
+        steps, real_step = [], agent._lockstep_grads
+
+        def failing_step(*args):
+            steps.append(1)
+            if len(steps) > 15:  # in epoch 2, while the helper judges epoch 1
+                raise RuntimeError("step broke")
+            return real_step(*args)
+
+        monkeypatch.setattr(agent, "_lockstep_grads", failing_step)
+        with pytest.raises(RuntimeError, match="step broke"):
+            self._run(monkeypatch, True, prices, params, signals, cm, cfg)
+
+    def test_one_epoch_starts_no_process(self, monkeypatch):
+        prices, params, signals, cm, cfg = self._group("simple")
+        one_epoch = {**cfg, "epochs": 1}
+        _, _, forks = self._run(monkeypatch, True, prices, params, signals, cm, one_epoch)
+        assert forks == 0
+
+    def test_helper_that_cannot_start_judges_inline(self, monkeypatch):
+        prices, params, signals, cm, cfg = self._group("fixed_point")
+        inline, inline_states, _ = self._run(monkeypatch, False, prices, params, signals, cm, cfg)
+
+        def no_process(*args):
+            raise OSError("no process")
+
+        monkeypatch.setattr(agent, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(agent, "_fork", no_process)
+        samplers = rngs(range(len(params)))
+        got = train(params, prices, signals, cm, samplers, **cfg)
+        assert multiprocessing.active_children() == []
+        assert [g.bit_generator.state for g in samplers] == inline_states
+        for a, b in zip(got, inline):
+            if isinstance(b, Exception):
+                assert str(a) == str(b)
+            else:
+                assert a[1] == b[1] and a[0].theta.tobytes() == b[0].theta.tobytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["spare", "two blas threads", "no openblas", "pool worker", "one cpu", "no fork",
+         "threads"],
+    )
+    def test_spare_cpu_needs_every_condition(self, monkeypatch, case):
+        cpus = {0} if case == "one cpu" else {0, 1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(threading, "active_count", lambda: 2 if case == "threads" else 1)
+        threads = {"two blas threads": 2, "no openblas": None}.get(case, 1)
+        monkeypatch.setattr(agent, "blas_threads", lambda: threads)
+        parent = object() if case == "pool worker" else None
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: parent)
+        methods = ["spawn"] if case == "no fork" else ["fork", "spawn"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        assert agent._spare_cpu() is (case == "spare")
+
+    def test_blas_threads_without_the_library_sets_nothing(self, monkeypatch):
+        monkeypatch.setattr(agent, "_openblas_calls", lambda: None)
+        assert agent.blas_threads() is None and agent.blas_threads(1) is None
+
 
 
 class TestCheckpoint:

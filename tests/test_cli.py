@@ -656,6 +656,54 @@ class TestTrainCommand:
         assert (out / "learning_curve.csv").read_bytes() == once
         assert load_checkpoint(out / "checkpoint.json")[1]["epochs_trained"] == 6
 
+    def _resume_with_curve(self, tmp_path, text):
+        """Resume a 2-epoch checkpoint into its own --out after replacing its curve with text."""
+        out = tmp_path / "run"
+        base = FAST_MARKET + FAST_AGENT
+        assert run("train", "--out", str(out), *sets(base)) == 0
+        ckpt = tmp_path / "epoch2.json"
+        ckpt.write_bytes((out / "checkpoint.json").read_bytes())
+        if text is not None:
+            (out / "learning_curve.csv").write_text(text)
+        else:
+            (out / "learning_curve.csv").unlink()
+        return out, run("train", "--out", str(out), *sets(base + [f"agent.checkpoint={ckpt}"]))
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("epoch,J_T\nx,1.0\n2,0.5\n", 2),  # no integer epoch
+            ("epoch,J_T\n1\n", 2),  # no J_T
+            ("epoch,J_T\n1,0.5,0.7\n2,0.5\n", 2),  # a third field
+            ("epoch,J_T\n1,nan\n2,0.5\n", 2),  # not a finite J_T
+            ("epoch,J_T\n1,0.5\n3,0.5\n", 3),  # a gap
+            ("epoch,J_T\n2,0.5\n1,0.5\n", 2),  # out of order
+            ("epoch,J_T\n1,0.5\n", 3),  # shorter than the checkpoint's 2 epochs
+            ("epoch,J_T\n", 2),  # no row at all
+            ("", 1),  # no header
+            ("epochs,J\n1,0.5\n2,0.5\n", 1),  # another header
+        ],
+    )
+    def test_resume_rejects_a_bad_old_curve(self, tmp_path, capsys, text, line):
+        out, code = self._resume_with_curve(tmp_path, text)
+        assert code == 1
+        assert f"learning_curve.csv line {line}:" in capsys.readouterr().err
+        assert (out / "learning_curve.csv").read_text() == text
+
+    def test_resume_keeps_a_good_old_curve_through_the_checkpoint(self, tmp_path):
+        text = "epoch,J_T\r\n1,0.25\r\n2,-0.5\r\n3,9.0\r\n"
+        out, code = self._resume_with_curve(tmp_path, text)
+        assert code == 0
+        lines = (out / "learning_curve.csv").read_text().splitlines()
+        assert lines[:3] == ["epoch,J_T", "1,0.25", "2,-0.5"]
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+
+    def test_resume_without_an_old_curve_starts_after_the_checkpoint(self, tmp_path):
+        out, code = self._resume_with_curve(tmp_path, None)
+        assert code == 0
+        lines = (out / "learning_curve.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["epoch", "3", "4"]
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("steps", ["-3", "0"])
     def test_bad_steps_per_epoch_exits_one(self, tmp_path, capsys, command, steps):

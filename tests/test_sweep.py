@@ -6,6 +6,7 @@ import json
 import pytest
 
 from signalfolio import config as cfgmod
+from signalfolio.agent import blas_threads
 from signalfolio.config import ConfigError, resolve
 from signalfolio.sweep import (
     CellSpec,
@@ -42,10 +43,15 @@ def tiny_cfg(**overrides):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor, running the groups in this process."""
+    """Stands in for ProcessPoolExecutor, running the groups in this process.
 
-    def __init__(self, max_workers):
+    It takes a worker initializer and its arguments but never runs it, so
+    the test process keeps its own BLAS thread count.
+    """
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
+        self.initializer, self.initargs = initializer, initargs
 
     def __enter__(self):
         return self
@@ -181,6 +187,24 @@ class TestRunSweep:
         rows, failures = run_sweep(tiny_cfg(jobs=jobs))
         assert failures == [] and len(rows) == 3
         assert calls == group_sizes
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # Each worker reports its thread count by the error it raises; the
+        # pool's stand-in takes the same initializer and leaves this process alone.
+        here = blas_threads()
+        if here is None:
+            pytest.skip("numpy bundles no OpenBLAS whose thread count ctypes can read")
+
+        def report(*args):
+            raise RuntimeError(f"worker blas threads {blas_threads()}")
+
+        monkeypatch.setattr(cfgmod, "train_agents", report)
+        with pytest.raises(RuntimeError, match="^worker blas threads 1$"):
+            run_sweep(tiny_cfg(jobs=2))
+        assert blas_threads() == here
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        with pytest.raises(RuntimeError, match=f"^worker blas threads {here}$"):
+            run_sweep(tiny_cfg(jobs=2))
 
     def test_setup_failure_fails_one_cell(self, monkeypatch):
         expected, _ = run_sweep(tiny_cfg())
