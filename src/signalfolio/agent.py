@@ -513,8 +513,8 @@ def train(
                     helper[1].send_bytes(live)
                     helper[1].send_bytes(group.theta)
                     pending = live
-                continue
-            stop_failed(judge)
+            else:
+                stop_failed(judge)
     finally:
         if helper:
             helper[1].close()

@@ -772,7 +772,6 @@ class TestJudgeHelper:
         assert agent.blas_threads() is None and agent.blas_threads(1) is None
 
 
-
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_policy(14, 4, hidden=(8, 6), seed=3)
