@@ -2,11 +2,10 @@
 """Record the benchmark's figures for one tree in one file, BENCH_<n>.json.
 
     python3 bench/record.py --out BENCH_31.json
-    python3 bench/record.py --out /tmp/bench.json --seconds 4 --workload train-internal
     python3 bench/record.py --out /tmp/bench.json --tiny --seconds 0
 
 Run from anywhere; the tree is the one this file sits in.  Each workload of
-perfbench/workloads.py runs in its own fresh process, once untraced
+BENCHMARK.json runs at seed 0 in its own fresh process, once untraced
 (--trace 0: the end-to-end metrics) and once traced (--trace 1: the
 per-layer metrics), through perfbench/run.py's ``measure`` and
 ``host_info``, loaded by file path so that nothing under perfbench/ is
@@ -33,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEED = 0
 
 
 def load_perfbench_run():
@@ -45,24 +46,23 @@ def load_perfbench_run():
     return module
 
 
-def child(name: str, seed: int, seconds: float, trace: bool, tiny: bool) -> dict:
+def child(name: str, seconds: float, trace: bool, tiny: bool) -> dict:
     """One perfbench measurement in this process; its result line and its detail record."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as perfbench/run.py does, before numpy loads
     sys.path.insert(0, str(ROOT / "src"))
     bench = load_perfbench_run()
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     with tempfile.TemporaryDirectory(prefix="bench-record-") as work:
         bench.OUT = Path(work)
-        line, detail = bench.measure(spec, name, seed, seconds, trace, tiny)
+        line, detail = bench.measure(SPEC, name, SEED, seconds, trace, tiny)
     detail.pop("ops")  # one entry per operation: too long for the record
     return {"result": line, "detail": detail, "host": bench.host_info()}
 
 
-def measure_in_child(name: str, seed: int, seconds: float, trace: bool, tiny: bool) -> dict:
+def measure_in_child(name: str, seconds: float, trace: bool, tiny: bool) -> dict:
     argv = [
         sys.executable, str(Path(__file__).resolve()), "--child", name,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace)),
+        "--seconds", str(seconds), "--trace", str(int(trace)),
     ]
     if tiny:
         argv.append("--tiny")
@@ -74,14 +74,13 @@ def measure_in_child(name: str, seed: int, seconds: float, trace: bool, tiny: bo
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def record(names: list[str], seed: int, seconds: float, tiny: bool) -> dict:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def record(seconds: float, tiny: bool) -> dict:
     workloads, host = {}, None
-    for name in names:
-        plain = measure_in_child(name, seed, seconds, False, tiny)
-        traced = measure_in_child(name, seed, seconds, True, tiny)
+    units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+    for name in (w["name"] for w in SPEC["workloads"]):
+        plain = measure_in_child(name, seconds, False, tiny)
+        traced = measure_in_child(name, seconds, True, tiny)
         host = host or plain["host"]
-        units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
         workloads[name] = {
             "end_to_end": {
                 key: {"value": plain["detail"]["end_to_end"][key], "unit": unit}
@@ -104,7 +103,7 @@ def record(names: list[str], seed: int, seconds: float, tiny: bool) -> dict:
         }
     return {
         "command": ["python3", "bench/record.py", *sys.argv[1:]],
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
         "tiny": tiny,
         "host": host,
@@ -116,31 +115,18 @@ def record(names: list[str], seed: int, seconds: float, tiny: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="the JSON file to write")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json's)")
     parser.add_argument("--tiny", action="store_true", help="perfbench's tiny workload sizes")
-    parser.add_argument(
-        "--workload", action="append", help="one workload (repeatable; default all)"
-    )
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help=argparse.SUPPRESS)
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    seconds = args.seconds
-    if seconds is None:
-        seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+    seconds = float(SPEC["run_seconds"]) if args.seconds is None else args.seconds
     if args.child:
-        print(json.dumps(child(args.child, args.seed, seconds, bool(args.trace), args.tiny)))
+        print(json.dumps(child(args.child, seconds, bool(args.trace), args.tiny)))
         return 0
     if not args.out:
         parser.error("--out is required")
-    sys.path.insert(0, str(PERFBENCH))
-    import workloads
-
-    names = args.workload or list(workloads.WORKLOADS)
-    unknown = sorted(set(names) - set(workloads.WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workload {unknown}; choose from {list(workloads.WORKLOADS)}")
-    data = record(names, args.seed, seconds, args.tiny)
+    data = record(seconds, args.tiny)
     Path(args.out).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     for name, entry in data["workloads"].items():
         rate = entry["rate"]

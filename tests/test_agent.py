@@ -607,6 +607,15 @@ class TestLockstep:
             _assert_same_outcome(group[pos], solo[pos])
 
 
+# The helper takes a CPU of its own; with only one in the affinity set, train
+# judges inline even when _spare_cpu is forced true, and a test of the helper
+# would pass without it.
+TWO_CPUS = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the judge helper needs two CPUs in the affinity set",
+)
+
+
 class TestJudgeHelper:
     """A forked helper judges each epoch but the last while the next trains, and every
     outcome, curve, parameter byte and generator state equals judging inline."""
@@ -648,34 +657,44 @@ class TestJudgeHelper:
         monkeypatch.setattr(agent, "objective", judged)
 
     def _run(self, monkeypatch, spare, prices, params, signals, cm, cfg):
-        """train with the helper forced on or off; the outcomes, samplers and forks made."""
-        forks, real_fork = [], agent._fork
+        """train with the helper forced on or off; the outcomes and samplers.  Counts
+        the helpers started in self.forks, and in self.judged the objectives this
+        process scored: a forked helper's own calls add nothing to it."""
+        self.forks, self.judged = 0, 0
+        real_fork, real_objective = agent._fork, agent.objective
 
         def counted_fork(*args):
-            forks.append(args)
-            return real_fork(*args)
+            started = real_fork(*args)
+            self.forks += 1
+            return started
 
-        monkeypatch.setattr(agent, "_spare_cpu", lambda: spare)
-        monkeypatch.setattr(agent, "_fork", counted_fork)
+        def counted_objective(*args):
+            self.judged += 1
+            return real_objective(*args)
+
         samplers = rngs(range(len(params)))
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with monkeypatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+                patch.setattr(agent, "_spare_cpu", lambda: spare)
+                patch.setattr(agent, "_fork", counted_fork)
+                patch.setattr(agent, "objective", counted_objective)
                 outcomes = train(params, prices, signals, cm, samplers, **cfg)
         finally:
             assert multiprocessing.active_children() == []
-        return outcomes, [g.bit_generator.state for g in samplers], len(forks)
+        return outcomes, [g.bit_generator.state for g in samplers]
 
+    @TWO_CPUS
     @pytest.mark.parametrize("mode", ["fixed_point", "simple"])
     def test_helper_equals_inline(self, monkeypatch, mode):
         prices, params, signals, cm, cfg = self._group(mode)
         self._nan_judge(monkeypatch, prices, signals)
-        inline, inline_states, inline_forks = self._run(
-            monkeypatch, False, prices, params, signals, cm, cfg
-        )
-        helper, helper_states, helper_forks = self._run(
-            monkeypatch, True, prices, params, signals, cm, cfg
-        )
-        assert (inline_forks, helper_forks) == (0, 1)
+        inline, inline_states = self._run(monkeypatch, False, prices, params, signals, cm, cfg)
+        inline_run = (self.forks, self.judged)
+        helper, helper_states = self._run(monkeypatch, True, prices, params, signals, cm, cfg)
+        # this process judged every epoch inline, and with the helper only the
+        # last epoch, whose three cells are the ones left healthy below
+        assert inline_run[0] == 0 and inline_run[1] > 3
+        assert (self.forks, self.judged) == (1, 3)
         assert isinstance(inline[1], TrainingDivergedError)
         assert str(inline[4]) == "objective became nan during training"
         failed = (3, EngineError) if mode == "simple" else (5, ConvergenceError)
@@ -694,23 +713,29 @@ class TestJudgeHelper:
         one_epoch.integers(0, t_total - 16 + 1, size=t_total // 16)
         assert helper_states[4] == one_epoch.bit_generator.state
 
+    @TWO_CPUS
     def test_helper_error_keeps_its_text_and_shows_its_frame(self, monkeypatch):
         prices, params, signals, cm, cfg = self._group("simple")
         self._nan_judge(monkeypatch, prices, signals)
-        outcomes, _, forks = self._run(monkeypatch, True, prices, params, signals, cm, cfg)
-        assert forks == 1
+        outcomes, _ = self._run(monkeypatch, True, prices, params, signals, cm, cfg)
+        assert self.forks == 1
         stopped = outcomes[4]
         assert str(stopped) == "objective became nan during training"
         shown = "".join(traceback.format_exception(stopped))
         assert "raised in the judge helper" in shown and "in score" in shown
 
+    @TWO_CPUS
     def test_unexpected_helper_error_is_raised(self, monkeypatch):
         prices, params, signals, cm, cfg = self._group("simple")
         self._nan_judge(monkeypatch, prices, signals, error=KeyError("judge broke"))
         for spare in (False, True):
-            with pytest.raises(KeyError, match="judge broke"):
+            with pytest.raises(KeyError, match="judge broke") as raised:
                 self._run(monkeypatch, spare, prices, params, signals, cm, cfg)
+            assert self.forks == spare
+            shown = "".join(traceback.format_exception(raised.value))
+            assert ("raised in the judge helper" in shown) is spare
 
+    @TWO_CPUS
     def test_step_error_leaves_no_process(self, monkeypatch):
         prices, params, signals, cm, cfg = self._group("simple")
         steps, real_step = [], agent._lockstep_grads
@@ -724,16 +749,17 @@ class TestJudgeHelper:
         monkeypatch.setattr(agent, "_lockstep_grads", failing_step)
         with pytest.raises(RuntimeError, match="step broke"):
             self._run(monkeypatch, True, prices, params, signals, cm, cfg)
+        assert self.forks == 1
 
     def test_one_epoch_starts_no_process(self, monkeypatch):
         prices, params, signals, cm, cfg = self._group("simple")
         one_epoch = {**cfg, "epochs": 1}
-        _, _, forks = self._run(monkeypatch, True, prices, params, signals, cm, one_epoch)
-        assert forks == 0
+        self._run(monkeypatch, True, prices, params, signals, cm, one_epoch)
+        assert self.forks == 0
 
     def test_helper_that_cannot_start_judges_inline(self, monkeypatch):
         prices, params, signals, cm, cfg = self._group("fixed_point")
-        inline, inline_states, _ = self._run(monkeypatch, False, prices, params, signals, cm, cfg)
+        inline, inline_states = self._run(monkeypatch, False, prices, params, signals, cm, cfg)
 
         def no_process(*args):
             raise OSError("no process")
