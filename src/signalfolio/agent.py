@@ -333,9 +333,10 @@ def train(
     training it alone.  The group holds the price windows once; each cell
     keeps only its signal columns.  Returns per cell the trained parameters
     and the per-epoch objective on the full training episode, or the error
-    that stopped it: non-finite parameters or objective, or an infeasible
-    rebalance.  A stopped cell leaves the group; the rest go on.  Parameters
-    that turn non-finite stop their cell at the end of the epoch.  Where a
+    that stopped it: parameters non-finite at the start or an epoch's end, a
+    non-finite objective, or an infeasible rebalance.  Every stop, at the
+    start, a step's retry or an epoch's judge, is one verdicts call that
+    settle applies: a stopped cell leaves the group; the rest go on.  Where a
     CPU is spare (_spare_cpu), a forked helper computes each epoch's
     objectives but the last while the next epoch trains, with the same
     outcomes, curves, parameters and generator states as judging inline.
@@ -358,7 +359,7 @@ def train(
     # The price windows are held once, in obs, and each cell's signal
     # columns in labels.  Row 0 of both, like row 0 of moves, stands before
     # the episode's first step, so every window gathers its entry row too; a
-    # window at the start enters with all cash.  judge scores obs[1:] and rel.
+    # window at the start enters with all cash.  score judges obs[1:] and rel.
     obs = np.vstack([np.zeros(d), build_states(train_prices, None, window)])
     rel = relative_prices(train_prices)[:, decision_indices(train_prices.n_steps, window)].T
     t_total, batch = len(obs) - 1, batch_window
@@ -382,61 +383,58 @@ def train(
     grads = PolicyParams(np.empty_like(group.theta), shapes)
     live = np.arange(cells)  # the cell of each row of the group
 
-    def stop_failed(check=None) -> None:
-        """Stop the live rows whose parameters are not finite or whose check(row, cell) raises."""
-        for row, cell in enumerate(live):
+    def verdicts(judged, theta, check=None) -> list:
+        """Per cell of judged, with its row of theta: the error that stops it, parameters
+        that are not finite first, or else what check(row, cell, its row of theta) returns."""
+        found = []
+        for row, (cell, cell_theta) in enumerate(zip(judged, theta)):
             try:
-                if not np.isfinite(group.theta[row]).all():
+                if not np.isfinite(cell_theta).all():
                     raise TrainingDivergedError("policy parameters are no longer finite")
-                if check:
-                    check(row, cell)
+                found.append(check(row, cell, cell_theta) if check else None)
             except _CELL_ERRORS as exc:
-                outcomes[cell] = exc
-        drop_stopped()
+                found.append(exc)
+        return found
 
-    def drop_stopped() -> None:
-        """Take the rows of the cells that have an outcome out of the group."""
+    def settle(judged, found, undrawn=()) -> None:
+        """Where a verdict takes effect: a cell error stops its cell, whose generator goes
+        back to its state in undrawn (by cell) where given; a score joins the cell's curve;
+        any other error is raised.  Then the rows of the stopped cells leave the group."""
         nonlocal group, grads, live
+        for cell, verdict in zip(judged, found):
+            if isinstance(verdict, _CELL_ERRORS):
+                outcomes[cell] = verdict
+                if cell in undrawn:
+                    rngs[cell].bit_generator.state = undrawn[cell]
+            elif isinstance(verdict, BaseException):
+                raise verdict
+            elif verdict is not None:
+                curves[cell].append(verdict)
         kept = [row for row, cell in enumerate(live) if outcomes[cell] is None]
         if len(kept) < live.size:
             group, grads, live = group.cells(kept), grads.cells(kept), live[kept]
 
-    def retry(row, cell) -> None:
+    def retry(row, cell, theta) -> None:
         """One row's step alone; a row that passes keeps the gradient it wrote."""
         one = slice(row, row + 1)
         _lockstep_grads(
             group.cells(one), x[one], y[one], at_start[one], entry, cm, grads.cells(one)
         )
 
-    def score(cell_params: PolicyParams, cell) -> float:
+    def score(row, cell, theta) -> float:
         """The objective a cell scores at the end of an epoch, which must be finite."""
         obs[:, columns] = labels[cell]
-        value = objective(cell_params, obs[1:], rel, cm)
+        value = objective(PolicyParams(theta, shapes), obs[1:], rel, cm)
         if not np.isfinite(value):
             raise TrainingDivergedError(f"objective became {value} during training")
         return value
 
-    def judge(row, cell) -> None:
-        curves[cell].append(score(group.cells(row), cell))
-
     def serve(connection, other) -> None:
-        """The helper's loop: for each pair of messages received, the live cells and their
-        rows of theta, send one verdict per cell, its score or the error that stops it, or
-        the first unexpected error; stop at EOF."""
+        """The helper's loop: per pair of messages, the live cells and their rows of theta,
+        send their verdicts, or the first unexpected error as the one item; stop at EOF."""
         other.close()  # so the parent closing its end is this end's EOF
         os.sched_setaffinity(0, cpus[-1:])
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-
-        def verdict(theta, cell):
-            try:
-                return score(PolicyParams(theta, shapes), cell)
-            except Exception as exc:  # the frames stay here, so their text travels as a note
-                frames = "".join(traceback.format_tb(exc.__traceback__))
-                exc.add_note(f"raised in the judge helper:\n{frames.rstrip()}")
-                if isinstance(exc, _CELL_ERRORS):
-                    return exc
-                raise
-
         while True:
             try:
                 judged = np.frombuffer(connection.recv_bytes(), dtype=live.dtype)
@@ -444,39 +442,25 @@ def train(
             except EOFError:
                 return
             try:
-                verdicts = [verdict(row, cell) for row, cell in zip(theta, judged)]
+                found = verdicts(judged, theta, score)
             except Exception as exc:
-                verdicts = exc
+                found = [exc]
+            for verdict in found:  # the frames stay here, so their text travels as a note
+                if isinstance(verdict, Exception):
+                    frames = "".join(traceback.format_tb(verdict.__traceback__))
+                    verdict.add_note(f"raised in the judge helper:\n{frames.rstrip()}")
             try:
-                connection.send(verdicts)
+                connection.send(found)
             except OSError:  # the parent stopped waiting
                 return
 
-    def settle(undrawn) -> None:
-        """The helper's verdicts on the cells of pending, applied as if judged in order
-        before this epoch: a stopped cell takes the judge's error, its generator goes back
-        to its state before this epoch's draw (undrawn), and its row leaves the group."""
-        try:
-            verdicts = helper[1].recv()
-        except EOFError:
-            raise RuntimeError("the judge helper exited without a verdict") from None
-        if isinstance(verdicts, BaseException):
-            raise verdicts
-        for cell, verdict, state in zip(pending, verdicts, undrawn):
-            if isinstance(verdict, Exception):
-                outcomes[cell] = verdict
-                rngs[cell].bit_generator.state = state
-            else:
-                curves[cell].append(verdict)
-        drop_stopped()
-
     # Rows never mix, so a cell that turns non-finite mid-epoch changes no other
     # cell before the end of the epoch stops it.  Finiteness is checked before
-    # judge, whose fixed-point objective would raise ConvergenceError on NaN.
+    # score, whose fixed-point objective would raise ConvergenceError on NaN.
     # With a spare CPU, a forked helper judges each epoch but the last while
     # the next one trains; a cell the judge stops has then trained one epoch
     # too many, which changes no other cell, and settle undoes its draw.
-    stop_failed()
+    settle(live, verdicts(live, group.theta))
     helper = None  # (process, connection) of the judge helper
     if epochs > 1 and live.size and _spare_cpu():
         cpus = sorted(os.sched_getaffinity(0))
@@ -488,7 +472,7 @@ def train(
     starts = np.zeros((cells, steps), dtype=np.int64)  # window starts, by cell
     try:
         for epoch in range(epochs):
-            undrawn = [rngs[cell].bit_generator.state for cell in pending]
+            undrawn = {cell: rngs[cell].bit_generator.state for cell in pending}
             for cell in live:  # a stopped cell's generator is left as it stopped
                 starts[cell] = rngs[cell].integers(0, t_total - batch + 1, size=steps)
             for step in range(steps):
@@ -501,20 +485,23 @@ def train(
                 try:
                     _lockstep_grads(group, x, y, at_start, entry, cm, grads)
                 except EngineError:  # an infeasible rebalance stops only the cells that hit it
-                    stop_failed(retry)
+                    settle(live, verdicts(live, group.theta, retry))
                 grads.theta *= learning_rate
                 group.theta += grads.theta
             if pending.size:
-                settle(undrawn)
-                pending = live[:0]
+                try:
+                    found = helper[1].recv()
+                except EOFError:
+                    raise RuntimeError("the judge helper exited without a verdict") from None
+                settle(pending, found, undrawn)
             if helper and epoch < epochs - 1:
-                stop_failed()
+                settle(live, verdicts(live, group.theta))
+                pending = live
                 if live.size:
                     helper[1].send_bytes(live)
                     helper[1].send_bytes(group.theta)
-                    pending = live
             else:
-                stop_failed(judge)
+                settle(live, verdicts(live, group.theta, score))
     finally:
         if helper:
             helper[1].close()

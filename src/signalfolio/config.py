@@ -376,6 +376,12 @@ def load_agent_checkpoint(cfg, n_assets: int) -> tuple[PolicyParams | None, int]
             f"agent.checkpoint: policy (inputs, outputs) {got}, but {n_assets} assets "
             f"at window {window} need {want}"
         )
+    hidden = tuple(out for out, _ in params.shapes[:-1])
+    if hidden != cfg["agent.hidden"]:
+        raise ConfigError(
+            f"agent.checkpoint: policy hidden sizes {hidden}, but agent.hidden is "
+            f"{cfg['agent.hidden']}"
+        )
     return params, epochs
 
 

@@ -66,6 +66,7 @@ SWEEP_BASE = {
     "agent.batch_window": 64,
     "seeds": (0, 1, 2, 3, 4),
     "seed": 2026,
+    "jobs": 2,
 }
 
 ACCURACY_LADDER = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -623,17 +623,19 @@ class TestJudgeHelper:
     WINDOW = 8
 
     def _group(self, mode):
-        """Six cells: healthy ones, one non-finite at the start (cell 1), a flipper (cell 3),
-        and one (cell 4) whose objective the patched judge finds NaN at epoch 1.  At
-        these rates the flipper's rebalance is infeasible in simple mode, and in
-        fixed-point mode cell 5's cost fixed point stops converging."""
+        """Seven cells: healthy ones, one non-finite at the start (cell 1), a flipper (cell 3),
+        one (cell 4) whose objective the patched judge finds NaN at epoch 1, and one (cell 6)
+        whose overflowing last layer turns non-finite after its first step.  At these
+        rates the flipper's rebalance is infeasible in simple mode, and in fixed-point
+        mode cell 5's cost fixed point stops converging."""
         prices = generate_synthetic(n_assets=3, n_steps=200, vol=0.02, seed=21)
         moves = true_movements(prices)
-        signals = [oracle_labels(moves, accuracy=0.8, density=1.0, seed=c) for c in range(6)]
+        signals = [oracle_labels(moves, accuracy=0.8, density=1.0, seed=c) for c in range(7)]
         signals[0] = None
         d = 3 * self.WINDOW + 3
-        params = [init_policy(d, 4, hidden=(8,), seed=30 + c) for c in range(6)]
+        params = [init_policy(d, 4, hidden=(8,), seed=30 + c) for c in range(7)]
         params[1].weights[0][0, 0] = np.nan
+        params[6].weights[-1][:] = 1e308
         flipper = _zero_params(d, 4, hidden=(8,))
         flipper.weights[0][0, 3 * self.WINDOW] = 5.0
         flipper.weights[1][1, 0], flipper.weights[1][2, 0] = 40.0, -40.0
@@ -697,6 +699,7 @@ class TestJudgeHelper:
         assert (self.forks, self.judged) == (1, 3)
         assert isinstance(inline[1], TrainingDivergedError)
         assert str(inline[4]) == "objective became nan during training"
+        assert str(inline[6]) == "policy parameters are no longer finite"
         failed = (3, EngineError) if mode == "simple" else (5, ConvergenceError)
         assert isinstance(inline[failed[0]], failed[1])
         assert sum(not isinstance(o, Exception) for o in inline) == 3
@@ -767,7 +770,8 @@ class TestJudgeHelper:
         monkeypatch.setattr(agent, "_spare_cpu", lambda: True)
         monkeypatch.setattr(agent, "_fork", no_process)
         samplers = rngs(range(len(params)))
-        got = train(params, prices, signals, cm, samplers, **cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = train(params, prices, signals, cm, samplers, **cfg)
         assert multiprocessing.active_children() == []
         assert [g.bit_generator.state for g in samplers] == inline_states
         for a, b in zip(got, inline):

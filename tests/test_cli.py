@@ -431,6 +431,25 @@ class TestCheckpointAndSplitErrors:
         assert f"({input_dim}, {n_actions})" in err and f"({2 * window + 2}, 3)" in err
 
     @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    @pytest.mark.parametrize(
+        "hidden,agent_hidden", [((8,), "64"), ((8, 4), "8"), ((), "8")], ids=str
+    )
+    def test_checkpoint_of_other_hidden_sizes_exits_one(
+        self, tmp_path, capsys, command, hidden, agent_hidden
+    ):
+        # the hidden sizes are the outputs of every layer but the last
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(init_policy(2 * 8 + 2, 3, hidden=hidden, seed=0), ckpt)
+        args = FAST_MARKET + CHECKPOINT_COMMANDS[command]
+        args += [f"agent.hidden={agent_hidden}", f"agent.checkpoint={ckpt}"]
+        out = tmp_path / "x"
+        assert run(command, "--out", str(out), *sets(args)) == 1
+        want = (int(agent_hidden),)
+        reason = f"policy hidden sizes {hidden}, but agent.hidden is {want}"
+        assert capsys.readouterr().err == f"error: agent.checkpoint: {reason}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
     def test_checkpoint_without_layers_exits_one(self, tmp_path, capsys, command):
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text('{"meta": {}}')

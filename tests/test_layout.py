@@ -1,9 +1,10 @@
 """Package layout: numpy is the only runtime dependency, there is one import path,
 one writer through which every artifact is written and one encoder of JSON
-artifacts, one path that sets up and trains the agent, training settings that
-are agent.train's keywords, one way into each setting, a reader for every
-config key, a caller in src/ for everything src/ defines, and no process pool
-loaded before a sweep needs one.
+artifacts, one path that sets up and trains the agent, one place in training
+that writes a stopped cell's error, training settings that are agent.train's
+keywords, one way into each setting, a reader for every config key, a caller
+in src/ for everything src/ defines, and no process pool loaded before a sweep
+needs one.
 
 hypothesis and pytest-benchmark may be installed beside the package, but the
 package must not come to need them, so every module's imports are read from
@@ -93,6 +94,32 @@ def test_one_agent_path_inits_and_trains():
                 if name in callers:
                     callers[name].append((path.stem, getattr(top, "name", None)))
     assert callers == {name: [("config", "train_agents")] for name in callers}
+
+
+def test_one_place_in_train_writes_a_cells_outcome():
+    """Inside agent.train, outcomes[...] is written only by settle, where every verdict that
+    stops a cell takes effect, and by the last loop, which stores each live cell's
+    (params, curve)."""
+    tree = ast.parse((SRC / "signalfolio" / "agent.py").read_text())
+    train_def = next(node for node in tree.body if getattr(node, "name", None) == "train")
+    scope = {}  # the innermost closure of each node inside train, by id
+    for inner in ast.walk(train_def):
+        if isinstance(inner, (ast.FunctionDef, ast.Lambda)) and inner is not train_def:
+            name = getattr(inner, "name", "<lambda>")
+            scope.update((id(node), name) for node in ast.walk(inner))
+    writers = sorted(
+        scope.get(id(node), "train")
+        for node in ast.walk(train_def)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "outcomes"
+    )
+    last_loop = train_def.body[-2]
+    assert writers == ["settle", "train"]
+    assert isinstance(last_loop, ast.For)
+    assert [ast.unparse(node) for node in last_loop.body] == [
+        "outcomes[cell] = (group.cells(row), curves[cell])"
+    ]
 
 
 def test_train_settings_are_the_keywords_of_agent_train():
